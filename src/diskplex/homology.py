@@ -1,9 +1,13 @@
 """Reduced integer homology of simplicial complexes, exactly.
 
-Boundary matrices are kept over Z with Python's arbitrary-precision ints
-and diagonalized by a sparse Smith reduction: unit pivots first (cheap,
-no growth), then minimal-absolute-value pivots, then a gcd/lcm pass that
-normalizes the collected diagonal into a divisor chain.
+Boundary matrices are built sparse, straight from the face lists, over Z
+with Python's arbitrary-precision ints.  Smith reduction runs in two
+phases.  Simplicial boundary maps are sparse and nearly all their pivots
+are units, so the first phase splits off ±1 pivots one at a time, taking
+short rows and sparse columns first; each costs only the row operations
+that clear its column and adds a factor 1.  The second phase diagonalizes
+the small non-unit residue by minimal-absolute-value pivots, and a
+gcd/lcm pass normalizes its diagonal into a divisor chain.
 
 Homology is reduced throughout: the degree-0 boundary map is the
 augmentation to Z, so a single point has trivial homology everywhere.
@@ -25,8 +29,11 @@ def divisor_chain(values: Iterable[int]) -> tuple[int, ...]:
 
     diag(a, b) is equivalent to diag(gcd(a, b), lcm(a, b)); repeating that
     exchange until stable yields the invariant factors, in ascending order.
+    A 1 divides everything, so 1s are set aside and put back in front.
     """
     vals = sorted(abs(v) for v in values if v)
+    ones = vals.count(1)
+    del vals[:ones]
     changed = True
     while changed:
         changed = False
@@ -37,7 +44,7 @@ def divisor_chain(values: Iterable[int]) -> tuple[int, ...]:
                     vals[i], vals[j] = g, vals[i] // g * vals[j]
                     changed = True
         vals.sort()
-    return tuple(vals)
+    return (1,) * ones + tuple(vals)
 
 
 @dataclass(frozen=True)
@@ -93,46 +100,38 @@ TRIVIAL_GROUP = AbelianGroup()
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """Dense exact integer matrix (small, row-major tuples)."""
+    """Sparse exact integer matrix.
+
+    ``entries`` holds one tuple per row of that row's nonzero
+    ``(column, value)`` pairs, columns ascending.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    entries: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
         if len(self.entries) != self.rows:
             raise ValueError("row count mismatch")
-        if any(len(r) != self.cols for r in self.entries):
-            raise ValueError("column count mismatch")
+        for row in self.entries:
+            last = -1
+            for j, v in row:
+                if not last < j < self.cols:
+                    raise ValueError("column indices must ascend within the column range")
+                if not v:
+                    raise ValueError("stored zero entry")
+                last = j
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
-        rows = tuple(tuple(int(v) for v in r) for r in rows)
+        """Sparse matrix from dense rows of ints."""
+        rows = [[int(v) for v in r] for r in rows]
         if cols is None:
             cols = len(rows[0]) if rows else 0
-        return cls(len(rows), cols, rows)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    def multiply(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = self.entries[i]
-            out.append(
-                tuple(
-                    sum(row[k] * other.entries[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                )
-            )
-        return IntegerMatrix(self.rows, other.cols, tuple(out))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(all(v == 0 for v in r) for r in self.entries)
+        if any(len(r) != cols for r in rows):
+            raise ValueError("column count mismatch")
+        entries = tuple(tuple((j, v) for j, v in enumerate(r) if v) for r in rows)
+        return cls(len(rows), cols, entries)
 
 
 def smith_normal_form(matrix: IntegerMatrix) -> tuple[int, ...]:
@@ -140,13 +139,69 @@ def smith_normal_form(matrix: IntegerMatrix) -> tuple[int, ...]:
 
     The length of the result is the rank; trivial factors 1 are included.
     """
-    rows: dict[int, dict[int, int]] = {}
+    rows = {i: dict(r) for i, r in enumerate(matrix.entries) if r}
     cols: dict[int, set[int]] = {}
-    for i, row in enumerate(matrix.entries):
-        for j, v in enumerate(row):
-            if v:
-                rows.setdefault(i, {})[j] = v
-                cols.setdefault(j, set()).add(i)
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    units = _eliminate_unit_pivots(rows, cols)
+    return (1,) * units + divisor_chain(_reduce_residue(rows, cols))
+
+
+def _eliminate_unit_pivots(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) -> int:
+    """Split off every ±1 pivot it can find; return how many it split off.
+
+    A unit pivot u at (pi, pj) clears its column by exact row operations
+    (row i -= a_i * u * row pi, since u = 1/u), after which column
+    operations clear row pi without touching any other row.  So the matrix
+    is equivalent to diag(1) + the matrix without row pi and column pj,
+    and both are dropped.  Short rows and sparse columns go first to keep
+    fill-in low.  ``rows`` and ``cols`` are left holding the residue.
+    """
+    units = 0
+    progress = True
+    while progress:
+        progress = False
+        for pi in sorted(rows, key=lambda i: (len(rows[i]), i)):
+            pivot_row = rows.get(pi)
+            if pivot_row is None:
+                continue
+            pj = min(
+                (j for j, v in pivot_row.items() if v == 1 or v == -1),
+                key=lambda j: (len(cols[j]), j),
+                default=None,
+            )
+            if pj is None:
+                continue
+            u = pivot_row.pop(pj)
+            del rows[pi]
+            for j in pivot_row:
+                cols[j].discard(pi)
+            for i in cols.pop(pj):
+                if i == pi:
+                    continue
+                row = rows[i]
+                q = row.pop(pj) * u
+                for j, v in pivot_row.items():
+                    w = row.get(j, 0) - q * v
+                    if w:
+                        row[j] = w
+                        cols[j].add(i)
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
+                if not row:
+                    del rows[i]
+            for j in pivot_row:
+                if not cols[j]:
+                    del cols[j]
+            units += 1
+            progress = True
+    return units
+
+
+def _reduce_residue(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) -> list[int]:
+    """Diagonalize what the unit phase left, by minimal-|value| pivots."""
 
     def drop(i: int, j: int):
         del rows[i][j]
@@ -222,29 +277,29 @@ def smith_normal_form(matrix: IntegerMatrix) -> tuple[int, ...]:
         diag.append(abs(rows[pi][pj]))
         drop(pi, pj)
 
-    return divisor_chain(diag)
-
-
-def matrix_rank(matrix: IntegerMatrix) -> int:
-    return len(smith_normal_form(matrix))
+    return diag
 
 
 # --------------------------------------------------------------- homology
 
 def boundary_matrices(k: SimplicialComplex) -> list[IntegerMatrix]:
-    """Boundary maps [d_0, d_1, ..., d_dim] with d_0 the augmentation to Z."""
+    """Boundary maps [d_0, d_1, ..., d_dim] with d_0 the augmentation to Z.
+
+    Built sparse from the face lists: d-face j has entry (-1)^v in the row
+    of the (d-1)-face that drops its v-th vertex.
+    """
     if k.is_empty:
         raise ValueError("empty complex has no boundary matrices")
     groups = k.faces_by_dim()
-    out = [IntegerMatrix.from_rows([(1,) * len(groups[0])], cols=len(groups[0]))]
+    n0 = len(groups[0])
+    out = [IntegerMatrix(1, n0, (tuple((j, 1) for j in range(n0)),))]
     for d in range(1, k.dim + 1):
         lower = {f: i for i, f in enumerate(groups[d - 1])}
-        entries = [[0] * len(groups[d]) for _ in lower]
+        entries: list[list[tuple[int, int]]] = [[] for _ in lower]
         for j, face in enumerate(groups[d]):
-            for i_vertex in range(len(face)):
-                sub = face[:i_vertex] + face[i_vertex + 1 :]
-                entries[lower[sub]][j] = (-1) ** i_vertex
-        out.append(IntegerMatrix.from_rows(entries, cols=len(groups[d])))
+            for v in range(len(face)):
+                entries[lower[face[:v] + face[v + 1 :]]].append((j, -1 if v % 2 else 1))
+        out.append(IntegerMatrix(len(lower), len(groups[d]), tuple(map(tuple, entries))))
     return out
 
 

@@ -9,6 +9,7 @@ from diskplex.homology import (
     AbelianGroup,
     IntegerMatrix,
     ZERO_INDEX,
+    boundary_matrices,
     divisor_chain,
     finite_index,
     homology_index,
@@ -17,9 +18,12 @@ from diskplex.homology import (
     smith_normal_form,
 )
 from diskplex.simplicial import (
+    barycentric_subdivision,
     boundary_of_simplex,
     empty_complex,
     from_facets,
+    join,
+    join_all,
     point,
     simplex_complex,
 )
@@ -38,6 +42,7 @@ def test_divisor_chain():
     assert divisor_chain([4, 6]) == (2, 12)
     assert divisor_chain([2, 2]) == (2, 2)
     assert divisor_chain([]) == ()
+    assert divisor_chain([1] * 3000 + [2, 3]) == (1,) * 3001 + (6,)
 
 
 def test_abelian_group_contract():
@@ -66,6 +71,81 @@ def test_snf_fixed_cases():
     assert smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 2]])) == (2, 2)
     assert smith_normal_form(IntegerMatrix.from_rows([[0, 0], [0, 0]])) == ()
     assert smith_normal_form(IntegerMatrix.from_rows([[6, 4], [4, 6]])) == (2, 10)
+    # one unit pivot leaves the non-unit residue [[-2]]
+    residue = [[1, 1], [1, -1]]
+    assert smith_normal_form(IntegerMatrix.from_rows(residue)) == (1, 2)
+    assert tuple(oracles.invariant_factors_by_minors(residue)) == (1, 2)
+
+
+def test_integer_matrix_is_sparse_and_validated():
+    m = IntegerMatrix.from_rows([[0, 3, 0], [0, 0, 0], [-1, 0, 2]])
+    assert (m.rows, m.cols) == (3, 3)
+    assert m.entries == (((1, 3),), (), ((0, -1), (2, 2)))
+    with pytest.raises(ValueError):
+        IntegerMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        IntegerMatrix(1, 2, (((0, 1), (0, 2)),))  # repeated column
+    with pytest.raises(ValueError):
+        IntegerMatrix(1, 2, (((2, 1),),))  # column out of range
+    with pytest.raises(ValueError):
+        IntegerMatrix(1, 2, (((1, 0),),))  # stored zero
+    with pytest.raises(ValueError):
+        IntegerMatrix(2, 2, (((0, 1),),))  # row count
+
+
+def _dense(m: IntegerMatrix) -> list[list[int]]:
+    rows = [[0] * m.cols for _ in range(m.rows)]
+    for i, row in enumerate(m.entries):
+        for j, v in row:
+            rows[i][j] = v
+    return rows
+
+
+def test_snf_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    def sympy_factors(rows):
+        diag = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+        return divisor_chain(abs(int(diag[i, i])) for i in range(min(diag.shape)))
+
+    rng = random.Random(41)
+    matrices = []
+    for _ in range(40):
+        n_rows, n_cols = rng.randint(1, 25), rng.randint(1, 30)
+        density = rng.uniform(0.05, 0.4)
+        matrices.append([
+            [rng.choice((1, -1, 1, -1, 1, -1, 2, -2, 3, -3)) if rng.random() < density else 0
+             for _ in range(n_cols)]
+            for _ in range(n_rows)
+        ])
+    for facets in (RP2, TORUS):
+        k = from_facets(facets)
+        for complex_ in (k, barycentric_subdivision(k)):
+            matrices.extend(_dense(m) for m in boundary_matrices(complex_))
+    for rows in matrices:
+        ours = smith_normal_form(IntegerMatrix.from_rows(rows))
+        assert ours == sympy_factors(rows), rows
+
+
+def test_reduced_homology_of_large_known_shapes():
+    z2 = AbelianGroup(0, (2,))
+    trivial = AbelianGroup()
+    rp2 = from_facets(RP2)
+
+    # Suspension shifts reduced homology up one degree: H~1(RP^2) = Z/2.
+    sd2 = barycentric_subdivision(barycentric_subdivision(rp2))
+    suspension = join(sd2, from_facets([["north"], ["south"]]))
+    assert reduced_homology(suspension).groups == (trivial, trivial, z2)
+
+    # C4 * C4 = S^3, and S^3 * RP^2 is the fourfold suspension of RP^2.
+    c4 = [[0, 1], [1, 2], [2, 3], [3, 0]]
+    c4_c4_rp2 = join_all([from_facets(c4), from_facets([[v + 4 for v in e] for e in c4]),
+                          from_facets([[v + 7 for v in f] for f in RP2])])
+    assert reduced_homology(c4_c4_rp2).groups == (trivial,) * 5 + (z2,)
+
+    assert homology_index(simplex_complex(range(11))) == ACYCLIC_INDEX
+    assert reduced_homology(boundary_of_simplex(11)).groups == (trivial,) * 9 + (AbelianGroup(1, ()),)
 
 
 def test_reduced_homology_frozen_profiles():
