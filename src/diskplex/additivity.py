@@ -13,10 +13,10 @@ declared indices.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .homology import HomologyIndex, homology_index
+from .io import read_json
 from .join_formula import index_sum_law
 from .pieces import EDGES, FACES, LocalPiece, piece
 from .simplicial import SimplicialComplex, join_all, relabel
@@ -283,6 +283,9 @@ def config_from_json_dict(data: dict) -> SurfaceConfiguration:
         tets = int(data["tets"])
     except (KeyError, TypeError, ValueError):
         raise ValueError('configuration needs an integer "tets" field') from None
+    for name in ("gluings", "pieces"):
+        if not isinstance(data.get(name, []), list):
+            raise ValueError(f'configuration field "{name}" must be a list')
     gluings = []
     for i, entry in enumerate(data.get("gluings", [])):
         try:
@@ -312,9 +315,4 @@ def config_to_json_dict(config: SurfaceConfiguration) -> dict:
 
 
 def load_config(path) -> SurfaceConfiguration:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return config_from_json_dict(data)
+    return config_from_json_dict(read_json(path))

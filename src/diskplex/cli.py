@@ -199,9 +199,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    config = RunConfig(seed=args.seed, counts=args.counts,
-                       output="json" if args.json else "text")
-    report = run_suite(config)
+    report = run_suite(RunConfig(seed=args.seed, counts=args.counts))
     if args.json:
         print(json.dumps(report_json_dict(report), indent=2, sort_keys=True))
     else:

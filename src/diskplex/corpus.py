@@ -35,11 +35,6 @@ def random_complex(
     return from_facets(facets, name=f"random({n}v)")
 
 
-def random_nonempty_complex(rng: random.Random, **kw) -> SimplicialComplex:
-    kw["allow_empty"] = False
-    return random_complex(rng, **kw)
-
-
 def milnor_pairs(rng: random.Random, count: int, max_facet_size: int = 3, max_facets: int = 6):
     """Pairs for join-formula checks; empty factors appear occasionally.
 
@@ -155,6 +150,7 @@ def random_configuration(rng: random.Random, max_tets: int = 5, max_indexed: int
             attached[tb].append(g)
             free_faces.discard((ta, fa))
             free_faces.discard((tb, fb))
+    skeleton = TetGluing(tets, tuple(gluings))
 
     counts: dict[tuple[int, str], int] = {}
 
@@ -185,7 +181,7 @@ def random_configuration(rng: random.Random, max_tets: int = 5, max_indexed: int
                     todo.append((g.tet_a, _mirror_quad(kind, g, outgoing=False), g))
 
     # indexed pieces where their arc-bearing faces are free
-    glued_faces = {(g.tet_a, g.face_a) for g in gluings} | {(g.tet_b, g.face_b) for g in gluings}
+    glued_faces = skeleton.glued_faces()
     budget = rng.randint(0, max_indexed)
     placed = 0
     for _ in range(12):
@@ -210,7 +206,7 @@ def random_configuration(rng: random.Random, max_tets: int = 5, max_indexed: int
     placements = tuple(
         Placement(t, kind, m) for (t, kind), m in sorted(counts.items()) if m > 0
     )
-    config = SurfaceConfiguration(TetGluing(tets, tuple(gluings)), placements)
+    config = SurfaceConfiguration(skeleton, placements)
     report = check_matching(config)
     if not report.passed:
         raise AssertionError(f"generator produced an invalid configuration: {report.residuals!r}")

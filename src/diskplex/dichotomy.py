@@ -86,11 +86,7 @@ def _outside_simplices(x: SimplicialComplex, y: SimplicialComplex) -> list[tuple
     """Simplices of Y spanned entirely by vertices outside X, ordered by
     dimension then lexicographically."""
     outside_vertices = [v for v in y.vertices() if v not in set(x.vertices())]
-    induced = full_subcomplex(y, outside_vertices)
-    out = []
-    for d in sorted(induced.faces_by_dim()):
-        out.extend(induced.faces(d))
-    return out
+    return full_subcomplex(y, outside_vertices).all_faces()
 
 
 def check_dichotomy(x: SimplicialComplex, y: SimplicialComplex) -> DichotomyWitness:

@@ -43,13 +43,17 @@ def complex_from_json_dict(data: Any, source: str = "input") -> SimplicialComple
         raise ValueError(f"{source}: {exc}") from None
 
 
-def parse_complex(path) -> SimplicialComplex:
+def read_json(path) -> Any:
+    """One JSON document from a file; malformed JSON raises ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return complex_from_json_dict(data, source=str(path))
+
+
+def parse_complex(path) -> SimplicialComplex:
+    return complex_from_json_dict(read_json(path), source=str(path))
 
 
 def _vertex_to_json(v):

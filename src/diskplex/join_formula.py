@@ -27,6 +27,7 @@ from .homology import (
     HomologyProfile,
     TRIVIAL_GROUP,
     ZERO_INDEX,
+    _trim,
     finite_index,
     reduced_homology,
 )
@@ -67,9 +68,7 @@ def join_homology_via_formula(a: HomologyProfile, b: HomologyProfile) -> Homolog
             j = k - 2 - i
             total = total.direct_sum(tor(a.group(i), b.group(j)))
         groups.append(total)
-    while groups and groups[-1].is_trivial:
-        groups.pop()
-    return HomologyProfile(groups=tuple(groups))
+    return HomologyProfile(groups=_trim(groups))
 
 
 def index_sum_law(indices: Iterable[HomologyIndex]) -> HomologyIndex:
@@ -138,10 +137,3 @@ def verify_milnor(a: SimplicialComplex, b: SimplicialComplex) -> MilnorReport:
     top = max(direct.top_degree, formula.top_degree)
     mismatches = tuple(k for k in range(top + 1) if direct.group(k) != formula.group(k))
     return MilnorReport(name=name, direct=direct, formula=formula, identity_rule=False, mismatches=mismatches)
-
-
-def profiles_agree(a: HomologyProfile, b: HomologyProfile) -> bool:
-    if a.empty_complex or b.empty_complex:
-        return a.empty_complex == b.empty_complex
-    top = max(a.top_degree, b.top_degree)
-    return all(a.group(k) == b.group(k) for k in range(top + 1))

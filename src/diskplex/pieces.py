@@ -267,6 +267,28 @@ def local_index(p: LocalPiece) -> HomologyIndex:
     return computed
 
 
+def validate_piece(p: LocalPiece) -> None:
+    """Raise naming the piece if its arcs, weights or model index disagree."""
+    verdict = check_normal_arcs(p.face_arcs)
+    if not verdict.passed:
+        raise ValueError(f"piece {p.kind}: {verdict.problems[0]}")
+    if any(w < 0 for w in p.edge_weights):
+        raise ValueError(f"piece {p.kind}: negative edge weight")
+    # arcs landing on an edge from within a face must match the crossing count
+    for f in range(4):
+        corners = FACES[f]
+        for a in range(3):
+            for b in range(a + 1, 3):
+                e = (corners[a], corners[b])
+                endpoint_arcs = p.arc_count(f, corners[a]) + p.arc_count(f, corners[b])
+                if endpoint_arcs != p.edge_weight(e):
+                    raise ValueError(
+                        f"piece {p.kind}: face {f} leaves {endpoint_arcs} endpoints "
+                        f"on edge {e} but the edge weight is {p.edge_weight(e)}"
+                    )
+    local_index(p)
+
+
 def validate_catalog(pieces: Iterable[LocalPiece]) -> None:
     """Raise naming the offending piece on any catalog inconsistency."""
     seen = set()
@@ -274,25 +296,4 @@ def validate_catalog(pieces: Iterable[LocalPiece]) -> None:
         if p.kind in seen:
             raise ValueError(f"piece {p.kind}: duplicate kind")
         seen.add(p.kind)
-        verdict = check_normal_arcs(p.face_arcs)
-        if not verdict.passed:
-            raise ValueError(f"piece {p.kind}: {verdict.problems[0]}")
-        if any(w < 0 for w in p.edge_weights):
-            raise ValueError(f"piece {p.kind}: negative edge weight")
-        # arcs landing on an edge from within a face must match the crossing count
-        for f in range(4):
-            corners = FACES[f]
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    e = (corners[a], corners[b])
-                    endpoint_arcs = p.arc_count(f, corners[a]) + p.arc_count(f, corners[b])
-                    if endpoint_arcs != p.edge_weight(e):
-                        raise ValueError(
-                            f"piece {p.kind}: face {f} leaves {endpoint_arcs} endpoints "
-                            f"on edge {e} but the edge weight is {p.edge_weight(e)}"
-                        )
-        local_index(p)
-
-
-def total_weight(p: LocalPiece) -> int:
-    return p.weight
+        validate_piece(p)

@@ -25,10 +25,6 @@ def vertex_key(v: Vertex):
     return (0, v)
 
 
-def _face_key(face: Sequence[Vertex]):
-    return tuple(vertex_key(v) for v in face)
-
-
 def _canonical_face(vertices: Iterable[Vertex]) -> tuple:
     return tuple(sorted(vertices, key=vertex_key))
 
@@ -70,6 +66,13 @@ class SimplicialComplex:
 
     Equality and hashing use the facet set only; ``name`` is a label.
     Face enumeration is computed on demand and memoized.
+
+    Invariant: every facet is a tuple sorted by ``vertex_key`` without
+    repeats.  ``from_facets`` establishes it and every other constructor
+    reuses the facets of an existing complex.  Subsets of a facet taken
+    in order are therefore canonical faces, and comparing faces by the
+    ranks of their vertices in ``vertices()`` orders them exactly as
+    comparing their ``vertex_key`` tuples would.
     """
 
     facets: frozenset
@@ -82,7 +85,7 @@ class SimplicialComplex:
 
     def facet_list(self) -> list[tuple]:
         """Facets in canonical (lexicographic) order."""
-        return sorted(self.facets, key=_face_key)
+        return sorted(self.facets, key=self._face_order())
 
     def vertices(self) -> tuple:
         if "vertices" not in self._cache:
@@ -91,6 +94,11 @@ class SimplicialComplex:
                 seen.update(f)
             self._cache["vertices"] = tuple(sorted(seen, key=vertex_key))
         return self._cache["vertices"]
+
+    def _face_order(self):
+        """Sort key for faces of this complex: the tuple of vertex ranks."""
+        rank = {v: i for i, v in enumerate(self.vertices())}
+        return lambda face: tuple(map(rank.__getitem__, face))
 
     @property
     def dim(self) -> int:
@@ -104,12 +112,9 @@ class SimplicialComplex:
             groups: dict[int, set] = {}
             for facet in self.facets:
                 for r in range(1, len(facet) + 1):
-                    bucket = groups.setdefault(r - 1, set())
-                    for sub in itertools.combinations(facet, r):
-                        bucket.add(_canonical_face(sub))
-            self._cache["faces"] = {
-                d: sorted(g, key=_face_key) for d, g in sorted(groups.items())
-            }
+                    groups.setdefault(r - 1, set()).update(itertools.combinations(facet, r))
+            key = self._face_order()
+            self._cache["faces"] = {d: sorted(g, key=key) for d, g in sorted(groups.items())}
         return self._cache["faces"]
 
     def faces(self, d: int) -> list[tuple]:

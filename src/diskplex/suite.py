@@ -23,7 +23,7 @@ from .homology import (
     homology_index,
 )
 from .join_formula import verify_milnor
-from .pieces import catalog, check_normal_arcs, local_index, piece
+from .pieces import catalog, piece, validate_piece
 from .simplicial import barycentric_subdivision, boundary_of_simplex, from_facets
 from .width import apply_surgery, verify_width_decrease
 from .corpus import random_move
@@ -33,7 +33,10 @@ from .corpus import random_move
 class RunConfig:
     seed: int = 1036
     counts: int | None = None  # overrides per-property case counts
-    output: str = "text"  # "text" | "json"
+
+    def __post_init__(self):
+        if self.counts is not None and self.counts < 0:
+            raise ValueError(f"counts must be nonnegative, got {self.counts}")
 
 
 @dataclass(frozen=True)
@@ -300,10 +303,7 @@ def prop_catalog_integrity(config: RunConfig, pieces=None) -> PropertyResult:
     entries = catalog() if pieces is None else pieces
     for p in entries:
         try:
-            local_index(p)
-            verdict = check_normal_arcs(p.face_arcs)
-            if not verdict.passed:
-                raise ValueError(f"piece {p.kind}: {verdict.problems[0]}")
+            validate_piece(p)
             details.append(f"{p.kind}: weight {p.weight}, euler {p.euler}, index {p.declared_index}")
         except ValueError as exc:
             ok = False
@@ -312,7 +312,7 @@ def prop_catalog_integrity(config: RunConfig, pieces=None) -> PropertyResult:
 
 
 def prop_determinism(config: RunConfig) -> PropertyResult:
-    mini = RunConfig(seed=config.seed, counts=4, output="text")
+    mini = RunConfig(seed=config.seed, counts=4)
     first = render_text(_run_properties(mini, _MINI_PROPERTIES))
     second = render_text(_run_properties(mini, _MINI_PROPERTIES))
     ok = first == second

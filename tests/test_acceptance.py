@@ -5,6 +5,7 @@ RESULTS (printed in the terminal summary), and asserts.  Random cases are
 seeded, so every run sees the same corpus.
 """
 
+import hashlib
 import random
 import time
 
@@ -208,9 +209,15 @@ def test_criterion_8_catalog_integrity():
            f"{len(PIECE_KINDS)} kinds + negative control")
 
 
+# SHA-256 of the default-seed report text, as recorded by the benchmark
+SUITE_1036_SHA256 = "370ea2e2e27c514b645a86ab0f386ac6e780d3104f96a50dcfa2d694184bd26a"
+
+
 def test_criterion_9_determinism():
     config = RunConfig(seed=1036)
     first = run_suite(config)
     second = run_suite(config)
-    ok = render_text(first) == render_text(second) and first.exit_code == 0
-    record(9, "same-seed suite runs are byte-identical", ok)
+    text = render_text(first)
+    ok = text == render_text(second) and first.exit_code == 0
+    ok = ok and hashlib.sha256(text.encode("utf-8")).hexdigest() == SUITE_1036_SHA256
+    record(9, "same-seed suite runs are byte-identical and match the recorded report", ok)

@@ -133,6 +133,10 @@ def test_config_json_errors():
         )
     with pytest.raises(ValueError):
         config_from_json_dict({"tets": 2, "gluings": [[0, 0, 1]], "pieces": []})
+    with pytest.raises(ValueError, match="gluings"):
+        config_from_json_dict({"tets": 1, "gluings": 5})
+    with pytest.raises(ValueError, match="pieces"):
+        config_from_json_dict({"tets": 1, "pieces": {"0": "TRI_0"}})
 
 
 # --------------------------------------------------- two-tet closed gluings

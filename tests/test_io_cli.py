@@ -164,6 +164,11 @@ def test_cli_error_paths(tmp_path, capsys):
     capsys.readouterr()
     assert main(["dual", circle]) == 2
     assert "not a ball" in capsys.readouterr().err
+    not_a_list = write_fixture(tmp_path, "cfg.json", {"tets": 1, "gluings": 5})
+    assert main(["additivity", not_a_list]) == 2
+    assert "gluings" in capsys.readouterr().err
+    assert main(["suite", "--counts", "-1"]) == 2
+    assert "counts" in capsys.readouterr().err
 
 
 def test_cli_suite_small(capsys):

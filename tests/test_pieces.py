@@ -12,6 +12,8 @@ from diskplex.pieces import (
     check_normal_arcs,
     local_index,
     piece,
+    validate_catalog,
+    validate_piece,
 )
 
 EXPECTED = {
@@ -88,6 +90,13 @@ def test_tampered_piece_detected():
     bad = dataclasses.replace(good, declared_index=finite_index(2))
     with pytest.raises(ValueError):
         local_index(bad)
+    with pytest.raises(ValueError, match="OCT_2: model index"):
+        validate_piece(bad)
+    heavy = dataclasses.replace(good, edge_weights=(9,) + good.edge_weights[1:])
+    with pytest.raises(ValueError, match="edge weight is 9"):
+        validate_piece(heavy)
+    with pytest.raises(ValueError, match="duplicate kind"):
+        validate_catalog([good, good])
 
 
 def test_piece_lookup_unknown_kind():

@@ -22,6 +22,7 @@ from diskplex.simplicial import (
     relabel,
     simplex_complex,
     star,
+    vertex_key,
 )
 from diskplex import corpus
 
@@ -50,6 +51,18 @@ def test_mixed_vertex_ordering():
     # ints sort before strings, so each facet is well ordered
     assert (1, "a") in k.facet_list()
     assert (2, "b") in k.facet_list()
+
+    # ints, strings and nested tuples together: faces come straight from
+    # the canonical facets and must reproduce the vertex_key order
+    facets = [["b", 2, ("x", 1)], [1, "a", ("x", 1)], [("a", (2, "c")), 3, "a", 1], [("x", 0)]]
+    mixed = from_facets(facets)
+    groups = mixed.faces_by_dim()
+    for d, group in groups.items():
+        assert group == sorted(group, key=lambda f: tuple(vertex_key(v) for v in f))
+        for face in group:
+            assert list(face) == sorted(face, key=vertex_key)
+        assert len(group) == len(oracles.faces_of_dim(facets, d))
+    assert set(groups) == {0, 1, 2, 3}
 
 
 def test_faces_and_f_vector():
