@@ -153,8 +153,8 @@ def check_matching(config: SurfaceConfiguration) -> MatchingReport:
     return MatchingReport(passed=not residuals, residuals=tuple(residuals))
 
 
-def _edge_identifications(skeleton: TetGluing):
-    """Union-find classes of (tet, edge) pairs induced by the face gluings."""
+def _edge_identifications(skeleton: TetGluing, tets):
+    """Union-find classes of the edges of ``tets`` induced by the face gluings."""
     parent: dict = {}
 
     def find(x):
@@ -168,7 +168,7 @@ def _edge_identifications(skeleton: TetGluing):
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    for t in range(skeleton.tets):
+    for t in tets:
         for e in EDGES:
             parent.setdefault((t, e), (t, e))
     for g in skeleton.gluings:
@@ -196,19 +196,22 @@ def euler_characteristic(config: SurfaceConfiguration) -> int:
     if not report.passed:
         raise ValueError("matching failed; residuals: " + "; ".join(report.render_lines()[1:]))
 
+    glued = {}
+    for g in config.skeleton.gluings:
+        glued[(g.tet_a, g.face_a)] = (g.tet_b, g.face_b)
+        glued[(g.tet_b, g.face_b)] = (g.tet_a, g.face_a)
+    # a tetrahedron no gluing or placement names adds no crossing, arc or piece
+    tets = sorted({t for t, _ in glued} | {pl.tet for pl in config.placements})
+
     vertices = 0
-    for cls in _edge_identifications(config.skeleton):
+    for cls in _edge_identifications(config.skeleton, tets):
         weights = {_edge_weight(config, t, e) for t, e in cls}
         if len(weights) != 1:
             raise ValueError(f"inconsistent crossing counts around edge class {sorted(cls)}")
         vertices += weights.pop()
 
     edges = 0
-    glued = {}
-    for g in config.skeleton.gluings:
-        glued[(g.tet_a, g.face_a)] = (g.tet_b, g.face_b)
-        glued[(g.tet_b, g.face_b)] = (g.tet_a, g.face_a)
-    for t in range(config.skeleton.tets):
+    for t in tets:
         for f in range(4):
             arcs_here = sum(_face_arc_vector(config, t, f))
             partner = glued.get((t, f))

@@ -12,9 +12,9 @@ import random
 
 from .additivity import Gluing, Placement, SurfaceConfiguration, TetGluing, check_matching
 from .homology import homology_index
-from .pieces import FACES
+from .pieces import piece
 from .simplicial import SimplicialComplex, from_facets, full_subcomplex
-from .width import SurfaceComponentModel, SurgeryMove, available_moves
+from .width import SurfaceComponentModel, SurgeryMove, move_runs
 
 
 def random_complex(
@@ -77,10 +77,17 @@ def random_surface(rng: random.Random, max_components: int = 6) -> tuple[Surface
 
 
 def random_move(rng: random.Random, surface) -> SurgeryMove | None:
-    moves = available_moves(surface)
-    if not moves:
+    """A uniform draw from ``available_moves(surface)``, building only the
+    drawn move; no draw is made when there is no move."""
+    runs = move_runs(surface)
+    total = sum(count for count, _ in runs)
+    if not total:
         return None
-    return moves[rng.randrange(len(moves))]
+    j = rng.randrange(total)
+    for count, move_at in runs:
+        if j < count:
+            return move_at(j)
+        j -= count
 
 
 def surfaces_with_moves(rng: random.Random, count: int):
@@ -101,30 +108,21 @@ _INDEXED_VERTEX = ("TUBE", "TRIPLE_TUBE")  # arcs only on the three faces at ver
 
 
 def _mirror_quad(kind: str, gluing: Gluing, outgoing: bool) -> str:
-    """The unique quad kind matching ``kind`` across a gluing.
+    """The one quad kind whose arcs match ``kind``'s across a gluing.
 
-    A quad's arc in a face cuts off the partner of that face inside its
-    partition side; the image arc type under the gluing's permutation
-    determines the partner of the far face, hence the far quad type.
+    ``kind`` sits on the gluing's a side when ``outgoing``, else on its b
+    side; the match is ``check_matching``'s rule, slot i of face_a against
+    slot perm[i] of face_b.  Each quad leaves one arc in a face, at a
+    different corner per quad, so exactly one kind matches.
     """
-    q = int(kind[-1])
-    if outgoing:
-        f_here, f_there = gluing.face_a, gluing.face_b
-        send = {FACES[f_here][i]: FACES[f_there][gluing.perm[i]] for i in range(3)}
-    else:
-        f_here, f_there = gluing.face_b, gluing.face_a
-        send = {FACES[f_here][gluing.perm[i]]: FACES[f_there][i] for i in range(3)}
-    side_a, side_b = (0, q), tuple(v for v in (1, 2, 3) if v != q)
-    side = side_a if f_here in side_a else side_b
-    partner = next(v for v in side if v != f_here)
-    cut_there = send[partner]
-    pair = tuple(sorted((f_there, cut_there)))
-    # the partition containing {f_there, cut_there} names the far quad
-    for q2 in (1, 2, 3):
-        sides = ((0, q2), tuple(v for v in (1, 2, 3) if v != q2))
-        if pair in (tuple(sorted(s)) for s in sides):
-            return f"QUAD_{q2}"
-    raise AssertionError("no quad partition contains the image pair")
+    def matches(far: str) -> bool:
+        a, b = (kind, far) if outgoing else (far, kind)
+        arcs_a = piece(a).face_arcs[gluing.face_a].corners
+        arcs_b = piece(b).face_arcs[gluing.face_b].corners
+        return all(arcs_a[i] == arcs_b[gluing.perm[i]] for i in range(3))
+
+    (far,) = [f"QUAD_{q}" for q in (1, 2, 3) if matches(f"QUAD_{q}")]
+    return far
 
 
 def random_configuration(rng: random.Random, max_tets: int = 5, max_indexed: int = 3) -> SurfaceConfiguration:

@@ -17,7 +17,7 @@ dualize to two vertices joined through the shared edge's dual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -164,15 +164,7 @@ def cube_from_cone(n: int) -> CubicalComplex:
     for corner in product((0, 1), repeat=n):
         support = tuple(i + 1 for i, x in enumerate(corner) if x)
         labels[corner] = "z" if not support else support
-    return CubicalComplex(
-        name=cube.name,
-        dim=cube.dim,
-        cells=cube.cells,
-        cell_dim=cube.cell_dim,
-        cell_vertices=cube.cell_vertices,
-        covers=cube.covers,
-        labels=labels,
-    )
+    return replace(cube, labels=labels)
 
 
 def cone_base_complex(n: int) -> SimplicialComplex:
@@ -182,29 +174,27 @@ def cone_base_complex(n: int) -> SimplicialComplex:
 
 # ----------------------------------------------------------------- duals
 
-def _poset_from_simplicial(k: SimplicialComplex) -> CubicalComplex:
-    faces = k.all_faces()
-    cell_dim = {f: len(f) - 1 for f in faces}
-    covers = {
-        f: tuple(f[:i] + f[i + 1 :] for i in range(len(f))) if len(f) > 1 else ()
-        for f in faces
-    }
+def _as_poset(ball) -> CubicalComplex:
+    """A cell complex as is; a simplicial complex as its face poset."""
+    if not isinstance(ball, SimplicialComplex):
+        return ball
+    if ball.is_empty:
+        raise ValueError("empty complex is not a ball")
+    faces = ball.all_faces()
     return CubicalComplex(
-        name=k.name or "simplicial",
-        dim=k.dim,
+        name=ball.name or "simplicial",
+        dim=ball.dim,
         cells=tuple(faces),
-        cell_dim=cell_dim,
+        cell_dim={f: len(f) - 1 for f in faces},
         cell_vertices={f: frozenset(f) for f in faces},
-        covers=covers,
+        covers={f: tuple(f[:i] + f[i + 1 :] for i in range(len(f))) if len(f) > 1 else ()
+                for f in faces},
     )
 
 
 def validate_ball(complexe) -> None:
     """A combinatorial n-ball: pure, Euler characteristic 1, sphere boundary."""
-    if isinstance(complexe, SimplicialComplex):
-        if complexe.is_empty:
-            raise ValueError("empty complex is not a ball")
-        complexe = _poset_from_simplicial(complexe)
+    complexe = _as_poset(complexe)
     n = complexe.dim
     for c in complexe.top_cells():
         if complexe.cell_dim[c] != n:
@@ -231,12 +221,7 @@ def dual_cells(ball) -> CubicalComplex:
     is the primal incidence reversed.  Boundary-only primal cells have no
     duals, so the dual complex covers a smaller concentric ball.
     """
-    if isinstance(ball, SimplicialComplex):
-        if ball.is_empty:
-            raise ValueError("empty complex is not a ball")
-        poset = _poset_from_simplicial(ball)
-    else:
-        poset = ball
+    poset = _as_poset(ball)
     validate_ball(poset)
     n = poset.dim
     boundary = poset.boundary_cells()

@@ -345,15 +345,9 @@ def _run_properties(config: RunConfig, properties) -> SuiteReport:
     return SuiteReport(seed=config.seed, counts=config.counts, results=tuple(results))
 
 
-def run_suite(config: RunConfig = RunConfig(), catalog_override=None) -> SuiteReport:
-    """Run every property; a catalog override substitutes the integrity check."""
-    results = []
-    for name, fn in _PROPERTIES:
-        if name == "catalog_integrity" and catalog_override is not None:
-            results.append(prop_catalog_integrity(config, pieces=catalog_override))
-        else:
-            results.append(fn(config))
-    return SuiteReport(seed=config.seed, counts=config.counts, results=tuple(results))
+def run_suite(config: RunConfig = RunConfig()) -> SuiteReport:
+    """Run every property."""
+    return _run_properties(config, _PROPERTIES)
 
 
 def render_text(report: SuiteReport) -> str:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -199,34 +199,32 @@ def verify_width_decrease(surface: Surface, move: SurgeryMove) -> DecreaseVerdic
     return DecreaseVerdict(passed=passed, before=before, after=after, move=move)
 
 
-def available_moves(surface: Surface) -> list[SurgeryMove]:
-    """All structurally valid moves from a surface.
+def move_runs(surface: Surface) -> list[tuple[int, Callable[[int], SurgeryMove]]]:
+    """All structurally valid moves from a surface, as ordered runs
+    ``(count, move_at)``; ``move_at(j)`` builds the j-th move of its run.
 
     Compressions need an essential curve or arc, so they are offered only
     for components with euler <= 0 (a sphere or disk admits none); the
-    dishonest exchange needs at least one crossing point.  Split
-    parameters for separating compressions are enumerated over all valid
-    (euler, weight) partitions with component euler capped at 2.
+    dishonest exchange needs at least one crossing point.  Separating
+    compressions get one run of weight splits per Euler split, with
+    component euler capped at 2.
     """
-    moves: list[SurgeryMove] = []
+    runs = []
     for idx, comp in enumerate(surface):
         if comp.euler <= 0:
-            moves.append(SurgeryMove(MoveKind.HONEST_COMPRESS_NONSEP, idx))
-            moves.append(SurgeryMove(MoveKind.HONEST_BOUNDARY_COMPRESS, idx))
-            for total in (comp.euler + 2, comp.euler + 1):
-                for e1 in range(comp.euler + 1, 3):
-                    e2 = total - e1
-                    if e2 < comp.euler + 1 or e2 > 2 or e1 > e2:
-                        continue
-                    for w1 in range(comp.weight + 1):
-                        moves.append(
-                            SurgeryMove(
-                                MoveKind.HONEST_COMPRESS_SEP,
-                                idx,
-                                split=((e1, w1), (e2, comp.weight - w1)),
-                            )
-                        )
-        if comp.weight >= 1:
-            for k in range(1, comp.weight + 1):
-                moves.append(SurgeryMove(MoveKind.DISHONEST, idx, k=k))
-    return moves
+            runs.append((1, lambda _, i=idx: SurgeryMove(MoveKind.HONEST_COMPRESS_NONSEP, i)))
+            runs.append((1, lambda _, i=idx: SurgeryMove(MoveKind.HONEST_BOUNDARY_COMPRESS, i)))
+            # e2 >= euler + 1 follows from e1 >= euler + 1 and e1 <= e2
+            splits = [(e1, total - e1) for total in (comp.euler + 2, comp.euler + 1)
+                      for e1 in range(comp.euler + 1, 3) if e1 <= total - e1 <= 2]
+            for e1, e2 in splits:
+                runs.append((comp.weight + 1, lambda w1, i=idx, w=comp.weight, e1=e1, e2=e2:
+                             SurgeryMove(MoveKind.HONEST_COMPRESS_SEP, i,
+                                         split=((e1, w1), (e2, w - w1)))))
+        runs.append((comp.weight, lambda j, i=idx: SurgeryMove(MoveKind.DISHONEST, i, k=j + 1)))
+    return runs
+
+
+def available_moves(surface: Surface) -> list[SurgeryMove]:
+    """Every move of ``move_runs``, in order."""
+    return [move_at(j) for count, move_at in move_runs(surface) for j in range(count)]

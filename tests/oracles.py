@@ -207,3 +207,26 @@ def grid_cell_count(counts: list[int], d: int) -> int:
 def cube_face_count(n: int, d: int) -> int:
     """d-dimensional faces of the unit n-cube: C(n, d) * 2^(n-d)."""
     return comb(n, d) * 2 ** (n - d)
+
+
+# ------------------------------------------------------------ surgery moves
+
+def surgery_moves(surface) -> list[tuple]:
+    """Every surgery move from a surface of (euler, weight) pairs, as
+    (kind, target, split, k) tuples in the library's order, by nested
+    enumeration with every split condition tested explicitly."""
+    moves = []
+    for idx, (euler, weight) in enumerate(surface):
+        if euler <= 0:
+            moves.append(("HONEST_COMPRESS_NONSEP", idx, None, None))
+            moves.append(("HONEST_BOUNDARY_COMPRESS", idx, None, None))
+            for total in (euler + 2, euler + 1):
+                for e1 in range(euler + 1, 3):
+                    e2 = total - e1
+                    if e2 < euler + 1 or e2 > 2 or e1 > e2:
+                        continue
+                    for w1 in range(weight + 1):
+                        moves.append(("HONEST_COMPRESS_SEP", idx, ((e1, w1), (e2, weight - w1)), None))
+        for k in range(1, weight + 1):
+            moves.append(("DISHONEST", idx, None, k))
+    return moves

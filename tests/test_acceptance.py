@@ -21,7 +21,7 @@ from diskplex.homology import AbelianGroup, finite_index, homology_index
 from diskplex.join_formula import verify_milnor
 from diskplex.pieces import PIECE_KINDS, catalog, check_normal_arcs, local_index
 from diskplex.simplicial import barycentric_subdivision, boundary_of_simplex, from_facets
-from diskplex.suite import RunConfig, render_text, run_suite
+from diskplex.suite import RunConfig, prop_catalog_integrity, render_text, run_suite
 from diskplex.width import apply_surgery, available_moves, verify_width_decrease
 from diskplex import corpus
 
@@ -198,13 +198,13 @@ def test_criterion_8_catalog_integrity():
         ok = ok and check_normal_arcs(p.face_arcs).passed
     ok = ok and len(catalog()) == len(PIECE_KINDS)
 
-    # negative control: a tampered catalog must fail the suite
+    # negative control: a tampered catalog must fail the suite's check
     import dataclasses
 
     tampered = list(catalog())
     tampered[0] = dataclasses.replace(tampered[0], declared_index=finite_index(3))
-    bad = run_suite(RunConfig(counts=2), catalog_override=tuple(tampered))
-    ok = ok and bad.exit_code != 0
+    bad = prop_catalog_integrity(RunConfig(counts=2), pieces=tuple(tampered))
+    ok = ok and not bad.passed
     record(8, "catalog indices recompute and tampering is caught", ok,
            f"{len(PIECE_KINDS)} kinds + negative control")
 

@@ -50,10 +50,12 @@ def test_placement_validation():
 def test_single_piece_euler_matches_piece():
     # an unglued piece keeps its own Euler characteristic:
     # weight points minus one arc per point, plus the piece itself
+    # tetrahedra that nothing names add nothing, however many there are
     for kind in PIECE_KINDS:
-        cfg = single(kind)
-        assert check_matching(cfg).passed
-        assert euler_characteristic(cfg) == piece(kind).euler, kind
+        for tets in (1, 10**9):
+            cfg = single(kind, tets=tets)
+            assert check_matching(cfg).passed
+            assert euler_characteristic(cfg) == piece(kind).euler, kind
 
 
 def test_matching_residuals_reported():
@@ -215,3 +217,20 @@ def test_two_tet_closed_census():
         # F = 8 triangles
         assert chi == 2 * orbits - 4
     assert euler_characteristic(all_tri_config(found_three)) == 2
+
+
+def test_mirror_quad_is_the_one_matching_quad():
+    # 4 x 4 faces x 6 permutations x 3 quad kinds, each in both directions
+    quads = ("QUAD_1", "QUAD_2", "QUAD_3")
+    for fa, fb, perm in itertools.product(range(4), range(4), itertools.permutations(range(3))):
+        g = Gluing(0, fa, 1, fb, perm)
+        for kind in quads:
+            for outgoing in (True, False):
+                near, far = (0, 1) if outgoing else (1, 0)
+                matching = [
+                    q for q in quads
+                    if check_matching(SurfaceConfiguration(
+                        TetGluing(2, (g,)), (Placement(near, kind, 1), Placement(far, q, 1)),
+                    )).passed
+                ]
+                assert matching == [corpus._mirror_quad(kind, g, outgoing)], (g, kind, outgoing)

@@ -122,6 +122,9 @@ def test_cli_additivity_pass_and_fail(tmp_path, capsys):
     )
     assert main(["additivity", bad]) == 1
     assert "FAIL" in capsys.readouterr().out
+    huge = write_fixture(tmp_path, "huge.json", {"tets": 10**9, "pieces": [[0, "OCT_1", 1]]})
+    assert main(["additivity", huge]) == 0
+    assert "euler characteristic: 1" in capsys.readouterr().out
 
 
 def test_cli_dichotomy(tmp_path, capsys):

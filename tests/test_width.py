@@ -1,6 +1,9 @@
+import importlib
 import random
 
 import pytest
+
+import oracles
 
 from diskplex.width import (
     MoveKind,
@@ -15,6 +18,9 @@ from diskplex.width import (
     width,
 )
 from diskplex import corpus
+
+# the package's ``width`` attribute is the function, not the module
+width_module = importlib.import_module("diskplex.width")
 
 
 def comp(e, w, in_ball=False):
@@ -126,3 +132,38 @@ def test_move_target_bounds():
     s = (comp(0, 3),)
     with pytest.raises(ValueError):
         apply_surgery(s, SurgeryMove(MoveKind.DISHONEST, 5, k=1))
+
+
+def _plain(move):
+    return None if move is None else (move.kind.value, move.target, move.split, move.k)
+
+
+def test_move_table_and_rng_stream_match_reference():
+    rng = random.Random(4)
+    fixed = [(), (comp(1, 0),), (comp(2, 0), comp(3, 0)), (comp(3, 4),), (comp(0, 0),),
+             (comp(-1, 0), comp(3, 2)), (comp(-3, 5), comp(1, 0), comp(0, 1))]
+    surfaces = fixed + [corpus.random_surface(rng) for _ in range(400)]
+    draws, ref_draws = random.Random(8), random.Random(8)
+    for s in surfaces:
+        ref = oracles.surgery_moves([(c.euler, c.weight) for c in s])
+        assert [_plain(m) for m in available_moves(s)] == ref
+        for _ in range(3):
+            want = ref[ref_draws.randrange(len(ref))] if ref else None
+            assert _plain(corpus.random_move(draws, s)) == want
+            # no draw at all when there is no move
+            assert draws.getstate() == ref_draws.getstate()
+
+
+def test_random_move_builds_only_the_drawn_move(monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return SurgeryMove(*args, **kwargs)
+
+    monkeypatch.setattr(width_module, "SurgeryMove", counting)
+    rng = random.Random(5)
+    for _ in range(200):
+        before = len(built)
+        move = corpus.random_move(rng, corpus.random_surface(rng))
+        assert len(built) - before == (move is not None)
