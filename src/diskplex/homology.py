@@ -1,13 +1,14 @@
 """Reduced integer homology of simplicial complexes, exactly.
 
 Boundary matrices are built sparse, straight from the face lists, over Z
-with Python's arbitrary-precision ints.  Smith reduction runs in two
-phases.  Simplicial boundary maps are sparse and nearly all their pivots
-are units, so the first phase splits off ±1 pivots one at a time, taking
-short rows and sparse columns first; each costs only the row operations
-that clear its column and adds a factor 1.  The second phase diagonalizes
-the small non-unit residue by minimal-absolute-value pivots, and a
-gcd/lcm pass normalizes its diagonal into a divisor chain.
+with Python's arbitrary-precision ints.  Smith reduction is one loop over
+one pivot step.  Simplicial boundary maps are sparse and nearly all their
+pivots are units, so the loop takes ±1 pivots first, short rows and
+sparse columns first; each clears its column by exact row operations and
+splits off a factor 1.  Only when no unit is left does it pivot on an
+entry of minimal |value|, which either splits off its factor or leaves
+smaller remainders for the next pivot.  A gcd/lcm pass normalizes the
+split-off factors into a divisor chain.
 
 Homology is reduced throughout: the degree-0 boundary map is the
 augmentation to Z, so a single point has trivial homology everywhere.
@@ -138,146 +139,91 @@ def smith_normal_form(matrix: IntegerMatrix) -> tuple[int, ...]:
     """Invariant factors of an integer matrix (ascending divisor chain).
 
     The length of the result is the rank; trivial factors 1 are included.
+
+    Each sweep visits the rows shortest first and pivots on a ±1 entry of
+    each, taking its sparsest column.  A sweep that finds no unit is
+    followed by one pivot on an entry of minimal |value|, ties broken by
+    fill (Markowitz cost), then position.  The loop ends: no step adds a
+    row, a unit step always splits off its factor and its row, and a
+    non-unit step that splits off nothing leaves an entry smaller than
+    |p|, so the global minimum |value| drops.
     """
     rows = {i: dict(r) for i, r in enumerate(matrix.entries) if r}
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-    units = _eliminate_unit_pivots(rows, cols)
-    return (1,) * units + divisor_chain(_reduce_residue(rows, cols))
-
-
-def _eliminate_unit_pivots(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) -> int:
-    """Split off every ±1 pivot it can find; return how many it split off.
-
-    A unit pivot u at (pi, pj) clears its column by exact row operations
-    (row i -= a_i * u * row pi, since u = 1/u), after which column
-    operations clear row pi without touching any other row.  So the matrix
-    is equivalent to diag(1) + the matrix without row pi and column pj,
-    and both are dropped.  Short rows and sparse columns go first to keep
-    fill-in low.  ``rows`` and ``cols`` are left holding the residue.
-    """
-    units = 0
-    progress = True
-    while progress:
-        progress = False
+    factors: list[int] = []
+    while rows:
+        found_unit = False
         for pi in sorted(rows, key=lambda i: (len(rows[i]), i)):
-            pivot_row = rows.get(pi)
-            if pivot_row is None:
+            if pi not in rows:
                 continue
             pj = min(
-                (j for j, v in pivot_row.items() if v == 1 or v == -1),
+                (j for j, v in rows[pi].items() if v == 1 or v == -1),
                 key=lambda j: (len(cols[j]), j),
                 default=None,
             )
-            if pj is None:
-                continue
-            u = pivot_row.pop(pj)
-            del rows[pi]
-            for j in pivot_row:
-                cols[j].discard(pi)
-            for i in cols.pop(pj):
-                if i == pi:
-                    continue
-                row = rows[i]
-                q = row.pop(pj) * u
-                for j, v in pivot_row.items():
-                    w = row.get(j, 0) - q * v
-                    if w:
-                        row[j] = w
-                        cols[j].add(i)
-                    else:
-                        del row[j]
-                        cols[j].discard(i)
-                if not row:
-                    del rows[i]
-            for j in pivot_row:
-                if not cols[j]:
-                    del cols[j]
-            units += 1
-            progress = True
-    return units
+            if pj is not None:
+                factors.append(_pivot_step(rows, cols, pi, pj))
+                found_unit = True
+        if not found_unit:
+            _, _, pi, pj = min(
+                (abs(v), (len(row) - 1) * (len(cols[j]) - 1), i, j)
+                for i, row in rows.items()
+                for j, v in row.items()
+            )
+            factor = _pivot_step(rows, cols, pi, pj)
+            if factor:
+                factors.append(factor)
+    return divisor_chain(factors)
 
 
-def _reduce_residue(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) -> list[int]:
-    """Diagonalize what the unit phase left, by minimal-|value| pivots."""
+def _pivot_step(rows: dict[int, dict[int, int]], cols: dict[int, set[int]], pi: int, pj: int) -> int:
+    """Pivot on p at (pi, pj); return |p| if it was split off, else 0.
 
-    def drop(i: int, j: int):
-        del rows[i][j]
-        if not rows[i]:
+    Row operations row_i -= (a_i // p) * row_pi leave a_i mod p in column
+    pj, so a unit p clears it exactly.  Once the column is clear, column
+    operations reduce row pi mod p and touch no other row.  If the row is
+    then clear too, the matrix is diag(|p|) plus the rest: row pi and
+    column pj stay dropped.  Otherwise row pi goes back with p in place
+    and the smaller remainders are left for the next pivot.  ``rows`` and
+    ``cols`` are updated in place.
+    """
+    pivot_row = rows[pi]
+    p = pivot_row[pj]
+    for i in list(cols[pj]):
+        if i == pi:
+            continue
+        row = rows[i]
+        q = row[pj] // p
+        for j, v in pivot_row.items():
+            w = row.get(j, 0) - q * v
+            if w:
+                row[j] = w
+                cols[j].add(i)
+            else:
+                del row[j]
+                cols[j].discard(i)
+        if not row:
             del rows[i]
-        cols[j].discard(i)
+    if len(cols[pj]) > 1:
+        return 0
+    del rows[pi]
+    rest = {}
+    for j, v in pivot_row.items():
+        cols[j].discard(pi)
         if not cols[j]:
             del cols[j]
-
-    def set_entry(i: int, j: int, v: int):
-        if v:
-            rows.setdefault(i, {})[j] = v
-            cols.setdefault(j, set()).add(i)
-        elif j in rows.get(i, {}):
-            drop(i, j)
-
-    def row_sub(i: int, src: int, q: int):
-        # row i -= q * row src
-        if not q:
-            return
-        for j, v in list(rows.get(src, {}).items()):
-            set_entry(i, j, rows.get(i, {}).get(j, 0) - q * v)
-
-    diag: list[int] = []
-    while rows:
-        # pivot choice: unit entries first, then minimal |value|; among
-        # ties prefer low fill (Markowitz cost), then position
-        best = None
-        for i in sorted(rows):
-            ri = rows[i]
-            for j in sorted(ri):
-                v = ri[j]
-                score = (abs(v) != 1, abs(v), (len(ri) - 1) * (len(cols[j]) - 1), i, j)
-                if best is None or score < best[0]:
-                    best = (score, i, j)
-        _, pi, pj = best
-
-        while True:
-            pivot = rows[pi][pj]
-            if pivot < 0:
-                for j, v in list(rows[pi].items()):
-                    set_entry(pi, j, -v)
-                pivot = rows[pi][pj]
-            # clear the pivot column with row operations
-            moved = False
-            for i in sorted(cols[pj] - {pi}):
-                q = rows[i][pj] // pivot
-                row_sub(i, pi, q)
-                if pj in rows.get(i, {}):
-                    # nonzero remainder, strictly smaller: it becomes the pivot
-                    pi = i
-                    moved = True
-                    break
-            if moved:
-                continue
-            # column is clean, so column operations only touch row pi;
-            # any nonzero remainder is smaller and becomes the pivot
-            row_moved = False
-            for j in sorted(rows[pi]):
-                if j == pj:
-                    continue
-                r = rows[pi][j] % pivot
-                if r:
-                    set_entry(pi, j, r)
-                    pj = j
-                    row_moved = True
-                    break
-                drop(pi, j)
-            if row_moved:
-                continue
-            break
-
-        diag.append(abs(rows[pi][pj]))
-        drop(pi, pj)
-
-    return diag
+        if v % p:
+            rest[j] = v % p
+    if not rest:
+        return abs(p)
+    rows[pi] = rest
+    rest[pj] = p
+    for j in rest:
+        cols.setdefault(j, set()).add(pi)
+    return 0
 
 
 # --------------------------------------------------------------- homology

@@ -2,9 +2,12 @@
 
 Schema: {"name": str, "facets": [[v, ...], ...]} with vertices ints or
 strings; a vertex may also be a list of vertices, read back as a tuple,
-so namespaced join output round-trips.  Serialization is canonical and
-byte-stable: vertices sorted within each facet, facets sorted
-lexicographically, fixed separators, sorted keys, trailing newline.
+so namespaced join output round-trips.  Vertex lists may nest at most
+100 deep: the library walks vertices recursively, and the bound keeps
+every later walk far from Python's recursion limit.  Serialization is
+canonical and byte-stable: vertices sorted within each facet, facets
+sorted lexicographically, fixed separators, sorted keys, trailing
+newline.
 """
 
 from __future__ import annotations
@@ -15,11 +18,16 @@ from typing import Any
 from .simplicial import SimplicialComplex, from_facets
 
 
-def _parse_vertex(v: Any, where: str):
+_MAX_NESTING = 100
+
+
+def _parse_vertex(v: Any, where: str, depth: int = 0):
     if isinstance(v, bool) or not isinstance(v, (int, str, list)):
         raise ValueError(f"{where} has vertex {v!r}; vertices are ints, strings or lists")
     if isinstance(v, list):
-        return tuple(_parse_vertex(part, where) for part in v)
+        if depth == _MAX_NESTING:
+            raise ValueError(f"{where} nests a vertex more than {_MAX_NESTING} lists deep")
+        return tuple(_parse_vertex(part, where, depth + 1) for part in v)
     return v
 
 
@@ -50,6 +58,8 @@ def read_json(path) -> Any:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def parse_complex(path) -> SimplicialComplex:

@@ -150,11 +150,20 @@ class SimplicialComplex:
 
 
 def _antichain(faces: Iterable[tuple]) -> frozenset:
-    sets = [(f, set(f)) for f in faces]
-    keep = []
-    for f, fs in sets:
-        if not any(fs < gs for _, gs in sets):
-            keep.append(f)
+    """The maximal faces, duplicates dropped.
+
+    A dominated face lies inside a maximal face, which is longer, so each
+    face is tested only against the longer faces already kept.
+    """
+    by_length: dict[int, set] = {}
+    for f in faces:
+        by_length.setdefault(len(f), set()).add(f)
+    keep: list[tuple] = []
+    longer: list[set] = []
+    for n in sorted(by_length, reverse=True):
+        kept = [f for f in by_length[n] if not any(g.issuperset(f) for g in longer)]
+        keep.extend(kept)
+        longer.extend(map(set, kept))
     return frozenset(keep)
 
 

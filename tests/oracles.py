@@ -111,6 +111,11 @@ def normalize_facets(facets) -> list[tuple[int, ...]]:
     return sorted(set(tuple(sorted(s)) for s in maximal))
 
 
+def maximal_faces(faces) -> frozenset:
+    """The faces, as given, that no other face strictly contains."""
+    return frozenset(f for f in faces if not any(set(f) < set(g) for g in faces))
+
+
 def all_faces(facets) -> list[tuple[int, ...]]:
     faces = set()
     for f in normalize_facets(facets):

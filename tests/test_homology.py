@@ -75,6 +75,15 @@ def test_snf_fixed_cases():
     residue = [[1, 1], [1, -1]]
     assert smith_normal_form(IntegerMatrix.from_rows(residue)) == (1, 2)
     assert tuple(oracles.invariant_factors_by_minors(residue)) == (1, 2)
+    # no unit entry: units appear only after a gcd step
+    for rows, expected in (
+        ([[6, 10, 15]], (1,)),
+        ([[2, 3], [3, 5]], (1, 1)),
+        ([[4, 6], [6, 9]], (1,)),
+        ([[2, 4], [6, 8]], (2, 4)),
+    ):
+        assert smith_normal_form(IntegerMatrix.from_rows(rows)) == expected, rows
+        assert tuple(oracles.invariant_factors_by_minors(rows)) == expected, rows
 
 
 def test_integer_matrix_is_sparse_and_validated():
@@ -101,6 +110,27 @@ def _dense(m: IntegerMatrix) -> list[list[int]]:
     return rows
 
 
+def _small_surfaces():
+    """RP^2, the torus and their first barycentric subdivisions."""
+    for facets in (RP2, TORUS):
+        k = from_facets(facets)
+        yield k
+        yield barycentric_subdivision(k)
+
+
+def test_snf_of_scaled_boundary_maps():
+    # c * M has every entry divisible by c, so the non-unit pivot step does
+    # all the work, at the size of real boundary maps
+    for k in _small_surfaces():
+        for m in boundary_matrices(k):
+            factors = smith_normal_form(m)
+            for c in (2, 3):
+                scaled = IntegerMatrix(m.rows, m.cols, tuple(
+                    tuple((j, c * v) for j, v in row) for row in m.entries
+                ))
+                assert smith_normal_form(scaled) == tuple(c * f for f in factors)
+
+
 def test_snf_agrees_with_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -119,10 +149,15 @@ def test_snf_agrees_with_sympy():
              for _ in range(n_cols)]
             for _ in range(n_rows)
         ])
-    for facets in (RP2, TORUS):
-        k = from_facets(facets)
-        for complex_ in (k, barycentric_subdivision(k)):
-            matrices.extend(_dense(m) for m in boundary_matrices(complex_))
+    for _ in range(40):
+        n_rows, n_cols = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.uniform(0.1, 0.5)
+        matrices.append([
+            [rng.choice((2, -2, 3, -3, 4, -4, 6, -6, 9, -9)) if rng.random() < density else 0
+             for _ in range(n_cols)]
+            for _ in range(n_rows)
+        ])
+    matrices.extend(_dense(m) for k in _small_surfaces() for m in boundary_matrices(k))
     for rows in matrices:
         ours = smith_normal_form(IntegerMatrix.from_rows(rows))
         assert ours == sympy_factors(rows), rows

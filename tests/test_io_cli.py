@@ -172,6 +172,12 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "gluings" in capsys.readouterr().err
     assert main(["suite", "--counts", "-1"]) == 2
     assert "counts" in capsys.readouterr().err
+    for depth in (500, 3000):  # past the vertex bound, and past what json can read
+        deep = tmp_path / f"deep{depth}.json"
+        deep.write_text('{"facets": [[' + "[" * depth + "1" + "]" * depth + ", 2]]}")
+        assert main(["homology", str(deep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(deep) in err
 
 
 def test_cli_suite_small(capsys):

@@ -44,6 +44,16 @@ def test_from_facets_antichain():
         from_facets([[1, 1]])
     with pytest.raises(ValueError):
         from_facets([[]])
+    rng = random.Random(43)
+    for _ in range(300):
+        faces = []
+        for _ in range(rng.randint(1, 30)):
+            if faces and rng.random() < 0.4:  # a duplicate or a dominated face
+                face = rng.choice(faces)
+                faces.append(tuple(sorted(rng.sample(face, rng.randint(1, len(face))))))
+            else:
+                faces.append(tuple(sorted(rng.sample(range(9), rng.randint(1, 6)))))
+        assert from_facets(faces).facets == oracles.maximal_faces(faces), faces
 
 
 def test_mixed_vertex_ordering():
