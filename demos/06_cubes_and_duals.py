@@ -7,6 +7,8 @@ identification of an n-cube with the cone over an (n-1)-simplex, and the
 dual cell structure on the interior of a ball.
 """
 
+from fractions import Fraction
+
 from diskplex import (
     cube_from_cone,
     dual_cells,
@@ -14,7 +16,13 @@ from diskplex import (
     subdivide_cube,
     validate_ball,
 )
-from diskplex.cubes import grid_coordinates
+
+
+def grid_coordinates(vertex_cell, counts):
+    """Where a grid vertex sits in the unit cube: a vertex cell holds one
+    degenerate (j, j) interval per axis, and axis i is cut at j / (counts[i] + 1)."""
+    return tuple(Fraction(lo, c + 1) for (lo, _), c in zip(vertex_cell, counts))
+
 
 # Cut the unit square by 1 plane in x and 2 in y: a 2 x 3 grid of cells.
 grid = subdivide_cube(2, [1, 2])

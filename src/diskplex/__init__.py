@@ -5,131 +5,71 @@ join-homology formula, a catalog of local surface pieces in a tetrahedron
 with an additivity engine, width orderings with surgery descent, cube and
 dual-cell constructions, a dichotomy verifier, and a randomized
 verification suite tying everything together.
+
+``import diskplex`` loads no submodule: each public name is imported from
+its home module on first access (PEP 562), so a command-line call pays
+only for the modules it runs.
 """
 
-from .simplicial import (
-    Simplex,
-    SimplicialComplex,
-    adjacency_subcomplex,
-    barycentric_subdivision,
-    boundary_of_simplex,
-    cone,
-    empty_complex,
-    from_facets,
-    full_subcomplex,
-    join,
-    join_all,
-    link,
-    point,
-    relabel,
-    simplex_complex,
-    star,
-)
-from .homology import (
-    ACYCLIC_INDEX,
-    AbelianGroup,
-    HomologyIndex,
-    HomologyProfile,
-    ZERO_INDEX,
-    finite_index,
-    homology_index,
-    reduced_homology,
-    smith_normal_form,
-)
-from .join_formula import index_sum_law, join_homology_via_formula, verify_milnor
-from .pieces import LocalPiece, catalog, check_normal_arcs, local_index, piece
-from .additivity import (
-    Gluing,
-    Placement,
-    SurfaceConfiguration,
-    TetGluing,
-    check_matching,
-    euler_characteristic,
-    global_complex,
-    load_config,
-    verify_index_sum,
-)
-from .width import (
-    MoveKind,
-    SurfaceComponentModel,
-    SurgeryMove,
-    Width,
-    apply_surgery,
-    available_moves,
-    compare_width,
-    verify_width_decrease,
-    width,
-)
-from .cubes import CubicalComplex, cube_from_cone, dual_cells, subdivide_cube, validate_ball
-from .dichotomy import DichotomyWitness, check_dichotomy
-from .io import canonical_json, parse_complex, write_complex
-from .suite import RunConfig, run_suite
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Simplex",
-    "SimplicialComplex",
-    "adjacency_subcomplex",
-    "barycentric_subdivision",
-    "boundary_of_simplex",
-    "cone",
-    "empty_complex",
-    "from_facets",
-    "full_subcomplex",
-    "join",
-    "join_all",
-    "link",
-    "point",
-    "relabel",
-    "simplex_complex",
-    "star",
-    "ACYCLIC_INDEX",
-    "AbelianGroup",
-    "HomologyIndex",
-    "HomologyProfile",
-    "ZERO_INDEX",
-    "finite_index",
-    "homology_index",
-    "reduced_homology",
-    "smith_normal_form",
-    "index_sum_law",
-    "join_homology_via_formula",
-    "verify_milnor",
-    "LocalPiece",
-    "catalog",
-    "check_normal_arcs",
-    "local_index",
-    "piece",
-    "Gluing",
-    "Placement",
-    "SurfaceConfiguration",
-    "TetGluing",
-    "check_matching",
-    "euler_characteristic",
-    "global_complex",
-    "load_config",
-    "verify_index_sum",
-    "MoveKind",
-    "SurfaceComponentModel",
-    "SurgeryMove",
-    "Width",
-    "apply_surgery",
-    "available_moves",
-    "compare_width",
-    "verify_width_decrease",
-    "width",
-    "CubicalComplex",
-    "cube_from_cone",
-    "dual_cells",
-    "subdivide_cube",
-    "validate_ball",
-    "DichotomyWitness",
-    "check_dichotomy",
-    "canonical_json",
-    "parse_complex",
-    "write_complex",
-    "RunConfig",
-    "run_suite",
-    "__version__",
-]
+# Home module -> the public names it defines, in ``__all__`` order.
+_HOMES = {
+    "simplicial": (
+        "Simplex", "SimplicialComplex", "adjacency_subcomplex", "barycentric_subdivision",
+        "boundary_of_simplex", "cone", "empty_complex", "from_facets", "full_subcomplex",
+        "join", "join_all", "link", "point", "relabel", "simplex_complex", "star",
+    ),
+    "homology": (
+        "ACYCLIC_INDEX", "AbelianGroup", "HomologyIndex", "HomologyProfile", "ZERO_INDEX",
+        "finite_index", "homology_index", "reduced_homology", "smith_normal_form",
+    ),
+    "join_formula": ("index_sum_law", "join_homology_via_formula", "verify_milnor"),
+    "pieces": ("LocalPiece", "catalog", "check_normal_arcs", "local_index", "piece"),
+    "additivity": (
+        "Gluing", "Placement", "SurfaceConfiguration", "TetGluing", "check_matching",
+        "euler_characteristic", "global_complex", "load_config", "verify_index_sum",
+    ),
+    "width": (
+        "MoveKind", "SurfaceComponentModel", "SurgeryMove", "Width", "apply_surgery",
+        "available_moves", "compare_width", "verify_width_decrease", "width",
+    ),
+    "cubes": ("CubicalComplex", "cube_from_cone", "dual_cells", "subdivide_cube", "validate_ball"),
+    "dichotomy": ("DichotomyWitness", "check_dichotomy"),
+    "io": ("canonical_json", "parse_complex", "write_complex"),
+    "suite": ("RunConfig", "run_suite"),
+}
+_EXPORTS = {name: home for home, names in _HOMES.items() for name in names}
+_SUBMODULES = frozenset(_HOMES) | {"cli", "corpus"}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Namespace(types.ModuleType):
+    def __setattr__(self, name, value):
+        # Importing a submodule binds it on the package under its own name.
+        # Where that name is public (``width``), the public object wins.
+        if name in _EXPORTS and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Namespace

@@ -154,34 +154,43 @@ def check_matching(config: SurfaceConfiguration) -> MatchingReport:
 
 
 def _edge_identifications(skeleton: TetGluing, tets):
-    """Union-find classes of the edges of ``tets`` induced by the face gluings."""
-    parent: dict = {}
+    """Classes of the edges of ``tets`` induced by the face gluings.
+
+    An oriented union-find: each edge keeps the parity of its direction
+    against its parent's, so a gluing that identifies an edge with itself
+    reversed is found and rejected.
+    """
+    parent = {(t, e): ((t, e), 0) for t in tets for e in EDGES}
 
     def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
+        """Root of x's class and x's direction parity against the root."""
+        path = []
+        while parent[x][0] != x:
+            path.append(x)
+            x = parent[x][0]
+        for y in reversed(path):
+            up, flip = parent[y]
+            parent[y] = (x, flip ^ parent[up][1])
+        return x, parent[path[0]][1] if path else 0
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for t in tets:
-        for e in EDGES:
-            parent.setdefault((t, e), (t, e))
-    for g in skeleton.gluings:
+    for n, g in enumerate(skeleton.gluings):
         ca, cb = FACES[g.face_a], FACES[g.face_b]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                ea = tuple(sorted((ca[i], ca[j])))
-                eb = tuple(sorted((cb[g.perm[i]], cb[g.perm[j]])))
-                union((g.tet_a, ea), (g.tet_b, eb))
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            a, b = cb[g.perm[i]], cb[g.perm[j]]
+            ra, pa = find((g.tet_a, (ca[i], ca[j])))
+            rb, pb = find((g.tet_b, (min(a, b), max(a, b))))
+            flip = pa ^ pb ^ (a > b)
+            if ra != rb:
+                parent[max(ra, rb)] = (min(ra, rb), flip)
+            elif flip:
+                raise ValueError(
+                    f"gluings[{n}] identifies edge {ca[i]}{ca[j]} of tetrahedron {g.tet_a} "
+                    "with itself reversed"
+                )
 
     classes: dict = {}
     for key in parent:
-        classes.setdefault(find(key), []).append(key)
+        classes.setdefault(find(key)[0], []).append(key)
     return list(classes.values())
 
 
@@ -304,17 +313,6 @@ def config_from_json_dict(data: dict) -> SurfaceConfiguration:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"pieces[{i}]: {exc}") from None
     return SurfaceConfiguration(TetGluing(tets, tuple(gluings)), tuple(placements))
-
-
-def config_to_json_dict(config: SurfaceConfiguration) -> dict:
-    return {
-        "tets": config.skeleton.tets,
-        "gluings": [
-            [g.tet_a, g.face_a, g.tet_b, g.face_b, list(g.perm)]
-            for g in config.skeleton.gluings
-        ],
-        "pieces": [[pl.tet, pl.kind, pl.multiplicity] for pl in config.placements],
-    }
 
 
 def load_config(path) -> SurfaceConfiguration:

@@ -14,19 +14,8 @@ import argparse
 import json
 import sys
 
-from .additivity import check_matching, euler_characteristic, load_config, verify_index_sum
-from .cubes import cube_from_cone, dual_cells, subdivide_cube
-from .dichotomy import check_dichotomy
-from .homology import homology_index, reduced_homology
-from .io import canonical_json, complex_to_json_dict, parse_complex, write_complex
-from .join_formula import verify_milnor
-from .pieces import catalog
-from .simplicial import join
-from .suite import RunConfig, render_text, report_json_dict, run_suite
-from .width import apply_surgery, verify_width_decrease, width
-from . import corpus
-
-import random
+# Each handler imports the modules it runs inside its body, so a call
+# loads only those, and names are looked up on their modules at call time.
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
@@ -38,6 +27,9 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 
 
 def _cmd_homology(args) -> int:
+    from .homology import reduced_homology
+    from .io import parse_complex
+
     k = parse_complex(args.complex)
     profile = reduced_homology(k)
     _emit(args, {"name": k.name, "homology": profile.to_json()},
@@ -46,6 +38,9 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_index(args) -> int:
+    from .homology import homology_index
+    from .io import parse_complex
+
     k = parse_complex(args.complex)
     ind = homology_index(k)
     _emit(args, {"name": k.name, "index": str(ind)}, [str(ind)])
@@ -53,6 +48,9 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_join(args) -> int:
+    from .io import canonical_json, complex_to_json_dict, parse_complex, write_complex
+    from .simplicial import join
+
     a = parse_complex(args.complex_a)
     b = parse_complex(args.complex_b)
     joined = join(a, b, relabel_on_collision=True)
@@ -63,6 +61,9 @@ def _cmd_join(args) -> int:
 
 
 def _cmd_milnor(args) -> int:
+    from .io import parse_complex
+    from .join_formula import verify_milnor
+
     a = parse_complex(args.complex_a)
     b = parse_complex(args.complex_b)
     report = verify_milnor(a, b)
@@ -71,6 +72,8 @@ def _cmd_milnor(args) -> int:
 
 
 def _cmd_additivity(args) -> int:
+    from .additivity import check_matching, euler_characteristic, load_config, verify_index_sum
+
     config = load_config(args.config)
     matching = check_matching(config)
     lines = matching.render_lines()
@@ -88,6 +91,9 @@ def _cmd_additivity(args) -> int:
 
 
 def _cmd_dichotomy(args) -> int:
+    from .dichotomy import check_dichotomy
+    from .io import parse_complex
+
     x = parse_complex(args.complex_x)
     y = parse_complex(args.complex_y)
     witness = check_dichotomy(x, y)
@@ -96,13 +102,18 @@ def _cmd_dichotomy(args) -> int:
 
 
 def _cmd_width(args) -> int:
+    import random
+
+    from .corpus import random_move, random_surface
+    from .width import apply_surgery, verify_width_decrease, width
+
     rng = random.Random(args.seed)
-    surface = corpus.random_surface(rng)
+    surface = random_surface(rng)
     lines = [f"seed {args.seed}: random surgery cascade"]
     steps = []
     lines.append(f"start width {width(surface)}")
     for _ in range(args.steps):
-        move = corpus.random_move(rng, surface)
+        move = random_move(rng, surface)
         if move is None:
             lines.append("no moves remain")
             break
@@ -125,6 +136,8 @@ def _cmd_width(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from .pieces import catalog
+
     entries = catalog()
     payload = {
         "pieces": [
@@ -149,6 +162,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_cube(args) -> int:
+    from .cubes import cube_from_cone, subdivide_cube
+
     if args.cone is not None:
         cube = cube_from_cone(args.cone)
         labels = {str(k): ("z" if v == "z" else list(v)) for k, v in sorted(cube.labels.items())}
@@ -183,6 +198,9 @@ def _cmd_cube(args) -> int:
 
 
 def _cmd_dual(args) -> int:
+    from .cubes import dual_cells
+    from .io import parse_complex
+
     k = parse_complex(args.complex)
     dual = dual_cells(k)
     payload = {
@@ -199,7 +217,10 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    report = run_suite(RunConfig(seed=args.seed, counts=args.counts))
+    from .suite import RunConfig, render_text, report_json_dict, run_suite
+
+    seed = {} if args.seed is None else {"seed": args.seed}  # None: RunConfig's default
+    report = run_suite(RunConfig(counts=args.counts, **seed))
     if args.json:
         print(json.dumps(report_json_dict(report), indent=2, sort_keys=True))
     else:
@@ -266,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_dual)
 
     p = with_json(sub.add_parser("suite", help="run the verification suite"))
-    p.add_argument("--seed", type=int, default=RunConfig().seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--counts", type=int, default=None, help="cases per randomized property")
     p.set_defaults(fn=_cmd_suite)
 

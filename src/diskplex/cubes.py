@@ -18,7 +18,6 @@ dualize to two vertices joined through the shared edge's dual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
@@ -129,23 +128,6 @@ def subdivide_cube(n: int, counts: Sequence[int], name: str = "") -> CubicalComp
         cell_vertices=cell_vertices,
         covers=covers,
     )
-
-
-def grid_coordinates(vertex: tuple, counts: Sequence[int]) -> tuple[Fraction, ...]:
-    """Geometric coordinates of a lattice vertex in the unit cube.
-
-    Accepts either a tuple of lattice integers or a vertex cell, whose
-    per-axis entries are degenerate ``(j, j)`` intervals.
-    """
-    coords = []
-    for x, c in zip(vertex, counts):
-        if isinstance(x, tuple):
-            lo, hi = x
-            if lo != hi:
-                raise ValueError(f"not a vertex cell: axis interval {x}")
-            x = lo
-        coords.append(Fraction(x, c + 1))
-    return tuple(coords)
 
 
 def cube_from_cone(n: int) -> CubicalComplex:

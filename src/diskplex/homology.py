@@ -76,9 +76,6 @@ class AbelianGroup:
     def direct_sum(self, other: "AbelianGroup") -> "AbelianGroup":
         return AbelianGroup.from_parts(self.rank + other.rank, self.torsion + other.torsion)
 
-    def torsion_count_divisible_by(self, p: int) -> int:
-        return sum(1 for d in self.torsion if d % p == 0)
-
     def render(self) -> str:
         if self.is_trivial:
             return "0"

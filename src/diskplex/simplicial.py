@@ -297,10 +297,6 @@ def full_subcomplex(k: SimplicialComplex, vertex_subset: Iterable[Vertex]) -> Si
     return from_facets([f for f in faces if f], name=f"{k.name}|induced")
 
 
-def is_subcomplex(x: SimplicialComplex, y: SimplicialComplex) -> bool:
-    return all(y.has_face(f) for f in x.facets)
-
-
 def is_full_subcomplex(x: SimplicialComplex, y: SimplicialComplex) -> bool:
     """True when ``x`` equals the induced subcomplex of ``y`` on x's vertices."""
     if not set(x.vertices()) <= set(y.vertices()):

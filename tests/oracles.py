@@ -4,12 +4,14 @@ Everything here works on plain data (lists of facets, lists of matrix
 rows) and is implemented from first principles, by different routes than
 the library: ranks by Gaussian elimination over Fraction or GF(p),
 invariant factors by determinantal divisors, components by union-find,
-grid cell counts by closed-form sums.  No imports from the package.
+grid cell counts by closed-form sums.  No imports from the package: the
+few helpers that take library objects read only their plain fields.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from math import comb, gcd
 
@@ -181,6 +183,16 @@ def euler_characteristic(facets) -> int:
     return sum((-1) ** (len(f) - 1) for f in all_faces(facets))
 
 
+def is_subcomplex(x, y) -> bool:
+    """Every facet of complex ``x`` is a face of complex ``y``."""
+    return all(y.has_face(f) for f in x.facets)
+
+
+def torsion_count_divisible_by(group, p: int) -> int:
+    """Torsion factors of an ``AbelianGroup`` that ``p`` divides."""
+    return sum(1 for d in group.torsion if d % p == 0)
+
+
 def join_facets(fa, fb):
     """Facets of the join: unions of one facet from each side."""
     return [tuple(a) + tuple(b) for a in fa for b in fb]
@@ -212,6 +224,65 @@ def grid_cell_count(counts: list[int], d: int) -> int:
 def cube_face_count(n: int, d: int) -> int:
     """d-dimensional faces of the unit n-cube: C(n, d) * 2^(n-d)."""
     return comb(n, d) * 2 ** (n - d)
+
+
+def grid_coordinates(vertex: tuple, counts) -> tuple[Fraction, ...]:
+    """Coordinates in the unit cube of a lattice vertex, given as lattice
+    integers or as a vertex cell of degenerate ``(j, j)`` intervals."""
+    coords = []
+    for x, c in zip(vertex, counts):
+        if isinstance(x, tuple):
+            lo, hi = x
+            if lo != hi:
+                raise ValueError(f"not a vertex cell: axis interval {x}")
+            x = lo
+        coords.append(Fraction(x, c + 1))
+    return tuple(coords)
+
+
+# ------------------------------------------------------------ configurations
+
+def config_to_json_dict(config) -> dict:
+    """A ``SurfaceConfiguration`` in the configuration file schema."""
+    return {
+        "tets": config.skeleton.tets,
+        "gluings": [
+            [g.tet_a, g.face_a, g.tet_b, g.face_b, list(g.perm)]
+            for g in config.skeleton.gluings
+        ],
+        "pieces": [[pl.tet, pl.kind, pl.multiplicity] for pl in config.placements],
+    }
+
+
+def edge_reversed_by_gluings(gluings) -> bool:
+    """True when face gluings ``(tet_a, face_a, tet_b, face_b, perm)``
+    identify some tetrahedron edge with itself reversed.
+
+    A search over directed edges ``(tet, tail, head)``: each gluing links
+    a directed edge of face_a with its image in face_b, and an edge is
+    reversed when both of its directions land in one component.
+    """
+    links = defaultdict(list)
+    for ta, fa, tb, fb, perm in gluings:
+        ca = [v for v in range(4) if v != fa]
+        cb = [v for v in range(4) if v != fb]
+        image = {ca[k]: cb[perm[k]] for k in range(3)}
+        for u, v in itertools.permutations(ca, 2):
+            x, y = (ta, u, v), (tb, image[u], image[v])
+            links[x].append(y)
+            links[y].append(x)
+    component = {}
+    for start in links:
+        if start in component:
+            continue
+        component[start] = start
+        stack = [start]
+        while stack:
+            for y in links[stack.pop()]:
+                if y not in component:
+                    component[y] = start
+                    stack.append(y)
+    return any(component[(t, u, v)] == component[(t, v, u)] for t, u, v in component)
 
 
 # ------------------------------------------------------------ surgery moves

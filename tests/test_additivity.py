@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import oracles
+
 from diskplex.additivity import (
     Gluing,
     Placement,
@@ -10,14 +12,13 @@ from diskplex.additivity import (
     TetGluing,
     check_matching,
     config_from_json_dict,
-    config_to_json_dict,
     euler_characteristic,
     global_complex,
     verify_index_sum,
 )
 from diskplex.homology import finite_index, homology_index
 from diskplex.pieces import FACES, PIECE_KINDS, piece
-from diskplex import corpus
+from diskplex import additivity, corpus
 
 
 def single(kind, tets=1, tet=0, mult=1):
@@ -116,7 +117,7 @@ def test_random_configurations_always_match_and_add():
 def test_config_json_round_trip():
     rng = random.Random(5)
     for cfg in corpus.random_configurations(rng, 10):
-        data = config_to_json_dict(cfg)
+        data = oracles.config_to_json_dict(cfg)
         back = config_from_json_dict(data)
         assert back == cfg
 
@@ -193,9 +194,14 @@ def closed_two_tet_gluings():
             )
 
 
+def plain_gluings(skeleton: TetGluing) -> list[tuple]:
+    return [(g.tet_a, g.face_a, g.tet_b, g.face_b, g.perm) for g in skeleton.gluings]
+
+
 def test_two_tet_closed_census():
-    """Every closed two-tet gluing satisfies chi = 2 * orbits - 4 for the
-    configuration of all eight vertex-linking triangles, and a gluing
+    """Every closed two-tet gluing that reverses no edge satisfies
+    chi = 2 * orbits - 4 for the configuration of all eight
+    vertex-linking triangles, every other one is rejected, and a gluing
     with exactly three edge orbits yields a chi = 2 link surface."""
     rng = random.Random(1)
     pool = list(closed_two_tet_gluings())
@@ -204,19 +210,65 @@ def test_two_tet_closed_census():
     found_three = None
     for skeleton in pool:
         orbits = edge_orbit_count(2, skeleton.gluings)
-        if orbits == 3:
+        if orbits == 3 and not oracles.edge_reversed_by_gluings(plain_gluings(skeleton)):
             found_three = skeleton
             break
     assert found_three is not None
+    rejected = 0
     for skeleton in sample + [found_three]:
         cfg = all_tri_config(skeleton)
         assert check_matching(cfg).passed
+        if oracles.edge_reversed_by_gluings(plain_gluings(skeleton)):
+            with pytest.raises(ValueError, match="with itself reversed"):
+                euler_characteristic(cfg)
+            rejected += 1
+            continue
         chi = euler_characteristic(cfg)
         orbits = edge_orbit_count(2, skeleton.gluings)
         # V = 2 per edge orbit, E = 3 arcs on each of 4 face classes,
         # F = 8 triangles
         assert chi == 2 * orbits - 4
+    assert 0 < rejected < len(sample)
     assert euler_characteristic(all_tri_config(found_three)) == 2
+
+
+def test_orientation_reversing_edge_self_identification_rejected():
+    # face 0 (corners 1, 2, 3) onto face 1 (corners 0, 2, 3) of the same
+    # tetrahedron, slots 1 and 2 swapped: edge 23 lands on itself reversed
+    cfg = config_from_json_dict({"tets": 1, "gluings": [[0, 0, 0, 1, [0, 2, 1]]], "pieces": []})
+    assert check_matching(cfg).passed
+    with pytest.raises(ValueError, match=r"gluings\[0\] identifies edge 23 of tetrahedron 0"):
+        euler_characteristic(cfg)
+    # the same faces glued without the swap keep every edge's direction
+    cfg = config_from_json_dict({"tets": 1, "gluings": [[0, 0, 0, 1, [0, 1, 2]]], "pieces": []})
+    assert euler_characteristic(cfg) == 0
+
+
+def test_edge_reversal_matches_search_oracle():
+    """Random open skeletons on up to three tetrahedra, self-gluings and
+    cycles included: rejected exactly when a directed-edge search finds
+    an edge identified with its reverse, and otherwise as many edge
+    classes as the unoriented union-find finds."""
+    rng = random.Random(6)
+    verdicts = set()
+    for _ in range(300):
+        tets = rng.randint(1, 3)
+        faces = [(t, f) for t in range(tets) for f in range(4)]
+        rng.shuffle(faces)
+        gluings = tuple(
+            Gluing(*faces[2 * i], *faces[2 * i + 1], tuple(rng.sample(range(3), 3)))
+            for i in range(rng.randint(1, len(faces) // 2))
+        )
+        skeleton = TetGluing(tets, gluings)
+        reversed_ = oracles.edge_reversed_by_gluings(plain_gluings(skeleton))
+        verdicts.add(reversed_)
+        if reversed_:
+            with pytest.raises(ValueError, match="with itself reversed"):
+                additivity._edge_identifications(skeleton, range(tets))
+        else:
+            classes = additivity._edge_identifications(skeleton, range(tets))
+            assert len(classes) == edge_orbit_count(tets, gluings)
+    assert verdicts == {True, False}
 
 
 def test_mirror_quad_is_the_one_matching_quad():

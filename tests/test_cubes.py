@@ -8,7 +8,6 @@ from diskplex.cubes import (
     cone_base_complex,
     cube_from_cone,
     dual_cells,
-    grid_coordinates,
     subdivide_cube,
     validate_ball,
 )
@@ -47,10 +46,10 @@ def test_grid_rejects_bad_input():
 def test_grid_coordinates_lie_in_unit_interval():
     grid = subdivide_cube(2, [2, 1])
     for v in grid.cells_of_dim(0):
-        coords = grid_coordinates(v, [2, 1])
+        coords = oracles.grid_coordinates(v, [2, 1])
         assert all(0 <= c <= 1 for c in coords)
     with pytest.raises(ValueError):
-        grid_coordinates(((0, 1), (0, 0)), [2, 1])
+        oracles.grid_coordinates(((0, 1), (0, 0)), [2, 1])
 
 
 def test_cone_cube_labels_bijective_with_cone_faces():

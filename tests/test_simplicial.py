@@ -14,7 +14,6 @@ from diskplex.simplicial import (
     from_facets,
     full_subcomplex,
     is_full_subcomplex,
-    is_subcomplex,
     join,
     join_all,
     link,
@@ -167,11 +166,11 @@ def test_full_subcomplex():
     x = full_subcomplex(y, [0, 1, 2])
     # three vertices of the sphere span a triangle face
     assert x.f_vector() == (3, 3, 1)
-    assert is_subcomplex(x, y)
+    assert oracles.is_subcomplex(x, y)
     assert is_full_subcomplex(x, y)
     circle = from_facets([[1, 2], [2, 3], [3, 4], [4, 1]])
     not_full = from_facets([[1], [2]])
-    assert is_subcomplex(not_full, circle)
+    assert oracles.is_subcomplex(not_full, circle)
     assert not is_full_subcomplex(not_full, circle)
 
 

@@ -1,0 +1,94 @@
+"""What a fresh process loads, and what the lazy package namespace binds.
+
+Each check runs in its own interpreter, because this test session has
+already imported every module.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_fresh(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+CHECK_NAMESPACE = '''
+import importlib, pkgutil, sys, types
+import diskplex
+from diskplex import cli
+
+def check(when):
+    for name in diskplex.__all__[:-1]:
+        got = getattr(diskplex, name)
+        assert not isinstance(got, types.ModuleType), (when, name, got)
+        home = sys.modules[got.__module__]
+        assert home.__name__ == "diskplex." + diskplex._EXPORTS[name], (when, name)
+        assert got is getattr(home, name), (when, name)
+    assert diskplex.__all__[-1] == "__version__"
+    assert set(diskplex.__all__) <= set(dir(diskplex)), when
+    star = {}
+    exec("from diskplex import *", star)
+    assert all(star[name] is getattr(diskplex, name) for name in diskplex.__all__), when
+
+def import_every_submodule():
+    for info in pkgutil.iter_modules(diskplex.__path__):
+        importlib.import_module("diskplex." + info.name)
+
+def check_submodule_attributes():
+    for info in pkgutil.iter_modules(diskplex.__path__):
+        if info.name not in diskplex.__all__:
+            assert getattr(diskplex, info.name) is sys.modules["diskplex." + info.name], info.name
+'''
+
+
+def test_public_namespace_is_stable():
+    """Every public name is the object its home module defines, whichever
+    submodule a process imports first; in particular ``diskplex.width``
+    stays the function even after ``diskplex.width`` the module loads.
+    Every other submodule is reachable as a package attribute."""
+    for first in (
+        'check("fresh"); import_every_submodule(); check("all submodules");'
+        ' cli.main(["width", "--seed", "3"]); check("after width")',
+        'import diskplex.suite; check("after suite")',
+        'import diskplex.corpus; check("after corpus")',
+        'import diskplex.width; check("after width module")',
+        'cli.main(["width", "--seed", "3"]); check("after width command")',
+        'check_submodule_attributes(); check("after submodule attributes")',
+    ):
+        run_fresh(CHECK_NAMESPACE + first)
+
+
+def loaded_by(code: str) -> set[str]:
+    """The ``diskplex`` submodules a fresh process has loaded after ``code``."""
+    out = run_fresh(code + "\nimport json, sys\n"
+                    "print(json.dumps([m for m in sys.modules if m.startswith('diskplex.')]))")
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def loaded_by_command(*argv: str) -> set[str]:
+    return loaded_by(f"from diskplex import cli\nassert cli.main({list(argv)!r}) == 0")
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    rp2 = tmp_path / "rp2.json"
+    rp2.write_text(json.dumps({"facets": [[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
+                                          [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]]}))
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"facets": [[1], [3]]}))
+    y = tmp_path / "y.json"
+    y.write_text(json.dumps({"facets": [[1, 2], [2, 3], [3, 4], [4, 1]]}))
+
+    assert loaded_by("import diskplex") == set()
+    core = {"diskplex.cli", "diskplex.io", "diskplex.simplicial", "diskplex.homology"}
+    assert loaded_by_command("homology", str(rp2)) <= core
+    assert loaded_by_command("index", str(rp2)) <= core
+    assert not loaded_by_command("catalog") & {"diskplex.suite", "diskplex.corpus"}
+    assert "diskplex.additivity" not in loaded_by_command("dichotomy", str(x), str(y))
