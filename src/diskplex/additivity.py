@@ -316,4 +316,8 @@ def config_from_json_dict(data: dict) -> SurfaceConfiguration:
 
 
 def load_config(path) -> SurfaceConfiguration:
-    return config_from_json_dict(read_json(path))
+    """Read a configuration file, rejecting a skeleton that glues an edge
+    to itself reversed before any piece is looked at."""
+    config = config_from_json_dict(read_json(path))
+    _edge_identifications(config.skeleton, sorted({t for t, _ in config.skeleton.glued_faces()}))
+    return config

@@ -14,7 +14,7 @@ from .additivity import Gluing, Placement, SurfaceConfiguration, TetGluing, chec
 from .homology import homology_index
 from .pieces import piece
 from .simplicial import SimplicialComplex, from_facets, full_subcomplex
-from .width import SurfaceComponentModel, SurgeryMove, move_runs
+from .width import SurfaceComponentModel, SurgeryMove, move_at, move_count
 
 
 def random_complex(
@@ -79,15 +79,10 @@ def random_surface(rng: random.Random, max_components: int = 6) -> tuple[Surface
 def random_move(rng: random.Random, surface) -> SurgeryMove | None:
     """A uniform draw from ``available_moves(surface)``, building only the
     drawn move; no draw is made when there is no move."""
-    runs = move_runs(surface)
-    total = sum(count for count, _ in runs)
+    total = sum(map(move_count, surface))
     if not total:
         return None
-    j = rng.randrange(total)
-    for count, move_at in runs:
-        if j < count:
-            return move_at(j)
-        j -= count
+    return move_at(surface, rng.randrange(total))
 
 
 def surfaces_with_moves(rng: random.Random, count: int):

@@ -84,9 +84,6 @@ class FaceArcs:
     def count(self, face: int, corner: int) -> int:
         return self.corners[FACES[face].index(corner)]
 
-    def total(self) -> int:
-        return sum(self.corners)
-
 
 @dataclass(frozen=True)
 class ArcCheck:

@@ -7,6 +7,7 @@ RunConfig yields byte-identical reports.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from .join_formula import verify_milnor
 from .pieces import catalog, piece, validate_piece
 from .simplicial import barycentric_subdivision, boundary_of_simplex, from_facets
 from .width import apply_surgery, verify_width_decrease
-from .corpus import random_move
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,7 @@ def prop_width_descent(config: RunConfig) -> PropertyResult:
         surface = corpus.random_surface(rng)
         steps = 0
         while steps < cap:
-            move = random_move(rng, surface)
+            move = corpus.random_move(rng, surface)
             if move is None:
                 break
             surface = apply_surgery(surface, move)
@@ -263,25 +263,14 @@ def prop_constructions(config: RunConfig) -> PropertyResult:
         details.append(f"cone-to-cube corners n={n}: {'bijective' if good else 'MISMATCH'}")
 
     grid_bad = 0
+    dual_bad = 0
     n_grid = max(_cases(config, 20), 1)
-    specs = list(corpus.random_grid_specs(rng, n_grid))
-    for n, counts in specs:
+    for n, counts in corpus.random_grid_specs(rng, n_grid):
         grid = subdivide_cube(n, counts)
         tops = len(grid.cells_of_dim(n))
         verts = len(grid.cells_of_dim(0))
-        want_tops = 1
-        want_verts = 1
-        for c in counts:
-            want_tops *= c + 1
-            want_verts *= c + 2
-        if tops != want_tops or verts != want_verts:
+        if tops != math.prod(c + 1 for c in counts) or verts != math.prod(c + 2 for c in counts):
             grid_bad += 1
-    ok = ok and grid_bad == 0
-    details.append(f"grid cell counts: {n_grid - grid_bad}/{n_grid}")
-
-    dual_bad = 0
-    for n, counts in specs:
-        grid = subdivide_cube(n, counts)
         dual = dual_cells(grid)
         boundary = grid.boundary_cells()
         for d in range(n + 1):
@@ -291,7 +280,8 @@ def prop_constructions(config: RunConfig) -> PropertyResult:
             if len(dual.cells_of_dim(n - d)) != interior_d:
                 dual_bad += 1
                 break
-    ok = ok and dual_bad == 0
+    ok = ok and grid_bad == 0 and dual_bad == 0
+    details.append(f"grid cell counts: {n_grid - grid_bad}/{n_grid}")
     details.append(f"dual cell-count correspondence: {n_grid - dual_bad}/{n_grid}")
 
     return PropertyResult("constructions", ok, n_chi + 4 + 2 * n_grid, tuple(details))

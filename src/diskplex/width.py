@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -90,15 +90,10 @@ class Ordering(Enum):
 
 def compare_width(a: Width, b: Width) -> Ordering:
     """Lexicographic comparison of the sorted pair sequences; proper
-    prefixes count as smaller."""
-    for pa, pb in zip(a.pairs, b.pairs):
-        if pa < pb:
-            return Ordering.LESS
-        if pa > pb:
-            return Ordering.GREATER
-    if len(a.pairs) < len(b.pairs):
+    prefixes count as smaller (Python's tuple order)."""
+    if a.pairs < b.pairs:
         return Ordering.LESS
-    if len(a.pairs) > len(b.pairs):
+    if a.pairs > b.pairs:
         return Ordering.GREATER
     return Ordering.EQUAL
 
@@ -199,32 +194,48 @@ def verify_width_decrease(surface: Surface, move: SurgeryMove) -> DecreaseVerdic
     return DecreaseVerdict(passed=passed, before=before, after=after, move=move)
 
 
-def move_runs(surface: Surface) -> list[tuple[int, Callable[[int], SurgeryMove]]]:
-    """All structurally valid moves from a surface, as ordered runs
-    ``(count, move_at)``; ``move_at(j)`` builds the j-th move of its run.
+def move_count(comp: SurfaceComponentModel) -> int:
+    """Moves offered on one component: NONSEP, BOUNDARY and weight + 1
+    SEP moves for each of its 1 - euler Euler splits when euler <= 0 (a
+    sphere or disk has no essential curve or arc), plus one DISHONEST
+    move per crossing point."""
+    if comp.euler > 0:
+        return comp.weight
+    return 2 + (comp.weight + 1) * (1 - comp.euler) + comp.weight
 
-    Compressions need an essential curve or arc, so they are offered only
-    for components with euler <= 0 (a sphere or disk admits none); the
-    dishonest exchange needs at least one crossing point.  Separating
-    compressions get one run of weight splits per Euler split, with
-    component euler capped at 2.
-    """
-    runs = []
-    for idx, comp in enumerate(surface):
-        if comp.euler <= 0:
-            runs.append((1, lambda _, i=idx: SurgeryMove(MoveKind.HONEST_COMPRESS_NONSEP, i)))
-            runs.append((1, lambda _, i=idx: SurgeryMove(MoveKind.HONEST_BOUNDARY_COMPRESS, i)))
-            # e2 >= euler + 1 follows from e1 >= euler + 1 and e1 <= e2
-            splits = [(e1, total - e1) for total in (comp.euler + 2, comp.euler + 1)
-                      for e1 in range(comp.euler + 1, 3) if e1 <= total - e1 <= 2]
-            for e1, e2 in splits:
-                runs.append((comp.weight + 1, lambda w1, i=idx, w=comp.weight, e1=e1, e2=e2:
-                             SurgeryMove(MoveKind.HONEST_COMPRESS_SEP, i,
-                                         split=((e1, w1), (e2, w - w1)))))
-        runs.append((comp.weight, lambda j, i=idx: SurgeryMove(MoveKind.DISHONEST, i, k=j + 1)))
-    return runs
+
+def _component_move(target: int, comp: SurfaceComponentModel, j: int) -> SurgeryMove:
+    """The j-th move on ``comp = surface[target]``, in ``move_count``'s
+    order.  SEP runs over the Euler splits euler < e1 <= e2 <= 2, the
+    (euler + 2) // 2 - euler summing to euler + 2 first, then those
+    summing to euler + 1, e1 ascending; within a split, w1 = 0..weight."""
+    if comp.euler <= 0:
+        if j == 0:
+            return SurgeryMove(MoveKind.HONEST_COMPRESS_NONSEP, target)
+        if j == 1:
+            return SurgeryMove(MoveKind.HONEST_BOUNDARY_COMPRESS, target)
+        s, w1 = divmod(j - 2, comp.weight + 1)
+        if s < 1 - comp.euler:
+            disk = (comp.euler + 2) // 2 - comp.euler
+            total = comp.euler + 2 if s < disk else comp.euler + 1
+            e1 = comp.euler + 1 + (s if s < disk else s - disk)
+            return SurgeryMove(MoveKind.HONEST_COMPRESS_SEP, target,
+                               split=((e1, w1), (total - e1, comp.weight - w1)))
+        j -= 2 + (1 - comp.euler) * (comp.weight + 1)
+    return SurgeryMove(MoveKind.DISHONEST, target, k=j + 1)
+
+
+def move_at(surface: Surface, j: int) -> SurgeryMove:
+    """``available_moves(surface)[j]``, building only that move."""
+    for target, comp in enumerate(surface):
+        count = move_count(comp)
+        if 0 <= j < count:
+            return _component_move(target, comp, j)
+        j -= count
+    raise IndexError("move index out of range")
 
 
 def available_moves(surface: Surface) -> list[SurgeryMove]:
-    """Every move of ``move_runs``, in order."""
-    return [move_at(j) for count, move_at in move_runs(surface) for j in range(count)]
+    """Every structurally valid move from a surface, in ``move_at`` order."""
+    return [_component_move(target, comp, j)
+            for target, comp in enumerate(surface) for j in range(move_count(comp))]

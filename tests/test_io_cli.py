@@ -170,13 +170,15 @@ def test_cli_error_paths(tmp_path, capsys):
     not_a_list = write_fixture(tmp_path, "cfg.json", {"tets": 1, "gluings": 5})
     assert main(["additivity", not_a_list]) == 2
     assert "gluings" in capsys.readouterr().err
-    reversed_edge = write_fixture(
-        tmp_path, "reversed.json", {"tets": 1, "gluings": [[0, 0, 0, 1, [0, 2, 1]]], "pieces": []}
-    )
-    assert main(["additivity", reversed_edge]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: gluings[0] identifies edge 23")
+    # rejected before matching, whether or not the pieces match
+    for pieces in ([], [[0, "TRI_1", 1]]):
+        reversed_edge = write_fixture(
+            tmp_path, "reversed.json", {"tets": 1, "gluings": [[0, 0, 0, 1, [0, 2, 1]]], "pieces": pieces}
+        )
+        assert main(["additivity", reversed_edge]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: gluings[0] identifies edge 23")
     assert main(["suite", "--counts", "-1"]) == 2
     assert "counts" in capsys.readouterr().err
     for depth in (500, 3000):  # past the vertex bound, and past what json can read

@@ -2,6 +2,7 @@ import importlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 
@@ -14,6 +15,8 @@ from diskplex.width import (
     apply_surgery,
     available_moves,
     compare_width,
+    move_at,
+    move_count,
     verify_width_decrease,
     width,
 )
@@ -167,3 +170,16 @@ def test_random_move_builds_only_the_drawn_move(monkeypatch):
         before = len(built)
         move = corpus.random_move(rng, corpus.random_surface(rng))
         assert len(built) - before == (move is not None)
+
+
+@settings(deadline=None)
+@given(euler=st.integers(-200, 2), weight=st.integers(0, 30))
+def test_move_count_and_decoder_match_enumeration(euler, weight):
+    # wider than random_surface's euler range -10..2
+    c = comp(euler, weight)
+    ref = oracles.surgery_moves([(euler, weight)])
+    assert move_count(c) == len(ref)
+    assert [_plain(m) for m in available_moves((c,))] == ref
+    assert [_plain(move_at((c,), j)) for j in range(len(ref))] == ref
+    with pytest.raises(IndexError):
+        move_at((c,), len(ref))
