@@ -18,9 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homology import (
+# homology_index is unused here but stays importable from this module:
+# bench/tracing.py rebinds dichotomy.homology_index.
+from .homology import (  # noqa: F401
     HomologyIndex,
+    HomologyProfile,
     homology_index,
+    index_of_profile,
     reduced_homology,
 )
 from .simplicial import (
@@ -93,22 +97,24 @@ def check_dichotomy(x: SimplicialComplex, y: SimplicialComplex) -> DichotomyWitn
     """Decide the dichotomy for a full subcomplex pair, exhaustively."""
     if not is_full_subcomplex(x, y):
         raise ValueError("x is not a full subcomplex of y")
-    index_x = homology_index(x)
+    profile_x = reduced_homology(x)
+    index_x = index_of_profile(profile_x)
     if index_x.is_acyclic:
         raise ValueError("x is acyclic: it carries no index, the dichotomy does not apply")
     n = index_x.value
-    index_y = homology_index(y)
+    profile_y = reduced_homology(y)
+    index_y = index_of_profile(profile_y)
     if index_y.at_most(n):
         return DichotomyWitness(verdict=Y_SMALL, index_x=index_x, index_y=index_y)
 
-    profile_cache: dict[frozenset, HomologyIndex] = {}
-    archive = []
+    profiles: dict[frozenset, HomologyProfile] = {x.facets: profile_x}
+    archive = [(None, profile_x), (None, profile_y)]
     for tau in _outside_simplices(x, y):
         vtau = adjacency_subcomplex(x, y, Simplex(tau))
-        key = vtau.facets
-        if key not in profile_cache:
-            profile_cache[key] = homology_index(vtau)
-        index_vtau = profile_cache[key]
+        profile = profiles.get(vtau.facets)
+        if profile is None:
+            profile = profiles[vtau.facets] = reduced_homology(vtau)
+        index_vtau = index_of_profile(profile)
         if index_vtau.at_most(n - (len(tau) - 1)):
             return DichotomyWitness(
                 verdict=TAU_FOUND,
@@ -117,10 +123,8 @@ def check_dichotomy(x: SimplicialComplex, y: SimplicialComplex) -> DichotomyWitn
                 tau=tau,
                 index_vtau=index_vtau,
             )
-        archive.append((tau, reduced_homology(vtau)))
+        archive.append((tau, profile))
 
-    archive.insert(0, (None, reduced_homology(y)))
-    archive.insert(0, (None, reduced_homology(x)))
     return DichotomyWitness(
         verdict=FAILURE,
         index_x=index_x,

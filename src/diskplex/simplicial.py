@@ -68,11 +68,12 @@ class SimplicialComplex:
     Face enumeration is computed on demand and memoized.
 
     Invariant: every facet is a tuple sorted by ``vertex_key`` without
-    repeats.  ``from_facets`` establishes it and every other constructor
-    reuses the facets of an existing complex.  Subsets of a facet taken
-    in order are therefore canonical faces, and comparing faces by the
-    ranks of their vertices in ``vertices()`` orders them exactly as
-    comparing their ``vertex_key`` tuples would.
+    repeats.  ``from_facets`` establishes it, and every other constructor
+    reuses the facets of an existing complex or, like the strong-collapse
+    core in ``homology``, subsets of them taken in order.  Subsets of a
+    facet taken in order are therefore canonical faces, and comparing
+    faces by the ranks of their vertices in ``vertices()`` orders them
+    exactly as comparing their ``vertex_key`` tuples would.
     """
 
     facets: frozenset

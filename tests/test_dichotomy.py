@@ -103,3 +103,26 @@ def test_first_witness_is_smallest():
         candidates = [v for v in outside]
         assert w.tau[0] in candidates
         assert w.tau == (min(candidates),) or w.dim_tau > 0
+
+
+def test_each_profile_is_computed_once(monkeypatch):
+    import diskplex.dichotomy
+    import diskplex.homology
+
+    real = diskplex.homology.reduced_homology
+    computed = []
+
+    def counting(k):
+        computed.append(k.facets)
+        return real(k)
+
+    monkeypatch.setattr(diskplex.homology, "reduced_homology", counting)
+    monkeypatch.setattr(diskplex.dichotomy, "reduced_homology", counting)
+    rng = random.Random(5)
+    missed = 0
+    for x, y in corpus.full_subcomplex_pairs(rng, 60):
+        computed.clear()
+        w = check_dichotomy(x, y)
+        assert len(computed) == len(set(computed)) + (x.facets == y.facets), (x, y)
+        missed += w.verdict == "TAU_FOUND" and len(computed) > 3
+    assert missed

@@ -1,6 +1,8 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 
@@ -9,6 +11,7 @@ from diskplex.homology import (
     AbelianGroup,
     IntegerMatrix,
     ZERO_INDEX,
+    _collapse_core,
     boundary_matrices,
     divisor_chain,
     finite_index,
@@ -18,8 +21,10 @@ from diskplex.homology import (
     smith_normal_form,
 )
 from diskplex.simplicial import (
+    adjacency_subcomplex,
     barycentric_subdivision,
     boundary_of_simplex,
+    cone,
     empty_complex,
     from_facets,
     join,
@@ -28,6 +33,9 @@ from diskplex.simplicial import (
     simplex_complex,
 )
 from diskplex import corpus
+from diskplex.additivity import global_complex
+from diskplex.cubes import cone_base_complex
+from diskplex.pieces import catalog
 
 RP2 = [[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
        [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]]
@@ -81,6 +89,8 @@ def test_snf_fixed_cases():
         ([[2, 3], [3, 5]], (1, 1)),
         ([[4, 6], [6, 9]], (1,)),
         ([[2, 4], [6, 8]], (2, 4)),
+        # no unit entry, and the first pivot, the 4 in row 0, splits nothing
+        ([[0, 0, 4, -6], [0, 9, 4, 0], [6, 4, 6, -6]], (1, 2, 6)),
     ):
         assert smith_normal_form(IntegerMatrix.from_rows(rows)) == expected, rows
         assert tuple(oracles.invariant_factors_by_minors(rows)) == expected, rows
@@ -131,14 +141,38 @@ def test_snf_of_scaled_boundary_maps():
                 assert smith_normal_form(scaled) == tuple(c * f for f in factors)
 
 
+@st.composite
+def small_matrices(draw):
+    """Up to 4x4 integer matrices, half of them with no unit entry."""
+    entry = draw(st.sampled_from([
+        st.integers(-6, 6),
+        st.sampled_from([0, 0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9]),
+    ]))
+    cols = draw(st.integers(1, 4))
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices())
+def test_snf_property_against_minors_and_sympy(rows):
+    ours = smith_normal_form(IntegerMatrix.from_rows(rows))
+    assert ours == tuple(oracles.invariant_factors_by_minors(rows))
+    assert _sympy_factors(rows) in (None, ours)
+
+
+def _sympy_factors(rows):
+    """Invariant factors by sympy, or None when sympy is not installed."""
+    try:
+        import sympy
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    except ImportError:
+        return None
+    diag = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+    return divisor_chain(abs(int(diag[i, i])) for i in range(min(diag.shape)))
+
+
 def test_snf_agrees_with_sympy():
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-
-    def sympy_factors(rows):
-        diag = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
-        return divisor_chain(abs(int(diag[i, i])) for i in range(min(diag.shape)))
-
+    pytest.importorskip("sympy")
     rng = random.Random(41)
     matrices = []
     for _ in range(40):
@@ -160,7 +194,96 @@ def test_snf_agrees_with_sympy():
     matrices.extend(_dense(m) for k in _small_surfaces() for m in boundary_matrices(k))
     for rows in matrices:
         ours = smith_normal_form(IntegerMatrix.from_rows(rows))
-        assert ours == sympy_factors(rows), rows
+        assert ours == _sympy_factors(rows), rows
+
+
+def _uncollapsed(k):
+    """(rank, torsion) in degrees 0..dim from k's own boundary maps."""
+    factors = [smith_normal_form(m) for m in boundary_matrices(k)] + [()]
+    fvec = k.f_vector()
+    return [
+        (fvec[d] - len(factors[d]) - len(factors[d + 1]), tuple(f for f in factors[d + 1] if f > 1))
+        for d in range(k.dim + 1)
+    ]
+
+
+def _collapse_cases():
+    """Every corpus generator, plus subdivisions, joins, cones and the
+    one-facet shapes where every vertex dominates every other."""
+    rng = random.Random(61)
+    yield from (from_facets([[1, 2]]), simplex_complex(range(6)), point(), from_facets([["a"], ["b"]]))
+    for _ in range(80):
+        yield corpus.random_complex(rng, allow_empty=False)
+    for a, b in corpus.milnor_pairs(rng, 12):
+        yield from (k for k in (a, b, join(a, b, relabel_on_collision=True)) if not k.is_empty)
+    for x, y in corpus.full_subcomplex_pairs(rng, 12):
+        outside = [v for v in y.vertices() if v not in x.vertices()]
+        yield from (k for k in (x, y) if not k.is_empty)
+        for v in outside[:2]:
+            vtau = adjacency_subcomplex(x, y, (v,))
+            if not vtau.is_empty:
+                yield vtau
+    for config in corpus.random_configurations(rng, 4):
+        k = global_complex(config)
+        if not k.is_empty and len(k.vertices()) <= 12:
+            yield k
+    yield from (p.model_complex for p in catalog() if not p.model_complex.is_empty)
+    yield from (cone_base_complex(n) for n in (1, 2, 3))
+    for _ in range(12):
+        k = corpus.random_complex(rng, max_vertices=5, max_facet_size=3, max_facets=4, allow_empty=False)
+        yield barycentric_subdivision(k)
+        yield cone(k, "apex")
+        yield join(k, corpus.random_complex(rng, max_vertices=3, max_facet_size=2, allow_empty=False),
+                   relabel_on_collision=True)
+    yield barycentric_subdivision(from_facets(RP2))
+
+
+def test_strong_collapse_keeps_every_profile():
+    reduced = kept = 0
+    for k in _collapse_cases():
+        core = _collapse_core(k)
+        if core is k:
+            kept += 1
+        else:
+            reduced += 1
+            assert core.facets and set(core.vertices()) < set(k.vertices()), k
+        expected = _uncollapsed(k)
+        prof = reduced_homology(k)
+        assert [(prof.group(d).rank, prof.group(d).torsion) for d in range(k.dim + 1)] == expected, k
+        facets = [list(f) for f in k.facet_list()]
+        for d, (rank, torsion) in enumerate(expected):
+            assert oracles.reduced_betti(facets, d) == rank, (k, d)
+            below = expected[d - 1][1] if d else ()
+            assert oracles.reduced_betti_mod_p(facets, d, 2) == rank + sum(
+                t % 2 == 0 for t in torsion + below), (k, d)
+    assert reduced >= 120 and kept >= 40, (reduced, kept)
+
+
+def test_core_and_face_budget_on_simplices_and_their_boundaries():
+    # a simplex collapses to one vertex, however large
+    for n in (1, 2, 12, 40):
+        core = _collapse_core(simplex_complex(range(n)))
+        assert len(core.facets) == 1 and len(core.vertices()) == 1
+    assert homology_index(simplex_complex(range(40))) == ACYCLIC_INDEX
+    # the boundary of a simplex has no dominated vertex: 2^n - 2 faces
+    sphere = boundary_of_simplex(6)
+    assert _collapse_core(sphere) is sphere
+    with pytest.raises(ValueError, match=r"\b46137322\b.*\b262144\b"):
+        reduced_homology(boundary_of_simplex(22))
+
+
+def test_long_paths_and_trees_collapse_to_a_point_at_once():
+    # each deletion frees only the next leaf, so a pass that rescanned
+    # every facet per layer would be quadratic here
+    rng = random.Random(83)
+    path = from_facets([[i, i + 1] for i in range(4000)])
+    tree = from_facets([[i, rng.randrange(i)] for i in range(1, 3000)])
+    start = time.perf_counter()
+    cores = [_collapse_core(k) for k in (path, tree)]
+    assert time.perf_counter() - start < 2.0
+    for k, core in zip((path, tree), cores):
+        assert len(core.facets) == 1 and len(core.vertices()) == 1
+        assert reduced_homology(k).is_acyclic
 
 
 def test_reduced_homology_of_large_known_shapes():

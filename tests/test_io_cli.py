@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -187,6 +188,17 @@ def test_cli_error_paths(tmp_path, capsys):
         assert main(["homology", str(deep)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(deep) in err
+    # the boundary of the 21-simplex has no dominated vertex and 2^22 - 2 faces
+    sphere = write_fixture(
+        tmp_path, "sphere20.json",
+        {"facets": [list(f) for f in itertools.combinations(range(22), 21)]},
+    )
+    for command in ("homology", "index"):
+        assert main([command, sphere]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: complex may have 46137322 faces")
+        assert "face budget of 262144" in captured.err
 
 
 def test_cli_suite_small(capsys):
