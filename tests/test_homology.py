@@ -141,6 +141,44 @@ def test_snf_of_scaled_boundary_maps():
                 assert smith_normal_form(scaled) == tuple(c * f for f in factors)
 
 
+def _scrambled_pair(rng, lower, upper):
+    """(D·lower·Q, Q⁻¹·upper) for a chain pair with lower·upper = 0.
+
+    Q is a random product of elementary column operations (at most 300,
+    so entries stay small), whose inverses act on the rows of ``upper``;
+    D scales each row of ``lower`` by 2, 3 or 5.  The product stays 0,
+    no entry of the first matrix is a unit, and many pivot steps split
+    nothing.
+    """
+    a, b = _dense(lower), _dense(upper)
+    n = lower.cols
+    for _ in range(min(4 * n, 300)):
+        s, t = rng.sample(range(n), 2)
+        c = rng.choice((1, -1))
+        for row in a:
+            row[t] += c * row[s]
+        b[s] = [x - c * y for x, y in zip(b[s], b[t])]
+    a = [[p * v for v in row] for p, row in zip((rng.choice((2, 3, 5)) for _ in a), a)]
+    return IntegerMatrix.from_rows(a, n), IntegerMatrix.from_rows(b, upper.cols)
+
+
+def test_clearing_keeps_factors_on_scrambled_chain_pairs():
+    # The rows of d_{k+1} that d_k's elimination split off can be skipped,
+    # also when a step of d_k splits nothing and recording has to stop.
+    rng = random.Random(97)
+    stopped = 0
+    for k in _small_surfaces():
+        mats = boundary_matrices(k)
+        for lower, upper in zip(mats, mats[1:]):
+            for _ in range(10):
+                a, b = _scrambled_pair(rng, lower, upper)
+                split = set()
+                rank = len(smith_normal_form(a, split=split))
+                stopped += len(split) < rank
+                assert smith_normal_form(b, skip=split) == smith_normal_form(b), (k, lower.rows)
+    assert stopped >= 40, stopped
+
+
 @st.composite
 def small_matrices(draw):
     """Up to 4x4 integer matrices, half of them with no unit entry."""
@@ -198,7 +236,8 @@ def test_snf_agrees_with_sympy():
 
 
 def _uncollapsed(k):
-    """(rank, torsion) in degrees 0..dim from k's own boundary maps."""
+    """(rank, torsion) in degrees 0..dim from k's own boundary maps, each
+    eliminated whole: no collapse and no clearing."""
     factors = [smith_normal_form(m) for m in boundary_matrices(k)] + [()]
     fvec = k.f_vector()
     return [
@@ -238,6 +277,20 @@ def _collapse_cases():
     yield barycentric_subdivision(from_facets(RP2))
 
 
+def _assert_profile_matches_whole_maps_and_oracles(k):
+    """reduced_homology(k), which collapses and clears, against
+    _uncollapsed(k) and the field Betti numbers."""
+    expected = _uncollapsed(k)
+    prof = reduced_homology(k)
+    assert [(prof.group(d).rank, prof.group(d).torsion) for d in range(k.dim + 1)] == expected, k
+    facets = [list(f) for f in k.facet_list()]
+    for d, (rank, torsion) in enumerate(expected):
+        assert oracles.reduced_betti(facets, d) == rank, (k, d)
+        below = expected[d - 1][1] if d else ()
+        assert oracles.reduced_betti_mod_p(facets, d, 2) == rank + sum(
+            t % 2 == 0 for t in torsion + below), (k, d)
+
+
 def test_strong_collapse_keeps_every_profile():
     reduced = kept = 0
     for k in _collapse_cases():
@@ -247,16 +300,18 @@ def test_strong_collapse_keeps_every_profile():
         else:
             reduced += 1
             assert core.facets and set(core.vertices()) < set(k.vertices()), k
-        expected = _uncollapsed(k)
-        prof = reduced_homology(k)
-        assert [(prof.group(d).rank, prof.group(d).torsion) for d in range(k.dim + 1)] == expected, k
-        facets = [list(f) for f in k.facet_list()]
-        for d, (rank, torsion) in enumerate(expected):
-            assert oracles.reduced_betti(facets, d) == rank, (k, d)
-            below = expected[d - 1][1] if d else ()
-            assert oracles.reduced_betti_mod_p(facets, d, 2) == rank + sum(
-                t % 2 == 0 for t in torsion + below), (k, d)
+        _assert_profile_matches_whole_maps_and_oracles(k)
     assert reduced >= 120 and kept >= 40, (reduced, kept)
+
+
+facet_lists = st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True),
+                       min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(facet_lists)
+def test_collapse_and_clearing_keep_every_profile(facets):
+    _assert_profile_matches_whole_maps_and_oracles(from_facets(facets))
 
 
 def test_core_and_face_budget_on_simplices_and_their_boundaries():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diskplex.homology import (
     ACYCLIC_INDEX,
@@ -16,7 +17,7 @@ from diskplex.join_formula import (
     tor,
     verify_milnor,
 )
-from diskplex.simplicial import boundary_of_simplex, empty_complex, from_facets, point
+from diskplex.simplicial import boundary_of_simplex, empty_complex, from_facets, join, point
 from diskplex import corpus
 
 RP2 = [[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
@@ -107,10 +108,26 @@ def test_index_sum_law_matches_join_on_examples():
     # ind(S^0) = 1 and joining spheres adds indices
     s0 = from_facets([["p"], ["q"]])
     from diskplex.homology import homology_index
-    from diskplex.simplicial import join
 
     j = join(s0, s0, relabel_on_collision=True)
     assert homology_index(j) == index_sum_law([homology_index(s0)] * 2)
     jj = join(j, from_facets(RP2), relabel_on_collision=True)
     expected = index_sum_law([homology_index(j), finite_index(2)])
     assert homology_index(jj) == expected == finite_index(4)
+
+
+# Random facet lists mostly have a dominated vertex, and so does their
+# join, which then collapses; the fixed shapes (S^0, a circle, S^2 and
+# RP^2) have none, so their joins keep deep chain complexes with torsion.
+small_complexes = st.one_of(
+    st.sampled_from([[["p"], ["q"]], [[0, 1], [1, 2], [0, 2]],
+                     [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], RP2]),
+    st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True), min_size=1, max_size=5),
+).map(from_facets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_complexes, small_complexes)
+def test_join_homology_matches_the_formula(a, b):
+    direct = reduced_homology(join(a, b, relabel_on_collision=True))
+    assert direct == join_homology_via_formula(reduced_homology(a), reduced_homology(b))
