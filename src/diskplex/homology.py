@@ -8,22 +8,24 @@ left.  A cone or a simplex becomes a point.  A core whose face bound,
 the sum of 2^|f| - 1 over its facets, exceeds a fixed budget is refused
 with a ValueError before any face is enumerated.
 
-Boundary matrices are built sparse, straight from the core's face lists,
-over Z with Python's arbitrary-precision ints.  They are eliminated in
-ascending degree, d_0 first, and each elimination skips the rows of the
-faces whose columns the degree below split off ("clearing"; Kaczynski,
-Mrozek & Slusarek, "Homology computation by reduction of chain
-complexes", 1998).  Since d_k d_{k+1} = 0 those rows lie in the Z-span
-of the others, so the invariant factors stay the same, and the rows that
-elimination would otherwise grind down to zero through fill-in are never
-touched; ``smith_normal_form`` gives the argument.  Smith reduction is one
-loop over one pivot step.  Simplicial boundary maps are sparse and
-nearly all their pivots are units, so the loop takes ±1 pivots first,
-short rows and sparse columns first; each clears its column by exact
-row operations and splits off a factor 1.  Only when no unit is left
-does it pivot on an entry of minimal |value|, which either splits off
-its factor or leaves smaller remainders for the next pivot.  A gcd/lcm
-pass normalizes the split-off factors into a divisor chain.
+Boundary matrices are built sparse over Z, with Python's
+arbitrary-precision ints, straight from the core's facets held as int
+bitmasks over the vertex ranks: each face yields its codimension-1 faces
+by clearing one bit at a time, so no face tuple is formed or sorted.
+They are eliminated in ascending degree, d_0 first, and each elimination
+skips the rows of the faces whose columns the degree below split off
+("clearing"; Kaczynski, Mrozek & Slusarek, "Homology computation by
+reduction of chain complexes", 1998).  Since d_k d_{k+1} = 0 those rows
+lie in the Z-span of the others, so the invariant factors stay the same,
+and the rows that elimination would otherwise grind down to zero through
+fill-in are never touched; ``smith_normal_form`` gives the argument.
+Smith reduction is one loop over one pivot step.  Simplicial boundary
+maps are sparse and nearly all their pivots are units, so the loop takes
+±1 pivots first, short rows and sparse columns first; each clears its
+column by exact row operations and splits off a factor 1.  Only when no
+unit is left does it pivot on an entry of minimal |value|, which either
+splits off its factor or leaves smaller remainders for the next pivot.
+A gcd/lcm pass normalizes the split-off factors into a divisor chain.
 
 Homology is reduced throughout: the degree-0 boundary map is the
 augmentation to Z, so a single point has trivial homology everywhere.
@@ -273,21 +275,49 @@ def _pivot_step(rows: dict[int, dict[int, int]], cols: dict[int, set[int]], pi: 
 def boundary_matrices(k: SimplicialComplex) -> list[IntegerMatrix]:
     """Boundary maps [d_0, d_1, ..., d_dim] with d_0 the augmentation to Z.
 
-    Built sparse from the face lists: d-face j has entry (-1)^v in the row
-    of the (d-1)-face that drops its v-th vertex.
+    Built sparse from the top degree down, on faces held as int bitmasks
+    over the ranks of ``k.vertices()``; no face tuple is formed.  The
+    columns of d_dim are the top facets in ascending mask order.  A d-face
+    f gives its (d-1)-faces f ^ b for b its set bits from the lowest, with
+    signs +1, -1, +1, ...: dropping the v-th vertex in canonical order
+    gives (-1)^v.  A row is numbered the first time its face is met, and
+    the (d-1)-dimensional facets, which no d-face contains, follow in
+    ascending mask order.  That row order is the column order of d_{d-1},
+    so the rows that clearing skips in one map are the columns split off
+    in the map below.
+
+    Rows and columns are therefore ordered by first encounter, not by
+    canonical face order; the invariant factors do not depend on it.
     """
     if k.is_empty:
         raise ValueError("empty complex has no boundary matrices")
-    groups = k.faces_by_dim()
-    n0 = len(groups[0])
-    out = [IntegerMatrix(1, n0, (tuple((j, 1) for j in range(n0)),))]
-    for d in range(1, k.dim + 1):
-        lower = {f: i for i, f in enumerate(groups[d - 1])}
-        entries: list[list[tuple[int, int]]] = [[] for _ in lower]
-        for j, face in enumerate(groups[d]):
-            for v in range(len(face)):
-                entries[lower[face[:v] + face[v + 1 :]]].append((j, -1 if v % 2 else 1))
-        out.append(IntegerMatrix(len(lower), len(groups[d]), tuple(map(tuple, entries))))
+    rank = k._vertex_ranks()
+    by_size: dict[int, list[int]] = {}
+    for f in k.facets:
+        by_size.setdefault(len(f), []).append(sum(map((1).__lshift__, map(rank.__getitem__, f))))
+    top = max(by_size)
+    level = sorted(by_size[top])
+    out = []
+    for size in range(top, 1, -1):
+        rows: dict[int, list[tuple[int, int]]] = {}  # (size-1)-face -> its row
+        for j, f in enumerate(level):
+            signed, v, rest = ((j, 1), (j, -1)), 0, f
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                face = f ^ low
+                row = rows.get(face)
+                if row is None:
+                    row = rows[face] = []
+                row.append(signed[v])
+                v ^= 1
+        facets = sorted(by_size.get(size - 1, ()))
+        entries = tuple(map(tuple, rows.values())) + ((),) * len(facets)
+        out.append(IntegerMatrix(len(entries), len(level), entries))
+        level = [*rows, *facets]
+    n0 = len(level)
+    out.append(IntegerMatrix(1, n0, (tuple((j, 1) for j in range(n0)),)))
+    out.reverse()
     return out
 
 
@@ -370,12 +400,12 @@ def _collapse_core(k: SimplicialComplex) -> SimplicialComplex:
     facets is dropped, so only the vertices of dropped facets go back on
     the worklist.
 
-    Returns ``k`` itself when nothing is dominated, so its memoised faces
-    are reused.  Rank order is ``vertex_key`` order, so the core's facets
+    Returns ``k`` itself when nothing is dominated, so its memoised rank
+    table is reused.  Rank order is ``vertex_key`` order, so the core's facets
     map back to canonical tuples.
     """
     verts = k.vertices()
-    rank = {v: i for i, v in enumerate(verts)}
+    rank = k._vertex_ranks()
     facets = {}  # facet id -> bitmask of vertex ranks
     meets = [-1] * len(verts)
     for n, f in enumerate(k.facets):
@@ -445,21 +475,19 @@ def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
             f"complex may have {bound} faces after strong collapses, "
             f"over the face budget of {_FACE_BUDGET}"
         )
+    mats = boundary_matrices(k)
     factors = []
     split: set[int] = set()
-    for m in boundary_matrices(k):
+    for m in mats:
         skip, split = split, set()
         factors.append(smith_normal_form(m, skip=skip, split=split))
-    ranks = [len(f) for f in factors]
+    factors.append(())
     groups = []
-    fvec = k.f_vector()
-    for d in range(k.dim + 1):
-        rank_in = ranks[d + 1] if d + 1 <= k.dim else 0
-        free = fvec[d] - ranks[d] - rank_in
-        torsion = factors[d + 1] if d + 1 <= k.dim else ()
+    for d, m in enumerate(mats):
+        free = m.cols - len(factors[d]) - len(factors[d + 1])  # m.cols: the d-faces
         if free < 0:
             raise AssertionError("negative free rank: boundary ranks inconsistent")
-        groups.append(AbelianGroup.from_parts(free, torsion))
+        groups.append(AbelianGroup.from_parts(free, factors[d + 1]))
     return HomologyProfile(groups=_trim(groups))
 
 

@@ -9,9 +9,15 @@ with reduced homology on both sides and empty sums read as 0.  Tensor and
 Tor of cyclic groups: Z/d (x) Z/e = Tor(Z/d, Z/e) = Z/gcd(d, e), free
 ranks multiply under tensor, and Tor kills free parts.
 
-The index consequence: joining complexes adds their indices, the empty
-complex (ZERO) is the identity, and an acyclic factor makes the join
-acyclic (every term in the formula acquires a trivial factor).
+The index consequence: the empty complex (ZERO) is the identity, an
+acyclic factor makes the join acyclic (every term in the formula acquires
+a trivial factor), and otherwise the join's index is at least the sum of
+the indices.  With ind(A) = a and ind(B) = b, every term below degree
+a+b-1 has a trivial factor, and in degree a+b-1 only
+H~(a-1)(A) (x) H~(b-1)(B) is left, so the index is exactly a+b when that
+tensor is nonzero, and larger, possibly ACYCLIC, when it is zero.  Free
+groups never tensor to zero; coprime torsion does: RP^2 (Z/2 in degree 1)
+joined with a mod-3 Moore space (Z/3 in degree 1) is acyclic, not INDEX(4).
 """
 
 from __future__ import annotations
@@ -72,7 +78,14 @@ def join_homology_via_formula(a: HomologyProfile, b: HomologyProfile) -> Homolog
 
 
 def index_sum_law(indices: Iterable[HomologyIndex]) -> HomologyIndex:
-    """Combine indices under join: ZERO is identity, ACYCLIC absorbs, values add."""
+    """Sum of indices under join: ZERO is identity, ACYCLIC absorbs, values add.
+
+    This is a lower bound on the index of the join.  It is the join's
+    index exactly when the tensor product of the lowest nontrivial groups
+    of the factors with a finite index is nonzero, as it is when those
+    groups are free; coprime torsion (Z/2 against Z/3) gives a larger
+    index or an acyclic join.
+    """
     total = 0
     saw_acyclic = False
     saw_finite = False

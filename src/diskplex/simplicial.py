@@ -96,9 +96,15 @@ class SimplicialComplex:
             self._cache["vertices"] = tuple(sorted(seen, key=vertex_key))
         return self._cache["vertices"]
 
+    def _vertex_ranks(self) -> dict:
+        """Each vertex's position in ``vertices()``, memoised."""
+        if "ranks" not in self._cache:
+            self._cache["ranks"] = {v: i for i, v in enumerate(self.vertices())}
+        return self._cache["ranks"]
+
     def _face_order(self):
         """Sort key for faces of this complex: the tuple of vertex ranks."""
-        rank = {v: i for i, v in enumerate(self.vertices())}
+        rank = self._vertex_ranks()
         return lambda face: tuple(map(rank.__getitem__, face))
 
     @property

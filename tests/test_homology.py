@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -302,6 +305,61 @@ def test_strong_collapse_keeps_every_profile():
             assert core.facets and set(core.vertices()) < set(k.vertices()), k
         _assert_profile_matches_whole_maps_and_oracles(k)
     assert reduced >= 120 and kept >= 40, (reduced, kept)
+
+
+def _product_is_zero(lower: IntegerMatrix, upper: IntegerMatrix) -> bool:
+    """Whether lower · upper = 0, multiplied sparse."""
+    for row in lower.entries:
+        acc: dict[int, int] = {}
+        for j, v in row:
+            for c, w in upper.entries[j]:
+                acc[c] = acc.get(c, 0) + v * w
+        if any(acc.values()):
+            return False
+    return True
+
+
+def test_boundary_assembly_is_a_chain_complex_of_the_right_shape():
+    # rows and columns come in first-encounter order, so d_k · d_{k+1} = 0
+    # holds only when each map's rows line up with the next map's columns
+    for k in _collapse_cases():
+        mats = boundary_matrices(k)
+        facets = [list(f) for f in k.facet_list()]
+        assert len(mats) == k.dim + 1, k
+        for d, m in enumerate(mats):
+            f_d = len(oracles.faces_of_dim(facets, d))
+            assert m.cols == f_d and m.rows == (len(oracles.faces_of_dim(facets, d - 1)) if d else 1), (k, d)
+            assert sum(map(len, m.entries)) == (d + 1) * f_d, (k, d)
+        for lower, upper in zip(mats, mats[1:]):
+            assert lower.cols == upper.rows
+            assert _product_is_zero(lower, upper), k
+
+
+ASSEMBLE_STRINGS = """
+from diskplex.homology import boundary_matrices
+from diskplex.simplicial import barycentric_subdivision, from_facets
+k = from_facets([["b", "a", "c"], ["c", "d"], ["a", "e", "d"], ["e", ("n", "x")]])
+print([m.entries for m in boundary_matrices(barycentric_subdivision(k))])
+"""
+
+
+def test_assembly_does_not_depend_on_the_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", ASSEMBLE_STRINGS], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] and len(outputs[0]) > 1000
+
+
+def test_homology_path_enumerates_no_face_tuples():
+    for k in (from_facets(RP2), from_facets(TORUS), boundary_of_simplex(7)):
+        assert _collapse_core(k) is k
+        reduced_homology(k)
+        assert "faces" not in k._cache, k
 
 
 facet_lists = st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True),

@@ -1,8 +1,11 @@
 import itertools
 import json
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diskplex.cli import main
 from diskplex.io import (
@@ -42,6 +45,26 @@ def test_canonical_json_is_stable():
         assert a == b
         assert a.endswith("\n")
         assert json.loads(a)["facets"] == json.loads(b)["facets"]
+
+
+# JSON vertices: ints, strings, and lists of those, nested.
+json_vertices = st.recursive(st.integers(-5, 30) | st.text(max_size=3),
+                             lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+json_facets = st.lists(st.lists(json_vertices, min_size=1, max_size=4, unique_by=repr),
+                       min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_facets, st.text(max_size=8))
+def test_canonical_json_is_a_fixed_point_of_parse_and_write(facets, name):
+    k = complex_from_json_dict({"name": name, "facets": facets})
+    text = canonical_json(k)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "k.json")
+        write_complex(k, path)
+        back = parse_complex(path)
+    assert back.facets == k.facets and back.name == name
+    assert canonical_json(back) == text
 
 
 def test_join_output_round_trips():

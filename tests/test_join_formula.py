@@ -1,13 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diskplex.homology import (
     ACYCLIC_INDEX,
     AbelianGroup,
     ZERO_INDEX,
     finite_index,
+    index_of_profile,
     reduced_homology,
 )
 from diskplex.join_formula import (
@@ -22,6 +23,25 @@ from diskplex import corpus
 
 RP2 = [[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
        [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]]
+
+
+def _moore3_facets():
+    """The mod-3 Moore space M(Z/3, 1) on 13 vertices.
+
+    A disk whose boundary 9-cycle wraps three times around the triangle
+    b0 b1 b2: the triangles b_i b_i+1 c_i and b_i+1 c_i c_i+1 join the
+    wrapped boundary to a ring c0..c8, and c_i c_i+1 z cone the ring off.
+    Nothing but the boundary is identified, so H~1 = Z/3 and H~2 = 0.
+    """
+    b = [("b", i % 3) for i in range(10)]
+    c = [("c", i % 9) for i in range(10)]
+    facets = []
+    for i in range(9):
+        facets += [[b[i], b[i + 1], c[i]], [b[i + 1], c[i], c[i + 1]], [c[i], c[i + 1], "z"]]
+    return facets
+
+
+MOORE3 = _moore3_facets()
 
 
 def test_tensor_and_tor_on_cyclic_parts():
@@ -116,6 +136,21 @@ def test_index_sum_law_matches_join_on_examples():
     assert homology_index(jj) == expected == finite_index(4)
 
 
+def test_coprime_torsion_join_is_acyclic_above_the_index_sum():
+    rp2, moore = from_facets(RP2, name="RP2"), from_facets(MOORE3, name="M(Z/3,1)")
+    assert len(moore.vertices()) == 13
+    assert reduced_homology(moore).groups == (AbelianGroup(), AbelianGroup(0, (3,)))
+    # Z/2 (x) Z/3 = Tor(Z/2, Z/3) = 0: every group of the join vanishes
+    assert index_sum_law([finite_index(2), finite_index(2)]) == finite_index(4)
+    report = verify_milnor(rp2, moore)
+    assert report.passed and report.direct.is_acyclic
+
+
+def _index_key(ind):
+    """ZERO < INDEX(1) < INDEX(2) < ... < ACYCLIC."""
+    return float("inf") if ind.is_acyclic else ind.value
+
+
 # Random facet lists mostly have a dominated vertex, and so does their
 # join, which then collapses; the fixed shapes (S^0, a circle, S^2 and
 # RP^2) have none, so their joins keep deep chain complexes with torsion.
@@ -131,3 +166,29 @@ small_complexes = st.one_of(
 def test_join_homology_matches_the_formula(a, b):
     direct = reduced_homology(join(a, b, relabel_on_collision=True))
     assert direct == join_homology_via_formula(reduced_homology(a), reduced_homology(b))
+
+
+# The Moore space's Z/3 against RP^2's Z/2 is where the sum is only a bound.
+sum_law_complexes = st.one_of(
+    st.sampled_from([[], [["p"], ["q"]], [[0, 1], [1, 2], [0, 2]], RP2, MOORE3]),
+    st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True), min_size=1, max_size=5),
+).map(from_facets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sum_law_complexes, sum_law_complexes)
+@example(from_facets(RP2), from_facets(MOORE3))
+def test_join_index_is_at_least_the_sum_and_equal_when_the_tensor_is_nonzero(a, b):
+    pa, pb = reduced_homology(a), reduced_homology(b)
+    ia, ib = index_of_profile(pa), index_of_profile(pb)
+    joined = index_of_profile(reduced_homology(join(a, b, relabel_on_collision=True)))
+    law = index_sum_law([ia, ib])
+    assert _index_key(joined) >= _index_key(law)
+    exact = (
+        ia.is_zero or ib.is_zero or ia.is_acyclic or ib.is_acyclic
+        or not tensor(pa.group(ia.value - 1), pb.group(ib.value - 1)).is_trivial
+    )
+    if exact:
+        assert joined == law
+    else:
+        assert _index_key(joined) > _index_key(law)
