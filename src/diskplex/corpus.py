@@ -35,17 +35,16 @@ def random_complex(
     return from_facets(facets, name=f"random({n}v)")
 
 
-def milnor_pairs(rng: random.Random, count: int, max_facet_size: int = 3, max_facets: int = 6):
+def milnor_pairs(rng: random.Random, count: int):
     """Pairs for join-formula checks; empty factors appear occasionally.
 
     Facet sizes stay small so the joined complex's boundary matrices stay
     a desk-scale exact computation.
     """
     for _ in range(count):
-        a = random_complex(rng, max_vertices=7, max_facet_size=max_facet_size,
-                           max_facets=max_facets, allow_empty=True)
-        b = random_complex(rng, max_vertices=7, max_facet_size=max_facet_size,
-                           max_facets=max_facets, allow_empty=(not a.is_empty))
+        a = random_complex(rng, max_vertices=7, max_facet_size=3, max_facets=6, allow_empty=True)
+        b = random_complex(rng, max_vertices=7, max_facet_size=3, max_facets=6,
+                           allow_empty=(not a.is_empty))
         yield a, b
 
 
@@ -63,16 +62,11 @@ def full_subcomplex_pairs(rng: random.Random, count: int):
         yield x, y
 
 
-def random_surface(rng: random.Random, max_components: int = 6) -> tuple[SurfaceComponentModel, ...]:
+def random_surface(rng: random.Random) -> tuple[SurfaceComponentModel, ...]:
     comps = []
-    for _ in range(rng.randint(1, max_components)):
-        comps.append(
-            SurfaceComponentModel(
-                euler=rng.randint(-10, 2),
-                weight=rng.randint(0, 20),
-                in_ball=rng.random() < 0.2,
-            )
-        )
+    for _ in range(rng.randint(1, 6)):
+        comps.append(SurfaceComponentModel(euler=rng.randint(-10, 2), weight=rng.randint(0, 20)))
+        rng.random()  # a draw nothing reads, kept so seeded corpora stay the same
     return tuple(comps)
 
 
@@ -120,10 +114,10 @@ def _mirror_quad(kind: str, gluing: Gluing, outgoing: bool) -> str:
     return far
 
 
-def random_configuration(rng: random.Random, max_tets: int = 5, max_indexed: int = 3) -> SurfaceConfiguration:
+def random_configuration(rng: random.Random) -> SurfaceConfiguration:
     """A random valid configuration: gluing forest, triangle backbone,
     mirrored quad chains, and indexed pieces on unglued faces."""
-    tets = rng.randint(1, max_tets)
+    tets = rng.randint(1, 5)
     free_faces = {(t, f) for t in range(tets) for f in range(4)}
     gluings: list[Gluing] = []
     attached: dict[int, list[Gluing]] = {t: [] for t in range(tets)}
@@ -175,7 +169,7 @@ def random_configuration(rng: random.Random, max_tets: int = 5, max_indexed: int
 
     # indexed pieces where their arc-bearing faces are free
     glued_faces = skeleton.glued_faces()
-    budget = rng.randint(0, max_indexed)
+    budget = rng.randint(0, 3)
     placed = 0
     for _ in range(12):
         if placed >= budget:
@@ -192,7 +186,6 @@ def random_configuration(rng: random.Random, max_tets: int = 5, max_indexed: int
                 candidates.append(t)
         if candidates:
             mult = 1 if rng.random() < 0.8 else min(2, budget - placed)
-            mult = max(mult, 1)
             put(rng.choice(candidates), kind, mult)
             placed += mult
 

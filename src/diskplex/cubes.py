@@ -19,27 +19,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import product
+from math import prod
 from typing import Sequence
 
-from .simplicial import SimplicialComplex, simplex_complex
-
-GridCell = tuple  # per-axis (lo, hi) pairs
+from .simplicial import _FACE_BUDGET, SimplicialComplex, simplex_complex
 
 
 @dataclass(frozen=True, eq=False)
 class CubicalComplex:
-    """Cell complex with explicit dimensions, vertex sets and covering faces.
+    """Cell complex with explicit dimensions and covering faces.
 
     ``covers[c]`` lists the codimension-1 faces of cell ``c``; transitive
     incidence follows by closure.  ``labels`` optionally tags 0-cells.
+    Only dual cells keep vertex sets: ``dual_cells`` fills
+    ``cell_vertices``, and every other complex leaves it empty.
     """
 
     name: str
     dim: int
     cells: tuple
     cell_dim: dict
-    cell_vertices: dict
     covers: dict
+    cell_vertices: dict = field(default_factory=dict)
     labels: dict = field(default_factory=dict)
 
     def cells_of_dim(self, d: int) -> list:
@@ -83,16 +84,14 @@ class CubicalComplex:
         return f"<{self.name or 'cubical'}: {self.counts_by_dim()} cells>"
 
 
-def _grid_vertices(cell: GridCell) -> frozenset:
-    return frozenset(product(*[(lo,) if lo == hi else (lo, hi) for lo, hi in cell]))
-
-
 def subdivide_cube(n: int, counts: Sequence[int], name: str = "") -> CubicalComplex:
     """Unit n-cube cut by ``counts[i]`` interior planes orthogonal to axis i.
 
     Axis i splits into counts[i] + 1 unit cells; lattice vertex x sits at
     coordinates x(i) / (counts[i] + 1).  Top cells number the product of
-    (counts[i] + 1); vertices the product of (counts[i] + 2).
+    (counts[i] + 1); vertices the product of (counts[i] + 2).  Raises
+    ValueError when the cells, the product of (2 * counts[i] + 3), would
+    exceed the face budget.
     """
     if n < 1:
         raise ValueError("need dimension at least 1")
@@ -101,6 +100,9 @@ def subdivide_cube(n: int, counts: Sequence[int], name: str = "") -> CubicalComp
         raise ValueError(f"expected {n} subdivision counts, got {len(counts)}")
     if any(c < 0 for c in counts):
         raise ValueError("subdivision counts cannot be negative")
+    total = prod(2 * c + 3 for c in counts)
+    if total > _FACE_BUDGET:
+        raise ValueError(f"grid would have {total} cells, over the face budget of {_FACE_BUDGET}")
 
     per_axis = []
     for c in counts:
@@ -118,14 +120,12 @@ def subdivide_cube(n: int, counts: Sequence[int], name: str = "") -> CubicalComp
                 faces.append(c[:axis] + ((lo, lo),) + c[axis + 1 :])
                 faces.append(c[:axis] + ((hi, hi),) + c[axis + 1 :])
         covers[c] = tuple(faces)
-    cell_vertices = {c: _grid_vertices(c) for c in cells}
     cells.sort()
     return CubicalComplex(
         name=name or f"grid{tuple(counts)}",
         dim=n,
         cells=tuple(cells),
         cell_dim=cell_dim,
-        cell_vertices=cell_vertices,
         covers=covers,
     )
 
@@ -168,7 +168,6 @@ def _as_poset(ball) -> CubicalComplex:
         dim=ball.dim,
         cells=tuple(faces),
         cell_dim={f: len(f) - 1 for f in faces},
-        cell_vertices={f: frozenset(f) for f in faces},
         covers={f: tuple(f[:i] + f[i + 1 :] for i in range(len(f))) if len(f) > 1 else ()
                 for f in faces},
     )
@@ -208,7 +207,6 @@ def dual_cells(ball) -> CubicalComplex:
     n = poset.dim
     boundary = poset.boundary_cells()
     interior = [c for c in poset.cells if c not in boundary]
-    interior.sort(key=lambda c: (poset.cell_dim[c], repr(c)))
 
     parents = poset.parents()
     top = set(poset.top_cells())
@@ -238,6 +236,6 @@ def dual_cells(ball) -> CubicalComplex:
         dim=n,
         cells=cells,
         cell_dim=cell_dim,
-        cell_vertices=cell_vertices,
         covers=covers,
+        cell_vertices=cell_vertices,
     )

@@ -89,7 +89,8 @@ class DichotomyWitness:
 def _outside_simplices(x: SimplicialComplex, y: SimplicialComplex) -> list[tuple]:
     """Simplices of Y spanned entirely by vertices outside X, ordered by
     dimension then lexicographically."""
-    outside_vertices = [v for v in y.vertices() if v not in set(x.vertices())]
+    inside = set(x.vertices())
+    outside_vertices = [v for v in y.vertices() if v not in inside]
     return full_subcomplex(y, outside_vertices).all_faces()
 
 

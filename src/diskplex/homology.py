@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Collection, Iterable, Sequence
 
-from .simplicial import SimplicialComplex
+from .simplicial import _FACE_BUDGET, SimplicialComplex
 
 
 # ---------------------------------------------------------------- groups
@@ -369,13 +369,6 @@ def _trim(groups: list[AbelianGroup]) -> tuple[AbelianGroup, ...]:
     while groups and groups[-1].is_trivial:
         groups.pop()
     return tuple(groups)
-
-
-# Most faces the strong-collapse core may have, by the bound
-# sum(2^|f| - 1) over its facets.  The boundary of the simplex on 15
-# vertices (bound 245,745) is accepted and takes 0.23 s on a 2-core Xeon
-# under Python 3.11; on 16 vertices (bound 524,272) it is refused.
-_FACE_BUDGET = 1 << 18
 
 
 def _collapse_core(k: SimplicialComplex) -> SimplicialComplex:

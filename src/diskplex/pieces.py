@@ -91,14 +91,10 @@ class ArcCheck:
     problems: tuple[str, ...] = ()
 
 
-def check_normal_arcs(face_arcs: Iterable[FaceArcs] | Mapping[int, FaceArcs]) -> ArcCheck:
+def check_normal_arcs(face_arcs: Iterable[FaceArcs]) -> ArcCheck:
     """Pass iff every face carries only the three normal arc types."""
-    if isinstance(face_arcs, Mapping):
-        items = sorted(face_arcs.items())
-    else:
-        items = list(enumerate(face_arcs))
     problems = []
-    for f, arcs in items:
+    for f, arcs in enumerate(face_arcs):
         if any(c < 0 for c in arcs.corners):
             problems.append(f"face {f}: negative arc count")
         if arcs.loops:

@@ -1,8 +1,7 @@
 """Surface width bookkeeping and the strict-descent surgery laws.
 
 A surface is a list of component models, each carrying an Euler
-characteristic, a crossing weight, and an in-ball flag (components inside
-a ball are the ones surgery may discard).  The width of a surface is the
+characteristic and a crossing weight.  The width of a surface is the
 multiset of per-component pairs (-euler, weight), compared by sorting
 each multiset in non-increasing order and comparing lexicographically;
 when one sorted sequence is a proper prefix of the other, the shorter one
@@ -41,11 +40,10 @@ from typing import Sequence
 
 @dataclass(frozen=True)
 class SurfaceComponentModel:
-    """One surface component: Euler characteristic, crossing weight, locus flag."""
+    """One surface component: Euler characteristic and crossing weight."""
 
     euler: int
     weight: int
-    in_ball: bool = False
 
     def __post_init__(self):
         if self.weight < 0:
@@ -65,12 +63,6 @@ class Width:
 
     pairs: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def of(cls, surface: Surface) -> "Width":
-        if not surface:
-            return cls(pairs=((0, 0),))
-        return cls(pairs=tuple(sorted((c.width_pair for c in surface), reverse=True)))
-
     def render(self) -> str:
         return "{" + ", ".join(f"({a}, {b})" for a, b in self.pairs) + "}"
 
@@ -79,7 +71,9 @@ class Width:
 
 
 def width(surface: Surface) -> Width:
-    return Width.of(surface)
+    if not surface:
+        return Width(pairs=((0, 0),))
+    return Width(pairs=tuple(sorted((c.width_pair for c in surface), reverse=True)))
 
 
 class Ordering(Enum):
@@ -136,9 +130,9 @@ def apply_surgery(surface: Surface, move: SurgeryMove) -> tuple[SurfaceComponent
     rest = surface[: move.target] + surface[move.target + 1 :]
 
     if move.kind is MoveKind.HONEST_COMPRESS_NONSEP:
-        new = (SurfaceComponentModel(comp.euler + 2, comp.weight, comp.in_ball),)
+        new = (SurfaceComponentModel(comp.euler + 2, comp.weight),)
     elif move.kind is MoveKind.HONEST_BOUNDARY_COMPRESS:
-        new = (SurfaceComponentModel(comp.euler + 1, comp.weight, comp.in_ball),)
+        new = (SurfaceComponentModel(comp.euler + 1, comp.weight),)
     elif move.kind is MoveKind.HONEST_COMPRESS_SEP:
         if move.split is None:
             raise ValueError("separating compression needs a declared split")
@@ -153,17 +147,14 @@ def apply_surgery(surface: Surface, move: SurgeryMove) -> tuple[SurfaceComponent
             raise ValueError(f"invalid split arithmetic: weights {w1}+{w2} vs {comp.weight}")
         if not (-e1 < -comp.euler and -e2 < -comp.euler):
             raise ValueError("invalid split arithmetic: both parts need strictly smaller -euler")
-        new = (
-            SurfaceComponentModel(e1, w1, comp.in_ball),
-            SurfaceComponentModel(e2, w2, comp.in_ball),
-        )
+        new = (SurfaceComponentModel(e1, w1), SurfaceComponentModel(e2, w2))
     elif move.kind is MoveKind.DISHONEST:
         if move.k is None or move.k < 1:
             raise ValueError("dishonest move needs k >= 1")
         if move.k > comp.weight:
             raise ValueError(f"k={move.k} exceeds target weight {comp.weight}")
         # the sphere pushed off lies in a ball and is discarded
-        new = (SurfaceComponentModel(comp.euler, comp.weight - move.k, comp.in_ball),)
+        new = (SurfaceComponentModel(comp.euler, comp.weight - move.k),)
     else:
         raise ValueError(f"unknown move kind {move.kind!r}")
 

@@ -41,6 +41,9 @@ def test_grid_rejects_bad_input():
         subdivide_cube(2, [1])
     with pytest.raises(ValueError):
         subdivide_cube(1, [-1])
+    # 63^3 = 250,047 cells fit the face budget of 2^18; 65^3 = 274,625 do not
+    with pytest.raises(ValueError, match="grid would have 274625 cells"):
+        subdivide_cube(3, [31, 31, 31])
 
 
 def test_grid_coordinates_lie_in_unit_interval():

@@ -222,6 +222,22 @@ def test_cli_error_paths(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: complex may have 46137322 faces")
         assert "face budget of 262144" in captured.err
+    # the same budget bounds every enumeration of an input's cells: the
+    # 18-simplex has 2^19 - 1 faces, and so do the simplices of Y outside X
+    # when Y is that simplex joined with two points
+    simplex18 = list(range(19))
+    ball = write_fixture(tmp_path, "simplex18.json", {"facets": [simplex18]})
+    x = write_fixture(tmp_path, "x.json", {"facets": [["p"], ["q"]]})
+    y = write_fixture(tmp_path, "y.json", {"facets": [simplex18 + ["p"], simplex18 + ["q"]]})
+    for argv in (["dual", ball], ["dichotomy", x, y]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: complex may have 524287 faces, over the face budget of 262144\n"
+    assert main(["cube", "--subdivide", "200,200,200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid would have 65450827 cells, over the face budget of 262144\n"
 
 
 def test_cli_suite_small(capsys):

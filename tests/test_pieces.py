@@ -81,7 +81,8 @@ def test_check_normal_arcs_accepts_catalog():
 def test_check_normal_arcs_rejects_bad_data():
     assert not check_normal_arcs([FaceArcs(corners=(1, -1, 0))]).passed
     assert not check_normal_arcs([FaceArcs(loops=1)]).passed
-    assert not check_normal_arcs({2: FaceArcs(non_normal=2)}).passed
+    report = check_normal_arcs([FaceArcs(), FaceArcs(), FaceArcs(non_normal=2)])
+    assert report.problems == ("face 2: non-normal arc count 2",)
     assert check_normal_arcs([FaceArcs(corners=(2, 0, 1))]).passed
 
 

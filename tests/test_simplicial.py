@@ -52,7 +52,10 @@ def test_from_facets_antichain():
                 faces.append(tuple(sorted(rng.sample(face, rng.randint(1, len(face))))))
             else:
                 faces.append(tuple(sorted(rng.sample(range(9), rng.randint(1, 6)))))
-        assert from_facets(faces).facets == oracles.maximal_faces(faces), faces
+        k = from_facets(faces)
+        assert k.facets == oracles.maximal_faces(faces), faces
+        verts = sorted({v for f in faces for v in f})  # the oracle labels vertices by rank
+        assert k.edges() == {frozenset(verts[i] for i in e) for e in oracles.faces_of_dim(faces, 1)}
 
 
 def test_mixed_vertex_ordering():

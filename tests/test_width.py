@@ -26,8 +26,8 @@ from diskplex import corpus
 width_module = importlib.import_module("diskplex.width")
 
 
-def comp(e, w, in_ball=False):
-    return SurfaceComponentModel(euler=e, weight=w, in_ball=in_ball)
+def comp(e, w):
+    return SurfaceComponentModel(euler=e, weight=w)
 
 
 def test_width_pairs_sorted_non_increasing():
