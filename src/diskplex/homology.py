@@ -19,7 +19,13 @@ reduction of chain complexes", 1998).  Since d_k d_{k+1} = 0 those rows
 lie in the Z-span of the others, so the invariant factors stay the same,
 and the rows that elimination would otherwise grind down to zero through
 fill-in are never touched; ``smith_normal_form`` gives the argument.
-Smith reduction is one loop over one pivot step.  Simplicial boundary
+Smith reduction first peels: a ±1 alone in its column splits off a
+factor 1 by column operations that touch no other row, so its row and
+column are dropped with no fill-in, and a worklist of the columns left
+with one live row peels chains of them without a rescan
+(Kaczynski, Mrozek & Slusarek; Mrozek & Batko, "Coreduction homology
+algorithm", 2009).  On boundary maps the peel does nearly all the work.
+What is left goes to one loop over one pivot step.  Simplicial boundary
 maps are sparse and nearly all their pivots are units, so the loop takes
 ±1 pivots first, short rows and sparse columns first; each clears its
 column by exact row operations and splits off a factor 1.  Only when no
@@ -156,6 +162,16 @@ def smith_normal_form(
 
     The length of the result is the rank; trivial factors 1 are included.
 
+    Peel.  A column pj whose only live entry is p = ±1 at row pi splits
+    off a factor 1: the column operations that clear row pi add multiples
+    of column pj, which is zero outside row pi, so they touch no other
+    row and make no fill-in.  Row pi and column pj are dropped and the
+    rest of the matrix is unchanged.  One pass counts the live rows of
+    each column; a stack holds the columns with count 1, and dropping
+    row pi lowers the count of each of its columns, so a column that
+    reaches 1 is pushed.  A non-unit alone in its column stays.  Only
+    the rows left after the peel are copied into the working dicts.
+
     Each sweep visits the rows shortest first and pivots on a ±1 entry of
     each, taking its sparsest column.  A sweep that finds no unit is
     followed by one pivot on an entry of minimal |value|, ties broken by
@@ -172,10 +188,10 @@ def smith_normal_form(
 
     - Elimination turns d_k into P d_k Q with P and Q unimodular.  P
       never reaches d_{k+1}; Q turns it into Q^-1 d_{k+1}.
-    - Each column operation of a splitting step adds a multiple of its
-      pivot column pj to another column, so Q^-1 only adds rows of
-      d_{k+1} to the rows of S, the split columns: in the order (S, the
-      rest) Q^-1 is [[A, B], [0, I]] with A unimodular.
+    - Each column operation of a splitting step, a peel included, adds
+      a multiple of its pivot column pj to another column, so Q^-1 only
+      adds rows of d_{k+1} to the rows of S, the split columns: in the
+      order (S, the rest) Q^-1 is [[A, B], [0, I]] with A unimodular.
     - Once (pi, pj) is split, row pi of P d_k Q is p at pj and nothing
       else, and P d_k Q Q^-1 d_{k+1} = 0, so row pj of Q^-1 d_{k+1} is
       zero.  Hence A d_S + B d_rest = 0: the rows of S lie in the Z-span
@@ -186,12 +202,35 @@ def smith_normal_form(
       pj, which is outside S, and the block form fails.  So recording
       stops there.  Boundary maps almost never take such a step.
     """
-    rows = {i: dict(r) for i, r in enumerate(matrix.entries) if r and i not in skip}
+    entries = matrix.entries
+    live = {i for i, r in enumerate(entries) if r and i not in skip}
+    col_rows: dict[int, list[tuple[int, int]]] = {}  # column -> its (row, value) pairs
+    for i in live:
+        for j, v in entries[i]:
+            col_rows.setdefault(j, []).append((i, v))
+    count = {j: len(r) for j, r in col_rows.items()}  # live rows of each column
+    stack = [j for j, n in count.items() if n == 1]
+    factors: list[int] = []
+    while stack:
+        pj = stack.pop()
+        if count[pj] != 1:
+            continue
+        pi, p = next((i, v) for i, v in col_rows[pj] if i in live)
+        if p != 1 and p != -1:
+            continue
+        live.discard(pi)
+        factors.append(1)
+        if split is not None:
+            split.add(pj)
+        for j, _ in entries[pi]:
+            count[j] -= 1
+            if count[j] == 1:
+                stack.append(j)
+    rows = {i: dict(entries[i]) for i in live}
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-    factors: list[int] = []
     while rows:
         found_unit = False
         for pi in sorted(rows, key=lambda i: (len(rows[i]), i)):

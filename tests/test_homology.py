@@ -94,6 +94,15 @@ def test_snf_fixed_cases():
         ([[2, 4], [6, 8]], (2, 4)),
         # no unit entry, and the first pivot, the 4 in row 0, splits nothing
         ([[0, 0, 4, -6], [0, 9, 4, 0], [6, 4, 6, -6]], (1, 2, 6)),
+        # peel: the 1 is alone in column 0, and its row also holds a 2 and a 3
+        ([[1, 2, 3], [0, 4, 0], [0, 0, 6]], (1, 2, 12)),
+        # the 2 is alone in column 0 but is not a unit, so it is not peeled
+        ([[2, 1], [0, 1]], (1, 2)),
+        # bidiagonal chain: each peel leaves the next column a singleton,
+        # until the 2 at the end
+        ([[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, -1, 1], [0, 0, 0, 2]], (1, 1, 1, 2)),
+        # the peel stops after column 0 and the loop finishes with torsion
+        ([[1, 1, 0], [0, 1, 1], [0, 1, -1]], (1, 1, 2)),
     ):
         assert smith_normal_form(IntegerMatrix.from_rows(rows)) == expected, rows
         assert tuple(oracles.invariant_factors_by_minors(rows)) == expected, rows
@@ -144,14 +153,15 @@ def test_snf_of_scaled_boundary_maps():
                 assert smith_normal_form(scaled) == tuple(c * f for f in factors)
 
 
-def _scrambled_pair(rng, lower, upper):
+def _scrambled_pair(rng, lower, upper, scales=(2, 3, 5)):
     """(D·lower·Q, Q⁻¹·upper) for a chain pair with lower·upper = 0.
 
     Q is a random product of elementary column operations (at most 300,
     so entries stay small), whose inverses act on the rows of ``upper``;
-    D scales each row of ``lower`` by 2, 3 or 5.  The product stays 0,
-    no entry of the first matrix is a unit, and many pivot steps split
-    nothing.
+    D scales each row of ``lower`` by one of ``scales``.  The product
+    stays 0.  With the default scales no entry of the first matrix is a
+    unit, and many pivot steps split nothing; with ``scales=(1,)`` the
+    ±1 entries left alone in their columns are peeled.
     """
     a, b = _dense(lower), _dense(upper)
     n = lower.cols
@@ -161,20 +171,21 @@ def _scrambled_pair(rng, lower, upper):
         for row in a:
             row[t] += c * row[s]
         b[s] = [x - c * y for x, y in zip(b[s], b[t])]
-    a = [[p * v for v in row] for p, row in zip((rng.choice((2, 3, 5)) for _ in a), a)]
+    a = [[p * v for v in row] for p, row in zip((rng.choice(scales) for _ in a), a)]
     return IntegerMatrix.from_rows(a, n), IntegerMatrix.from_rows(b, upper.cols)
 
 
 def test_clearing_keeps_factors_on_scrambled_chain_pairs():
     # The rows of d_{k+1} that d_k's elimination split off can be skipped,
-    # also when a step of d_k splits nothing and recording has to stop.
+    # also when a step of d_k splits nothing and recording has to stop,
+    # and when the split comes from the peel (unscaled pairs).
     rng = random.Random(97)
     stopped = 0
     for k in _small_surfaces():
         mats = boundary_matrices(k)
         for lower, upper in zip(mats, mats[1:]):
-            for _ in range(10):
-                a, b = _scrambled_pair(rng, lower, upper)
+            for scales in ((2, 3, 5),) * 10 + ((1,),) * 10:
+                a, b = _scrambled_pair(rng, lower, upper, scales)
                 split = set()
                 rank = len(smith_normal_form(a, split=split))
                 stopped += len(split) < rank
