@@ -63,6 +63,41 @@ def __dir__():
     return sorted(set(globals()) | set(__all__))
 
 
+class _Value:
+    """Base of the immutable record types.
+
+    A subclass names its fields in ``_fields``; ``repr`` shows them as
+    ``Name(field=value, ...)``, and equality and hashing read them through
+    ``_key``, which a subclass overrides to leave a field out.  Instances
+    compare equal only within one class.  Each ``__init__`` binds its
+    fields with ``object.__setattr__``; later assignment or deletion
+    raises AttributeError.
+    """
+
+    _fields: tuple = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class _Namespace(types.ModuleType):
     def __setattr__(self, name, value):
         # Importing a submodule binds it on the package under its own name.

@@ -13,8 +13,7 @@ declared indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from . import _Value
 from .homology import HomologyIndex, homology_index
 from .io import read_json
 from .join_formula import index_sum_law
@@ -22,47 +21,47 @@ from .pieces import EDGES, FACES, LocalPiece, piece
 from .simplicial import SimplicialComplex, join_all, relabel
 
 
-@dataclass(frozen=True)
-class Gluing:
+class Gluing(_Value):
     """Face ``face_a`` of ``tet_a`` glued to ``face_b`` of ``tet_b``.
 
     ``perm`` sends arc-type slots of face_a to arc-type slots of face_b;
     slot i of a face is its i-th corner vertex in ascending order.
     """
 
-    tet_a: int
-    face_a: int
-    tet_b: int
-    face_b: int
-    perm: tuple[int, int, int]
+    _fields = ("tet_a", "face_a", "tet_b", "face_b", "perm")
 
-    def __post_init__(self):
-        if sorted(self.perm) != [0, 1, 2]:
-            raise ValueError(f"perm {self.perm!r} is not a permutation of (0, 1, 2)")
-        if not (0 <= self.face_a <= 3 and 0 <= self.face_b <= 3):
+    def __init__(self, tet_a: int, face_a: int, tet_b: int, face_b: int, perm: tuple[int, int, int]):
+        if sorted(perm) != [0, 1, 2]:
+            raise ValueError(f"perm {perm!r} is not a permutation of (0, 1, 2)")
+        if not (0 <= face_a <= 3 and 0 <= face_b <= 3):
             raise ValueError("face labels must be 0..3")
-        if (self.tet_a, self.face_a) == (self.tet_b, self.face_b):
+        if (tet_a, face_a) == (tet_b, face_b):
             raise ValueError("a face cannot be glued to itself")
+        object.__setattr__(self, "tet_a", tet_a)
+        object.__setattr__(self, "face_a", face_a)
+        object.__setattr__(self, "tet_b", tet_b)
+        object.__setattr__(self, "face_b", face_b)
+        object.__setattr__(self, "perm", perm)
 
 
-@dataclass(frozen=True)
-class TetGluing:
+class TetGluing(_Value):
     """Gluing skeleton: ``tets`` tetrahedra, faces glued at most once."""
 
-    tets: int
-    gluings: tuple[Gluing, ...] = ()
+    _fields = ("tets", "gluings")
 
-    def __post_init__(self):
-        if self.tets < 1:
+    def __init__(self, tets: int, gluings: tuple[Gluing, ...] = ()):
+        if tets < 1:
             raise ValueError("need at least one tetrahedron")
         used = set()
-        for g in self.gluings:
+        for g in gluings:
             for side in ((g.tet_a, g.face_a), (g.tet_b, g.face_b)):
-                if not (0 <= side[0] < self.tets):
+                if not (0 <= side[0] < tets):
                     raise ValueError(f"gluing references missing tetrahedron {side[0]}")
                 if side in used:
                     raise ValueError(f"face {side} glued more than once")
                 used.add(side)
+        object.__setattr__(self, "tets", tets)
+        object.__setattr__(self, "gluings", gluings)
 
     def glued_faces(self) -> set[tuple[int, int]]:
         out = set()
@@ -72,27 +71,27 @@ class TetGluing:
         return out
 
 
-@dataclass(frozen=True)
-class Placement:
-    tet: int
-    kind: str
-    multiplicity: int
+class Placement(_Value):
+    _fields = ("tet", "kind", "multiplicity")
 
-    def __post_init__(self):
-        if self.multiplicity < 1:
+    def __init__(self, tet: int, kind: str, multiplicity: int):
+        if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
+        object.__setattr__(self, "tet", tet)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
-@dataclass(frozen=True)
-class SurfaceConfiguration:
-    skeleton: TetGluing
-    placements: tuple[Placement, ...] = ()
+class SurfaceConfiguration(_Value):
+    _fields = ("skeleton", "placements")
 
-    def __post_init__(self):
-        for pl in self.placements:
-            if not (0 <= pl.tet < self.skeleton.tets):
+    def __init__(self, skeleton: TetGluing, placements: tuple[Placement, ...] = ()):
+        for pl in placements:
+            if not (0 <= pl.tet < skeleton.tets):
                 raise ValueError(f"placement references missing tetrahedron {pl.tet}")
             piece(pl.kind)  # raises on unknown kinds
+        object.__setattr__(self, "skeleton", skeleton)
+        object.__setattr__(self, "placements", placements)
 
     def pieces_in(self, tet: int) -> list[tuple[LocalPiece, int]]:
         return [(piece(pl.kind), pl.multiplicity) for pl in self.placements if pl.tet == tet]
@@ -111,10 +110,12 @@ def _edge_weight(config: SurfaceConfiguration, tet: int, edge: tuple[int, int]) 
     return sum(mult * p.edge_weight(edge) for p, mult in config.pieces_in(tet))
 
 
-@dataclass(frozen=True)
-class MatchingReport:
-    passed: bool
-    residuals: tuple[tuple, ...] = ()  # (gluing, slot, count_a, count_b)
+class MatchingReport(_Value):
+    _fields = ("passed", "residuals")
+
+    def __init__(self, passed: bool, residuals: tuple[tuple, ...] = ()):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "residuals", residuals)  # (gluing, slot, count_a, count_b)
 
     def render_lines(self) -> list[str]:
         if self.passed:
@@ -246,11 +247,14 @@ def global_complex(config: SurfaceConfiguration) -> SimplicialComplex:
     return join_all(parts, name=f"config[{label}]")
 
 
-@dataclass(frozen=True)
-class IndexSumReport:
-    global_index: HomologyIndex
-    summed_index: HomologyIndex
-    local_indices: tuple[HomologyIndex, ...]
+class IndexSumReport(_Value):
+    _fields = ("global_index", "summed_index", "local_indices")
+
+    def __init__(self, global_index: HomologyIndex, summed_index: HomologyIndex,
+                 local_indices: tuple[HomologyIndex, ...]):
+        object.__setattr__(self, "global_index", global_index)
+        object.__setattr__(self, "summed_index", summed_index)
+        object.__setattr__(self, "local_indices", local_indices)
 
     @property
     def passed(self) -> bool:

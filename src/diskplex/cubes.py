@@ -17,31 +17,36 @@ dualize to two vertices joined through the shared edge's dual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from itertools import product
 from math import prod
 from typing import Sequence
 
+from . import _Value
 from .simplicial import _FACE_BUDGET, SimplicialComplex, simplex_complex
 
 
-@dataclass(frozen=True, eq=False)
-class CubicalComplex:
+class CubicalComplex(_Value):
     """Cell complex with explicit dimensions and covering faces.
 
     ``covers[c]`` lists the codimension-1 faces of cell ``c``; transitive
     incidence follows by closure.  ``labels`` optionally tags 0-cells.
     Only dual cells keep vertex sets: ``dual_cells`` fills
-    ``cell_vertices``, and every other complex leaves it empty.
+    ``cell_vertices``, and every other complex leaves it empty.  Two
+    complexes are equal only when they are the same object.
     """
 
-    name: str
-    dim: int
-    cells: tuple
-    cell_dim: dict
-    covers: dict
-    cell_vertices: dict = field(default_factory=dict)
-    labels: dict = field(default_factory=dict)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, name: str, dim: int, cells: tuple, cell_dim: dict, covers: dict,
+                 cell_vertices: dict | None = None, labels: dict | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "cell_dim", cell_dim)
+        object.__setattr__(self, "covers", covers)
+        object.__setattr__(self, "cell_vertices", {} if cell_vertices is None else cell_vertices)
+        object.__setattr__(self, "labels", {} if labels is None else labels)
 
     def cells_of_dim(self, d: int) -> list:
         return [c for c in self.cells if self.cell_dim[c] == d]
@@ -146,7 +151,7 @@ def cube_from_cone(n: int) -> CubicalComplex:
     for corner in product((0, 1), repeat=n):
         support = tuple(i + 1 for i, x in enumerate(corner) if x)
         labels[corner] = "z" if not support else support
-    return replace(cube, labels=labels)
+    return CubicalComplex(cube.name, cube.dim, cube.cells, cube.cell_dim, cube.covers, labels=labels)
 
 
 def cone_base_complex(n: int) -> SimplicialComplex:

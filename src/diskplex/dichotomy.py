@@ -16,8 +16,10 @@ never, at small scale) archives the homology profiles it examined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import combinations
+from typing import Iterator
 
+from . import _Value
 # homology_index is unused here but stays importable from this module:
 # bench/tracing.py rebinds dichotomy.homology_index.
 from .homology import (  # noqa: F401
@@ -38,14 +40,18 @@ from .simplicial import (
 Y_SMALL, TAU_FOUND, FAILURE = "Y_SMALL", "TAU_FOUND", "FAILURE"
 
 
-@dataclass(frozen=True)
-class DichotomyWitness:
-    verdict: str
-    index_x: HomologyIndex
-    index_y: HomologyIndex
-    tau: tuple | None = None
-    index_vtau: HomologyIndex | None = None
-    failure_archive: tuple = ()
+class DichotomyWitness(_Value):
+    _fields = ("verdict", "index_x", "index_y", "tau", "index_vtau", "failure_archive")
+
+    def __init__(self, verdict: str, index_x: HomologyIndex, index_y: HomologyIndex,
+                 tau: tuple | None = None, index_vtau: HomologyIndex | None = None,
+                 failure_archive: tuple = ()):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "index_x", index_x)
+        object.__setattr__(self, "index_y", index_y)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "index_vtau", index_vtau)
+        object.__setattr__(self, "failure_archive", failure_archive)
 
     @property
     def dim_tau(self) -> int | None:
@@ -86,12 +92,20 @@ class DichotomyWitness:
         return out
 
 
-def _outside_simplices(x: SimplicialComplex, y: SimplicialComplex) -> list[tuple]:
+def _outside_simplices(x: SimplicialComplex, y: SimplicialComplex) -> Iterator[tuple]:
     """Simplices of Y spanned entirely by vertices outside X, ordered by
-    dimension then lexicographically."""
+    dimension then lexicographically.
+
+    Each dimension is listed only when the search reaches it, so a search
+    that stops at a vertex never lists the edges; the face budget is
+    checked before the first simplex all the same.
+    """
     inside = set(x.vertices())
-    outside_vertices = [v for v in y.vertices() if v not in inside]
-    return full_subcomplex(y, outside_vertices).all_faces()
+    outside = full_subcomplex(y, [v for v in y.vertices() if v not in inside])
+    outside._check_face_budget()
+    key = outside._face_order()
+    for r in range(1, outside.dim + 2):
+        yield from sorted({c for f in outside.facets for c in combinations(f, r)}, key=key)
 
 
 def check_dichotomy(x: SimplicialComplex, y: SimplicialComplex) -> DichotomyWitness:

@@ -39,10 +39,10 @@ augmentation to Z, so a single point has trivial homology everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Collection, Iterable, Sequence
 
+from . import _Value
 from .simplicial import _FACE_BUDGET, SimplicialComplex
 
 
@@ -71,21 +71,21 @@ def divisor_chain(values: Iterable[int]) -> tuple[int, ...]:
     return (1,) * ones + tuple(vals)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(_Value):
     """Finitely generated abelian group: Z^rank + sum of Z/d with d1 | d2 | ..."""
 
-    rank: int = 0
-    torsion: tuple[int, ...] = ()
+    _fields = ("rank", "torsion")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int = 0, torsion: tuple[int, ...] = ()):
+        if rank < 0:
             raise ValueError("negative rank")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
-                raise ValueError(f"torsion {self.torsion} is not a divisor chain")
-        if any(d < 2 for d in self.torsion):
+                raise ValueError(f"torsion {torsion} is not a divisor chain")
+        if any(d < 2 for d in torsion):
             raise ValueError("torsion orders must be at least 2")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @classmethod
     def from_parts(cls, rank: int, factors: Iterable[int]) -> "AbelianGroup":
@@ -119,29 +119,29 @@ TRIVIAL_GROUP = AbelianGroup()
 
 # --------------------------------------------------------------- matrices
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(_Value):
     """Sparse exact integer matrix.
 
     ``entries`` holds one tuple per row of that row's nonzero
     ``(column, value)`` pairs, columns ascending.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[tuple[int, int], ...], ...]
+    _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[tuple[int, int], ...], ...]):
+        if len(entries) != rows:
             raise ValueError("row count mismatch")
-        for row in self.entries:
+        for row in entries:
             last = -1
             for j, v in row:
-                if not last < j < self.cols:
+                if not last < j < cols:
                     raise ValueError("column indices must ascend within the column range")
                 if not v:
                     raise ValueError("stored zero entry")
                 last = j
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
@@ -360,8 +360,7 @@ def boundary_matrices(k: SimplicialComplex) -> list[IntegerMatrix]:
     return out
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(_Value):
     """Reduced homology groups in degrees 0..dim, trailing trivials trimmed.
 
     The empty complex gets a distinguished marker (``empty_complex``): by
@@ -369,8 +368,11 @@ class HomologyProfile:
     index machinery treats as the value ZERO rather than as a group here.
     """
 
-    groups: tuple[AbelianGroup, ...] = ()
-    empty_complex: bool = False
+    _fields = ("groups", "empty_complex")
+
+    def __init__(self, groups: tuple[AbelianGroup, ...] = (), empty_complex: bool = False):
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "empty_complex", empty_complex)
 
     def group(self, k: int) -> AbelianGroup:
         if 0 <= k < len(self.groups):
@@ -528,8 +530,7 @@ def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
 ZERO_TAG, INDEX_TAG, ACYCLIC_TAG = "ZERO", "INDEX", "ACYCLIC"
 
 
-@dataclass(frozen=True)
-class HomologyIndex:
+class HomologyIndex(_Value):
     """Three-way index: ZERO (empty complex), INDEX(n), or ACYCLIC.
 
     INDEX(n) means n is the smallest positive integer whose degree-(n-1)
@@ -538,17 +539,18 @@ class HomologyIndex:
     index value and never satisfy an upper bound.
     """
 
-    tag: str
-    n: int | None = None
+    _fields = ("tag", "n")
 
-    def __post_init__(self):
-        if self.tag not in (ZERO_TAG, INDEX_TAG, ACYCLIC_TAG):
-            raise ValueError(f"bad index tag {self.tag!r}")
-        if self.tag == INDEX_TAG:
-            if self.n is None or self.n < 1:
+    def __init__(self, tag: str, n: int | None = None):
+        if tag not in (ZERO_TAG, INDEX_TAG, ACYCLIC_TAG):
+            raise ValueError(f"bad index tag {tag!r}")
+        if tag == INDEX_TAG:
+            if n is None or n < 1:
                 raise ValueError("INDEX requires n >= 1")
-        elif self.n is not None:
-            raise ValueError(f"{self.tag} carries no value")
+        elif n is not None:
+            raise ValueError(f"{tag} carries no value")
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "n", n)
 
     @property
     def is_zero(self) -> bool:

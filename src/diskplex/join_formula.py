@@ -22,10 +22,10 @@ joined with a mod-3 Moore space (Z/3 in degree 1) is acyclic, not INDEX(4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
+from . import _Value
 from .homology import (
     ACYCLIC_INDEX,
     AbelianGroup,
@@ -102,15 +102,18 @@ def index_sum_law(indices: Iterable[HomologyIndex]) -> HomologyIndex:
     return finite_index(total)
 
 
-@dataclass(frozen=True)
-class MilnorReport:
+class MilnorReport(_Value):
     """Comparison of direct join homology against the graded formula."""
 
-    name: str
-    direct: HomologyProfile
-    formula: HomologyProfile | None
-    identity_rule: bool
-    mismatches: tuple[int, ...]
+    _fields = ("name", "direct", "formula", "identity_rule", "mismatches")
+
+    def __init__(self, name: str, direct: HomologyProfile, formula: HomologyProfile | None,
+                 identity_rule: bool, mismatches: tuple[int, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "direct", direct)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "identity_rule", identity_rule)
+        object.__setattr__(self, "mismatches", mismatches)
 
     @property
     def passed(self) -> bool:

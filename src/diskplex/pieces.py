@@ -39,9 +39,9 @@ complex against its declared index.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from . import _Value
 from .homology import HomologyIndex, ZERO_INDEX, finite_index, homology_index
 from .simplicial import SimplicialComplex, empty_complex, from_facets
 
@@ -68,8 +68,7 @@ PIECE_KINDS: tuple[str, ...] = (
 _PARTITIONS = {q: ((0, q), tuple(v for v in (1, 2, 3) if v != q)) for q in (1, 2, 3)}
 
 
-@dataclass(frozen=True)
-class FaceArcs:
+class FaceArcs(_Value):
     """Arc counts in one face: per-corner normal counts plus defect slots.
 
     ``corners`` follows the face's corner vertices in ascending order.
@@ -77,18 +76,23 @@ class FaceArcs:
     both must be zero for catalog data.
     """
 
-    corners: tuple[int, int, int] = (0, 0, 0)
-    loops: int = 0
-    non_normal: int = 0
+    _fields = ("corners", "loops", "non_normal")
+
+    def __init__(self, corners: tuple[int, int, int] = (0, 0, 0), loops: int = 0, non_normal: int = 0):
+        object.__setattr__(self, "corners", corners)
+        object.__setattr__(self, "loops", loops)
+        object.__setattr__(self, "non_normal", non_normal)
 
     def count(self, face: int, corner: int) -> int:
         return self.corners[FACES[face].index(corner)]
 
 
-@dataclass(frozen=True)
-class ArcCheck:
-    passed: bool
-    problems: tuple[str, ...] = ()
+class ArcCheck(_Value):
+    _fields = ("passed", "problems")
+
+    def __init__(self, passed: bool, problems: tuple[str, ...] = ()):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "problems", problems)
 
 
 def check_normal_arcs(face_arcs: Iterable[FaceArcs]) -> ArcCheck:
@@ -104,16 +108,26 @@ def check_normal_arcs(face_arcs: Iterable[FaceArcs]) -> ArcCheck:
     return ArcCheck(passed=not problems, problems=tuple(problems))
 
 
-@dataclass(frozen=True)
-class LocalPiece:
-    """One catalog entry: combinatorial boundary data plus its index model."""
+class LocalPiece(_Value):
+    """One catalog entry: combinatorial boundary data plus its index model.
 
-    kind: str
-    edge_weights: tuple[int, int, int, int, int, int]
-    face_arcs: tuple[FaceArcs, FaceArcs, FaceArcs, FaceArcs]
-    euler: int
-    declared_index: HomologyIndex
-    model_complex: SimplicialComplex = field(compare=False)
+    Equality and hashing leave out ``model_complex``.
+    """
+
+    _fields = ("kind", "edge_weights", "face_arcs", "euler", "declared_index", "model_complex")
+
+    def __init__(self, kind: str, edge_weights: tuple[int, int, int, int, int, int],
+                 face_arcs: tuple[FaceArcs, FaceArcs, FaceArcs, FaceArcs], euler: int,
+                 declared_index: HomologyIndex, model_complex: SimplicialComplex):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "edge_weights", edge_weights)
+        object.__setattr__(self, "face_arcs", face_arcs)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "declared_index", declared_index)
+        object.__setattr__(self, "model_complex", model_complex)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.edge_weights, self.face_arcs, self.euler, self.declared_index)
 
     @property
     def weight(self) -> int:

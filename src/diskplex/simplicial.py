@@ -10,8 +10,9 @@ canonical sorted form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
+
+from . import _Value
 
 Vertex = Any
 
@@ -37,18 +38,17 @@ def _canonical_face(vertices: Iterable[Vertex]) -> tuple:
     return tuple(sorted(vertices, key=vertex_key))
 
 
-@dataclass(frozen=True)
-class Simplex:
+class Simplex(_Value):
     """A single abstract simplex: strictly sorted, nonempty vertex tuple."""
 
-    vertices: tuple
+    _fields = ("vertices",)
 
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(self, vertices: tuple):
+        if not vertices:
             raise ValueError("a simplex needs at least one vertex")
-        canon = _canonical_face(self.vertices)
+        canon = _canonical_face(vertices)
         if len(set(canon)) != len(canon):
-            raise ValueError(f"repeated vertex in simplex {self.vertices!r}")
+            raise ValueError(f"repeated vertex in simplex {vertices!r}")
         object.__setattr__(self, "vertices", canon)
 
     @property
@@ -68,8 +68,7 @@ def as_simplex(s) -> Simplex:
     return Simplex(tuple(s))
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(_Value):
     """Abstract simplicial complex, represented by its facets.
 
     Equality and hashing use the facet set only; ``name`` is a label.
@@ -84,9 +83,12 @@ class SimplicialComplex:
     exactly as comparing their ``vertex_key`` tuples would.
     """
 
-    facets: frozenset
-    name: str = field(default="", compare=False)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _fields = ("facets",)
+
+    def __init__(self, facets: frozenset, name: str = "", _cache: dict | None = None):
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_cache", {} if _cache is None else _cache)
 
     @property
     def is_empty(self) -> bool:
@@ -121,17 +123,19 @@ class SimplicialComplex:
             return -1
         return max(len(f) for f in self.facets) - 1
 
+    def _check_face_budget(self) -> None:
+        """Raise ValueError when the complex may have more faces than the budget."""
+        bound = sum((1 << len(f)) - 1 for f in self.facets)
+        if bound > _FACE_BUDGET:
+            raise ValueError(f"complex may have {bound} faces, over the face budget of {_FACE_BUDGET}")
+
     def faces_by_dim(self) -> dict[int, list[tuple]]:
         """All faces grouped by dimension, each group in canonical order.
 
         Raises ValueError when the complex may have more faces than the budget.
         """
         if "faces" not in self._cache:
-            bound = sum((1 << len(f)) - 1 for f in self.facets)
-            if bound > _FACE_BUDGET:
-                raise ValueError(
-                    f"complex may have {bound} faces, over the face budget of {_FACE_BUDGET}"
-                )
+            self._check_face_budget()
             groups: dict[int, set] = {}
             for facet in self.facets:
                 for r in range(1, len(facet) + 1):

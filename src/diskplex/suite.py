@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from dataclasses import dataclass
 from typing import Callable
 
-from . import corpus
+from . import _Value, corpus
 from .additivity import Placement, SurfaceConfiguration, TetGluing, verify_index_sum
 from .cubes import cone_base_complex, cube_from_cone, dual_cells, subdivide_cube
 from .dichotomy import check_dichotomy
@@ -29,29 +28,34 @@ from .simplicial import barycentric_subdivision, boundary_of_simplex, from_facet
 from .width import apply_surgery, verify_width_decrease
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 1036
-    counts: int | None = None  # overrides per-property case counts
+class RunConfig(_Value):
+    _fields = ("seed", "counts")
 
-    def __post_init__(self):
-        if self.counts is not None and self.counts < 0:
-            raise ValueError(f"counts must be nonnegative, got {self.counts}")
-
-
-@dataclass(frozen=True)
-class PropertyResult:
-    name: str
-    passed: bool
-    cases: int
-    details: tuple[str, ...] = ()
+    def __init__(self, seed: int = 1036, counts: int | None = None):
+        # ``counts`` overrides per-property case counts
+        if counts is not None and counts < 0:
+            raise ValueError(f"counts must be nonnegative, got {counts}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "counts", counts)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    seed: int
-    counts: int | None
-    results: tuple[PropertyResult, ...]
+class PropertyResult(_Value):
+    _fields = ("name", "passed", "cases", "details")
+
+    def __init__(self, name: str, passed: bool, cases: int, details: tuple[str, ...] = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "details", details)
+
+
+class SuiteReport(_Value):
+    _fields = ("seed", "counts", "results")
+
+    def __init__(self, seed: int, counts: int | None, results: tuple[PropertyResult, ...]):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "results", results)
 
     @property
     def passed(self) -> bool:

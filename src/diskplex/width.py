@@ -33,21 +33,22 @@ move validator does not enforce it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+from . import _Value
 
-@dataclass(frozen=True)
-class SurfaceComponentModel:
+
+class SurfaceComponentModel(_Value):
     """One surface component: Euler characteristic and crossing weight."""
 
-    euler: int
-    weight: int
+    _fields = ("euler", "weight")
 
-    def __post_init__(self):
-        if self.weight < 0:
+    def __init__(self, euler: int, weight: int):
+        if weight < 0:
             raise ValueError("component weight cannot be negative")
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "weight", weight)
 
     @property
     def width_pair(self) -> tuple[int, int]:
@@ -57,11 +58,13 @@ class SurfaceComponentModel:
 Surface = Sequence[SurfaceComponentModel]
 
 
-@dataclass(frozen=True)
-class Width:
+class Width(_Value):
     """Multiset of (-euler, weight) pairs, stored sorted non-increasing."""
 
-    pairs: tuple[tuple[int, int], ...]
+    _fields = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "pairs", pairs)
 
     def render(self) -> str:
         return "{" + ", ".join(f"({a}, {b})" for a, b in self.pairs) + "}"
@@ -99,18 +102,21 @@ class MoveKind(Enum):
     DISHONEST = "DISHONEST"
 
 
-@dataclass(frozen=True)
-class SurgeryMove:
+class SurgeryMove(_Value):
     """A move applied to ``surface[target]``.
 
     ``split`` ((euler, weight), (euler, weight)) is required for the
     separating compression; ``k`` (points removed) for the dishonest move.
     """
 
-    kind: MoveKind
-    target: int
-    split: tuple[tuple[int, int], tuple[int, int]] | None = None
-    k: int | None = None
+    _fields = ("kind", "target", "split", "k")
+
+    def __init__(self, kind: MoveKind, target: int,
+                 split: tuple[tuple[int, int], tuple[int, int]] | None = None, k: int | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "k", k)
 
     def describe(self) -> str:
         extra = ""
@@ -161,12 +167,14 @@ def apply_surgery(surface: Surface, move: SurgeryMove) -> tuple[SurfaceComponent
     return rest[: move.target] + new + rest[move.target :]
 
 
-@dataclass(frozen=True)
-class DecreaseVerdict:
-    passed: bool
-    before: Width
-    after: Width
-    move: SurgeryMove
+class DecreaseVerdict(_Value):
+    _fields = ("passed", "before", "after", "move")
+
+    def __init__(self, passed: bool, before: Width, after: Width, move: SurgeryMove):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "before", before)
+        object.__setattr__(self, "after", after)
+        object.__setattr__(self, "move", move)
 
     def render_lines(self) -> list[str]:
         return [

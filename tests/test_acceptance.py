@@ -19,7 +19,7 @@ from diskplex.cubes import cone_base_complex, cube_from_cone, dual_cells, subdiv
 from diskplex.dichotomy import check_dichotomy
 from diskplex.homology import AbelianGroup, finite_index, homology_index
 from diskplex.join_formula import verify_milnor
-from diskplex.pieces import PIECE_KINDS, catalog, check_normal_arcs, local_index
+from diskplex.pieces import PIECE_KINDS, LocalPiece, catalog, check_normal_arcs, local_index
 from diskplex.simplicial import barycentric_subdivision, boundary_of_simplex, from_facets
 from diskplex.suite import RunConfig, prop_catalog_integrity, render_text, run_suite
 from diskplex.width import apply_surgery, available_moves, verify_width_decrease
@@ -199,10 +199,10 @@ def test_criterion_8_catalog_integrity():
     ok = ok and len(catalog()) == len(PIECE_KINDS)
 
     # negative control: a tampered catalog must fail the suite's check
-    import dataclasses
-
     tampered = list(catalog())
-    tampered[0] = dataclasses.replace(tampered[0], declared_index=finite_index(3))
+    first = tampered[0]
+    tampered[0] = LocalPiece(first.kind, first.edge_weights, first.face_arcs, first.euler,
+                             finite_index(3), first.model_complex)
     bad = prop_catalog_integrity(RunConfig(counts=2), pieces=tuple(tampered))
     ok = ok and not bad.passed
     record(8, "catalog indices recompute and tampering is caught", ok,

@@ -126,3 +126,28 @@ def test_each_profile_is_computed_once(monkeypatch):
         assert len(computed) == len(set(computed)) + (x.facets == y.facets), (x, y)
         missed += w.verdict == "TAU_FOUND" and len(computed) > 3
     assert missed
+
+
+def test_tau_search_lists_faces_one_dimension_at_a_time(monkeypatch):
+    # X = two points, Y = X joined with the 15-simplex: the outside
+    # subcomplex has 65,535 faces, and the first vertex is already a witness
+    from diskplex.simplicial import SimplicialComplex, join, simplex_complex
+
+    x = from_facets([["p"], ["q"]])
+    y = join(x, simplex_complex(range(16)))
+
+    def refuse(self):
+        raise AssertionError("faces_by_dim enumerates every dimension")
+
+    monkeypatch.setattr(SimplicialComplex, "faces_by_dim", refuse)
+    w = check_dichotomy(x, y)
+    assert w.verdict == "TAU_FOUND" and w.tau == (0,)
+
+
+def test_tau_candidates_keep_the_face_order():
+    from diskplex.dichotomy import _outside_simplices
+
+    rng = random.Random(11)
+    for x, y in corpus.full_subcomplex_pairs(rng, 40):
+        outside = [v for v in y.vertices() if v not in set(x.vertices())]
+        assert list(_outside_simplices(x, y)) == full_subcomplex(y, outside).all_faces()

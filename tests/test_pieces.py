@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -7,6 +6,7 @@ from diskplex.pieces import (
     EDGES,
     FACES,
     FaceArcs,
+    LocalPiece,
     PIECE_KINDS,
     catalog,
     check_normal_arcs,
@@ -88,12 +88,14 @@ def test_check_normal_arcs_rejects_bad_data():
 
 def test_tampered_piece_detected():
     good = piece("OCT_2")
-    bad = dataclasses.replace(good, declared_index=finite_index(2))
+    bad = LocalPiece(good.kind, good.edge_weights, good.face_arcs, good.euler, finite_index(2),
+                     good.model_complex)
     with pytest.raises(ValueError):
         local_index(bad)
     with pytest.raises(ValueError, match="OCT_2: model index"):
         validate_piece(bad)
-    heavy = dataclasses.replace(good, edge_weights=(9,) + good.edge_weights[1:])
+    heavy = LocalPiece(good.kind, (9,) + good.edge_weights[1:], good.face_arcs, good.euler,
+                       good.declared_index, good.model_complex)
     with pytest.raises(ValueError, match="edge weight is 9"):
         validate_piece(heavy)
     with pytest.raises(ValueError, match="duplicate kind"):

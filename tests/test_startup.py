@@ -4,6 +4,7 @@ Each check runs in its own interpreter, because this test session has
 already imported every module.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -77,7 +78,8 @@ def loaded_by_command(*argv: str) -> set[str]:
     return loaded_by(f"from diskplex import cli\nassert cli.main({list(argv)!r}) == 0")
 
 
-def test_each_command_imports_only_what_it_runs(tmp_path):
+def write_inputs(tmp_path):
+    """An RP^2, a full subcomplex pair X in Y and an additivity configuration."""
     rp2 = tmp_path / "rp2.json"
     rp2.write_text(json.dumps({"facets": [[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
                                           [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]]}))
@@ -85,6 +87,13 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     x.write_text(json.dumps({"facets": [[1], [3]]}))
     y = tmp_path / "y.json"
     y.write_text(json.dumps({"facets": [[1, 2], [2, 3], [3, 4], [4, 1]]}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tets": 1, "gluings": [], "pieces": [[0, "OCT_1", 1]]}))
+    return rp2, x, y, config
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    rp2, x, y, _ = write_inputs(tmp_path)
 
     assert loaded_by("import diskplex") == set()
     core = {"diskplex.cli", "diskplex.io", "diskplex.simplicial", "diskplex.homology"}
@@ -92,3 +101,35 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert loaded_by_command("index", str(rp2)) <= core
     assert not loaded_by_command("catalog") & {"diskplex.suite", "diskplex.corpus"}
     assert "diskplex.additivity" not in loaded_by_command("dichotomy", str(x), str(y))
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    """Every command the benchmark times as a CLI call starts without
+    ``dataclasses`` and the ``inspect`` module it imports."""
+    rp2, x, y, config = write_inputs(tmp_path)
+    joined = tmp_path / "joined.json"
+    for argv in (["homology", rp2], ["index", rp2], ["join", rp2, x, "-o", joined],
+                 ["milnor", rp2, x], ["dichotomy", x, y], ["additivity", config],
+                 ["width", "--seed", "3"], ["catalog"]):
+        argv = [str(a) for a in argv]
+        out = run_fresh(f"from diskplex import cli\nassert cli.main({argv!r}) == 0\n"
+                        "import json, sys\n"
+                        "print(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))")
+        assert json.loads(out.splitlines()[-1]) == [], argv
+
+
+def test_no_module_imports_dataclasses():
+    package = os.path.join(SRC, "diskplex")
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "dataclasses" for m in imported), (name, node.lineno)
