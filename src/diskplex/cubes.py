@@ -191,6 +191,10 @@ def validate_ball(complexe) -> None:
         )
     if n >= 1:
         boundary = complexe.boundary_cells()
+        if not boundary:
+            # A closed manifold with chi = 1 (RP^2) would pass the chi test:
+            # an empty boundary has chi 0, like the circle a 2-ball needs.
+            raise ValueError("empty boundary; a closed complex is not a ball")
         chi = sum((-1) ** complexe.cell_dim[c] for c in boundary)
         expected = 1 + (1 if (n - 1) % 2 == 0 else -1)
         if chi != expected:

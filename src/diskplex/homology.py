@@ -10,8 +10,9 @@ with a ValueError before any face is enumerated.
 
 Boundary matrices are built sparse over Z, with Python's
 arbitrary-precision ints, straight from the core's facets held as int
-bitmasks over the vertex ranks: each face yields its codimension-1 faces
-by clearing one bit at a time, so no face tuple is formed or sorted.
+bitmasks over the vertex ranks, the masks that ``simplicial`` keeps for
+every complex: each face yields its codimension-1 faces by clearing one
+bit at a time, so no face tuple is formed or sorted.
 They are eliminated in ascending degree, d_0 first, and each elimination
 skips the rows of the faces whose columns the degree below split off
 ("clearing"; Kaczynski, Mrozek & Slusarek, "Homology computation by
@@ -43,7 +44,7 @@ from math import gcd
 from typing import Collection, Iterable, Sequence
 
 from . import _Value
-from .simplicial import _FACE_BUDGET, SimplicialComplex
+from .simplicial import _FACE_BUDGET, SimplicialComplex, _ranks
 
 
 # ---------------------------------------------------------------- groups
@@ -314,7 +315,7 @@ def _pivot_step(rows: dict[int, dict[int, int]], cols: dict[int, set[int]], pi: 
 def boundary_matrices(k: SimplicialComplex) -> list[IntegerMatrix]:
     """Boundary maps [d_0, d_1, ..., d_dim] with d_0 the augmentation to Z.
 
-    Built sparse from the top degree down, on faces held as int bitmasks
+    Built sparse from the top degree down, on ``k._masks()``, int bitmasks
     over the ranks of ``k.vertices()``; no face tuple is formed.  The
     columns of d_dim are the top facets in ascending mask order.  A d-face
     f gives its (d-1)-faces f ^ b for b its set bits from the lowest, with
@@ -330,10 +331,9 @@ def boundary_matrices(k: SimplicialComplex) -> list[IntegerMatrix]:
     """
     if k.is_empty:
         raise ValueError("empty complex has no boundary matrices")
-    rank = k._vertex_ranks()
     by_size: dict[int, list[int]] = {}
-    for f in k.facets:
-        by_size.setdefault(len(f), []).append(sum(map((1).__lshift__, map(rank.__getitem__, f))))
+    for f in k._masks():
+        by_size.setdefault(f.bit_count(), []).append(f)
     top = max(by_size)
     level = sorted(by_size[top])
     out = []
@@ -419,9 +419,9 @@ def _collapse_core(k: SimplicialComplex) -> SimplicialComplex:
     also contains w.  Deleting v is then a strong collapse, which keeps
     the homotopy type, so the reduced homology is unchanged (Barmak &
     Minian, "Strong homotopy types, nerves and collapses", 2012).  Facets
-    are int bitmasks over the ranks of ``k.vertices()``; the AND of the
-    facets that contain v is v's meet, and v is dominated when its meet
-    holds another bit.
+    are ``k._masks()``, int bitmasks over the ranks of ``k.vertices()``;
+    the AND of the facets that contain v is v's meet, and v is dominated
+    when its meet holds another bit.
 
     One pass over the facets takes every meet.  A worklist holds the
     vertices to check, at first the dominated ones.  Each check takes the
@@ -434,18 +434,15 @@ def _collapse_core(k: SimplicialComplex) -> SimplicialComplex:
     facets is dropped, so only the vertices of dropped facets go back on
     the worklist.
 
-    Returns ``k`` itself when nothing is dominated, so its memoised rank
-    table is reused.  Rank order is ``vertex_key`` order, so the core's facets
+    Returns ``k`` itself when nothing is dominated, so its memoised masks
+    are reused.  Rank order is ``vertex_key`` order, so the core's facets
     map back to canonical tuples.
     """
     verts = k.vertices()
-    rank = k._vertex_ranks()
-    facets = {}  # facet id -> bitmask of vertex ranks
+    facets = dict(enumerate(k._masks()))  # facet id -> bitmask of vertex ranks
     meets = [-1] * len(verts)
-    for n, f in enumerate(k.facets):
-        ranks = list(map(rank.__getitem__, f))
-        facets[n] = mask = sum(map((1).__lshift__, ranks))
-        for i in ranks:
+    for mask in facets.values():
+        for i in _ranks(mask):
             meets[i] &= mask
     todo = [i for i in range(len(verts) - 1, -1, -1) if meets[i] != 1 << i]
     if not todo:
@@ -482,16 +479,6 @@ def _collapse_core(k: SimplicialComplex) -> SimplicialComplex:
                 facets[n] = f
     core = (tuple(verts[i] for i in _ranks(f)) for f in facets.values())
     return SimplicialComplex(frozenset(core), name=k.name)
-
-
-def _ranks(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def reduced_homology(k: SimplicialComplex) -> HomologyProfile:

@@ -9,6 +9,7 @@ canonical sorted form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Any, Iterable, Sequence
 
@@ -34,8 +35,14 @@ def vertex_key(v: Vertex):
     return (0, v)
 
 
-def _canonical_face(vertices: Iterable[Vertex]) -> tuple:
-    return tuple(sorted(vertices, key=vertex_key))
+def _ranks(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class Simplex(_Value):
@@ -46,7 +53,7 @@ class Simplex(_Value):
     def __init__(self, vertices: tuple):
         if not vertices:
             raise ValueError("a simplex needs at least one vertex")
-        canon = _canonical_face(vertices)
+        canon = tuple(sorted(vertices, key=vertex_key))
         if len(set(canon)) != len(canon):
             raise ValueError(f"repeated vertex in simplex {vertices!r}")
         object.__setattr__(self, "vertices", canon)
@@ -75,20 +82,20 @@ class SimplicialComplex(_Value):
     Face enumeration is computed on demand and memoized.
 
     Invariant: every facet is a tuple sorted by ``vertex_key`` without
-    repeats.  ``from_facets`` establishes it, and every other constructor
-    reuses the facets of an existing complex or, like the strong-collapse
-    core in ``homology``, subsets of them taken in order.  Subsets of a
-    facet taken in order are therefore canonical faces, and comparing
-    faces by the ranks of their vertices in ``vertices()`` orders them
-    exactly as comparing their ``vertex_key`` tuples would.
+    repeats, and so is ``vertices()``.  A vertex's rank is its position
+    there, so rank order is ``vertex_key`` order.  Every facet-set
+    operation works on ``_masks()``, the facets as int bitmasks over the
+    ranks, and maps masks back through ascending ranks, so its facets are
+    canonical; comparing faces by their vertex ranks orders them exactly
+    as comparing their ``vertex_key`` tuples would.
     """
 
     _fields = ("facets",)
 
-    def __init__(self, facets: frozenset, name: str = "", _cache: dict | None = None):
+    def __init__(self, facets: frozenset, name: str = ""):
         object.__setattr__(self, "facets", facets)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_cache", {} if _cache is None else _cache)
+        object.__setattr__(self, "_cache", {})
 
     @property
     def is_empty(self) -> bool:
@@ -111,6 +118,13 @@ class SimplicialComplex(_Value):
         if "ranks" not in self._cache:
             self._cache["ranks"] = {v: i for i, v in enumerate(self.vertices())}
         return self._cache["ranks"]
+
+    def _masks(self) -> list[int]:
+        """Facet bitmasks over the ranks of ``vertices()``, in no set order; memoised."""
+        if "masks" not in self._cache:
+            rank = self._vertex_ranks().__getitem__
+            self._cache["masks"] = [sum(map((1).__lshift__, map(rank, f))) for f in self.facets]
+        return self._cache["masks"]
 
     def _face_order(self):
         """Sort key for faces of this complex: the tuple of vertex ranks."""
@@ -160,52 +174,48 @@ class SimplicialComplex(_Value):
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * n for d, n in enumerate(self.f_vector()))
 
-    def edges(self) -> set[frozenset]:
-        if "edges" not in self._cache:
-            self._cache["edges"] = {
-                frozenset(e) for f in self.facets for e in itertools.combinations(f, 2)
-            }
-        return self._cache["edges"]
-
     def __repr__(self):
         label = self.name or "complex"
         return f"<{label}: {len(self.facets)} facets, dim {self.dim}>"
 
 
-def _antichain(faces: Iterable[tuple]) -> frozenset:
-    """The maximal faces, duplicates dropped.
+def _maximal(masks: Iterable[int], verts: tuple, name: str) -> SimplicialComplex:
+    """The complex whose facets are the maximal ``masks``, ranks into ``verts``.
 
-    A dominated face lies inside a maximal face, which is longer, so each
-    face is tested only against the longer faces already kept.
+    Duplicates are dropped.  A dominated mask lies inside a maximal mask,
+    which has more bits, so each mask is tested only against the longer
+    masks already kept.  ``verts`` is in ``vertex_key`` order, so each kept
+    mask maps back to a canonical tuple.  When the kept masks use every
+    rank, ``verts`` is the result's ``vertices()`` and they are its ``_masks()``.
     """
-    by_length: dict[int, set] = {}
-    for f in faces:
-        by_length.setdefault(len(f), set()).add(f)
-    keep: list[tuple] = []
-    longer: list[set] = []
-    for n in sorted(by_length, reverse=True):
-        kept = [f for f in by_length[n] if not any(g.issuperset(f) for g in longer)]
-        keep.extend(kept)
-        longer.extend(map(set, kept))
-    return frozenset(keep)
+    by_size: dict[int, set[int]] = {}
+    for m in masks:
+        by_size.setdefault(m.bit_count(), set()).add(m)
+    keep: list[int] = []
+    for n in sorted(by_size, reverse=True):
+        keep += [m for m in by_size[n] if not any(g & m == m for g in keep)]
+    out = SimplicialComplex(frozenset(tuple(verts[i] for i in _ranks(m)) for m in keep), name)
+    if functools.reduce(int.__or__, keep, 0).bit_count() == len(verts):
+        out._cache.update(vertices=verts, masks=keep)
+    return out
 
 
 def from_facets(candidate_faces: Iterable[Iterable[Vertex]], name: str = "") -> SimplicialComplex:
     """Build a complex from candidate maximal faces.
 
     Dominated faces and duplicates are dropped; an empty list gives the
-    empty complex.  Faces with a repeated vertex are rejected.
+    empty complex.  Faces with a repeated vertex are rejected.  Each
+    distinct vertex is ordered by ``vertex_key`` once.
     """
-    canon = []
-    for face in candidate_faces:
-        face = tuple(face)
+    faces = [tuple(face) for face in candidate_faces]
+    for face in faces:
         if not face:
             raise ValueError("faces must be nonempty")
-        sorted_face = _canonical_face(face)
-        if len(set(sorted_face)) != len(sorted_face):
+        if len(set(face)) != len(face):
             raise ValueError(f"repeated vertex in face {face!r}")
-        canon.append(sorted_face)
-    return SimplicialComplex(_antichain(canon), name=name)
+    verts = tuple(sorted({v for f in faces for v in f}, key=vertex_key))
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    return _maximal([sum(map(bit.__getitem__, f)) for f in faces], verts, name)
 
 
 def empty_complex(name: str = "empty") -> SimplicialComplex:
@@ -279,24 +289,30 @@ def cone(k: SimplicialComplex, apex: Vertex) -> SimplicialComplex:
     return join(k, point(apex), relabel_on_collision=False)
 
 
+def _face_mask(k: SimplicialComplex, vertices: tuple, where: str) -> int:
+    """The bitmask of ``vertices`` over ``k``'s ranks; ValueError unless they span a face."""
+    rank = k._vertex_ranks()
+    if all(v in rank for v in vertices):
+        m = sum(1 << rank[v] for v in vertices)
+        if any(f & m == m for f in k._masks()):
+            return m
+    raise ValueError(f"{vertices!r} is not a simplex of {where}")
+
+
 def link(k: SimplicialComplex, s) -> SimplicialComplex:
     """Link of a simplex: faces disjoint from ``s`` whose union with ``s`` is a face."""
     s = as_simplex(s)
-    sv = set(s.vertices)
-    if not k.has_face(sv):
-        raise ValueError(f"{tuple(s)!r} is not a simplex of the complex")
-    rest = [tuple(v for v in f if v not in sv) for f in k.facets if sv <= set(f)]
-    return from_facets([f for f in rest if f], name=f"link({k.name}, {s.vertices!r})")
+    m = _face_mask(k, s.vertices, "the complex")
+    rest = [f ^ m for f in k._masks() if f & m == m and f != m]
+    return _maximal(rest, k.vertices(), f"link({k.name}, {s.vertices!r})")
 
 
 def star(k: SimplicialComplex, s) -> SimplicialComplex:
     """Closed star of a simplex: all facets containing it, with their faces."""
     s = as_simplex(s)
-    sv = set(s.vertices)
-    if not k.has_face(sv):
-        raise ValueError(f"{tuple(s)!r} is not a simplex of the complex")
-    facets = [f for f in k.facets if sv <= set(f)]
-    return from_facets(facets, name=f"star({k.name}, {s.vertices!r})")
+    m = _face_mask(k, s.vertices, "the complex")
+    facets = [f for f in k._masks() if f & m == m]
+    return _maximal(facets, k.vertices(), f"star({k.name}, {s.vertices!r})")
 
 
 def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
@@ -305,25 +321,26 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
     New vertices are the faces of ``k`` (as sorted tuples); new facets are
     the maximal chains of faces inside each facet.
     """
+    rank = k._vertex_ranks().__getitem__
     new_facets = []
     for facet in k.facets:
         for perm in itertools.permutations(facet):
-            chain = [_canonical_face(perm[: i + 1]) for i in range(len(perm))]
+            chain = [tuple(sorted(perm[: i + 1], key=rank)) for i in range(len(perm))]
             new_facets.append(tuple(chain))
     return from_facets(new_facets, name=f"sd({k.name})")
 
 
 def full_subcomplex(k: SimplicialComplex, vertex_subset: Iterable[Vertex]) -> SimplicialComplex:
-    """Full (induced) subcomplex on a vertex subset."""
-    keep = set(vertex_subset)
-    faces = [tuple(v for v in f if v in keep) for f in k.facets]
-    return from_facets([f for f in faces if f], name=f"{k.name}|induced")
+    """Full (induced) subcomplex on a vertex subset; vertices not in ``k`` are ignored."""
+    rank = k._vertex_ranks()
+    keep = sum(1 << rank[v] for v in set(vertex_subset) if v in rank)
+    faces = [f & keep for f in k._masks() if f & keep]
+    return _maximal(faces, k.vertices(), f"{k.name}|induced")
 
 
 def is_full_subcomplex(x: SimplicialComplex, y: SimplicialComplex) -> bool:
     """True when ``x`` equals the induced subcomplex of ``y`` on x's vertices."""
-    if not set(x.vertices()) <= set(y.vertices()):
-        return False
+    # A vertex of x outside y is missing from that subcomplex, so the facets differ.
     return full_subcomplex(y, x.vertices()).facets == x.facets
 
 
@@ -337,15 +354,11 @@ def adjacency_subcomplex(x: SimplicialComplex, y: SimplicialComplex, tau) -> Sim
     tau = as_simplex(tau)
     if not is_full_subcomplex(x, y):
         raise ValueError("x is not a full subcomplex of y")
-    if not y.has_face(tau.vertices):
-        raise ValueError(f"{tau.vertices!r} is not a simplex of y")
-    xverts = set(x.vertices())
-    outside = [v for v in tau.vertices if v not in xverts]
-    edges = y.edges()
-    keep = [
-        v
-        for v in x.vertices()
-        if all(frozenset((v, w)) in edges for w in outside)
-    ]
-    out = full_subcomplex(x, keep)
-    return SimplicialComplex(out.facets, name=f"adjacency({x.name}; {tau.vertices!r})")
+    t = _face_mask(y, tau.vertices, "y")
+    masks = y._masks()
+    rank = y._vertex_ranks()
+    near = sum(1 << rank[v] for v in x.vertices())
+    for b in _ranks(t & ~near):  # keep what shares a facet, so an edge, with each b outside x
+        near &= functools.reduce(int.__or__, [f for f in masks if f >> b & 1])
+    faces = [f & near for f in masks if f & near]  # x is full in y: this is x induced on near
+    return _maximal(faces, y.vertices(), f"adjacency({x.name}; {tau.vertices!r})")

@@ -193,6 +193,42 @@ def torsion_count_divisible_by(group, p: int) -> int:
     return sum(1 for d in group.torsion if d % p == 0)
 
 
+def maximal_sets(faces) -> set[frozenset]:
+    """The distinct faces, as vertex sets, that no other face strictly contains."""
+    sets = {frozenset(f) for f in faces}
+    return {s for s in sets if not any(s < t for t in sets)}
+
+
+def full_subcomplex_sets(facets, keep) -> set[frozenset]:
+    """Facets of the subcomplex induced on the vertices in ``keep``."""
+    keep = set(keep)
+    return maximal_sets([set(f) & keep for f in facets if set(f) & keep])
+
+
+def link_sets(facets, s) -> set[frozenset]:
+    """Facets of the link of face ``s``: every face disjoint from ``s``
+    whose union with ``s`` is a face, kept when maximal."""
+    s = set(s)
+    faces = {frozenset(c) for f in facets if s <= set(f) for r in range(1, len(f) + 1)
+             for c in itertools.combinations(f, r)}
+    return maximal_sets([c for c in faces if not c & s and (c | s) in faces])
+
+
+def star_sets(facets, s) -> set[frozenset]:
+    """Facets of the closed star of face ``s``: the facets that contain it."""
+    return maximal_sets([f for f in facets if set(s) <= set(f)])
+
+
+def adjacency_sets(x_facets, y_facets, tau) -> set[frozenset]:
+    """Facets of V_tau: the subcomplex of X induced on the vertices of X
+    that share an edge of Y with every vertex of ``tau`` outside X."""
+    x_verts = {v for f in x_facets for v in f}
+    edges = {frozenset(e) for f in y_facets for e in itertools.combinations(f, 2)}
+    keep = [v for v in x_verts
+            if all(frozenset((v, w)) in edges for w in tau if w not in x_verts)]
+    return full_subcomplex_sets(x_facets, keep)
+
+
 def join_facets(fa, fb):
     """Facets of the join: unions of one facet from each side."""
     return [tuple(a) + tuple(b) for a in fa for b in fb]

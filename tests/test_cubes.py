@@ -100,6 +100,12 @@ def test_validate_ball_accepts_and_rejects():
     # impure complex
     with pytest.raises(ValueError):
         validate_ball(from_facets([[1, 2, 3], [3, 4]]))
+    # the 6-vertex RP^2: pure with chi = 1, and its empty boundary has
+    # chi 0, the value a 2-ball's boundary circle has
+    rp2 = from_facets([[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
+                       [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]])
+    with pytest.raises(ValueError, match="empty boundary"):
+        validate_ball(rp2)
 
 
 def test_dual_cells_of_interval_path():

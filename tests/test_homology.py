@@ -348,13 +348,24 @@ def test_boundary_assembly_is_a_chain_complex_of_the_right_shape():
 
 ASSEMBLE_STRINGS = """
 from diskplex.homology import boundary_matrices
-from diskplex.simplicial import barycentric_subdivision, from_facets
+from diskplex.simplicial import (adjacency_subcomplex, barycentric_subdivision, from_facets,
+                                 full_subcomplex, link, star)
 k = from_facets([["b", "a", "c"], ["c", "d"], ["a", "e", "d"], ["e", ("n", "x")]])
 print([m.entries for m in boundary_matrices(barycentric_subdivision(k))])
+t = from_facets([[("p", 1), ("q",), "r"], [("q",), "r", ("p", ("s", 0))], [("p", 1), "r", "b"],
+                 ["b", ("q",)], ["z", ("p", 1)], [("q",), "r"]])
+x = full_subcomplex(t, [("p", 1), ("p", ("s", 0)), "b", "z", "not a vertex"])
+for c in (k, t, x, full_subcomplex(k, "acd"), link(k, ["a"]), star(k, ["e"]),
+          link(t, ["r"]), star(t, [("q",)]), link(t, [("p", 1), "r"]),
+          adjacency_subcomplex(x, t, ["r"]), adjacency_subcomplex(x, t, [("q",), "r"])):
+    print(c.facet_list(), c.vertices())
 """
 
 
 def test_assembly_does_not_depend_on_the_hash_seed():
+    """Boundary maps, and the facets and vertices of every facet-set
+    operation on string and tuple vertices, print the same under two
+    hash seeds."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     outputs = []
     for seed in ("0", "1"):

@@ -191,6 +191,10 @@ def test_cli_error_paths(tmp_path, capsys):
     capsys.readouterr()
     assert main(["dual", circle]) == 2
     assert "not a ball" in capsys.readouterr().err
+    rp2 = write_fixture(tmp_path, "rp2.json", {"facets": RP2})
+    assert main(["dual", rp2]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: empty boundary")
     not_a_list = write_fixture(tmp_path, "cfg.json", {"tets": 1, "gluings": 5})
     assert main(["additivity", not_a_list]) == 2
     assert "gluings" in capsys.readouterr().err

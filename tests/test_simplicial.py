@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 
+from diskplex import simplicial
 from diskplex.simplicial import (
     Simplex,
     adjacency_subcomplex,
@@ -55,7 +58,66 @@ def test_from_facets_antichain():
         k = from_facets(faces)
         assert k.facets == oracles.maximal_faces(faces), faces
         verts = sorted({v for f in faces for v in f})  # the oracle labels vertices by rank
-        assert k.edges() == {frozenset(verts[i] for i in e) for e in oracles.faces_of_dim(faces, 1)}
+        edges = set()
+        for w in verts:  # w's neighbours: the vertices adjacent in k to tau = (w,) outside x
+            x = full_subcomplex(k, [v for v in verts if v != w])
+            edges.update(frozenset((v, w)) for v in adjacency_subcomplex(x, k, (w,)).vertices())
+        assert edges == {frozenset(verts[i] for i in e) for e in oracles.faces_of_dim(faces, 1)}
+
+
+# ints, strings and nested tuples, few enough that faces overlap
+mixed_vertices = st.sampled_from(
+    [0, 1, 2, 7, "a", "b", "c", ("x", 1), ("x", ("y", 0)), (1,), ((0, "b"),)]
+)
+mixed_faces = st.lists(st.lists(mixed_vertices, min_size=1, max_size=4, unique=True), max_size=10)
+
+
+def _assert_matches(k, expected):
+    assert {frozenset(f) for f in k.facets} == expected
+    for f in k.facets:
+        assert list(f) == sorted(f, key=vertex_key)
+    assert list(k.vertices()) == sorted({v for f in expected for v in f}, key=vertex_key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_faces, st.data())
+def test_mask_operations_match_set_references(faces, data):
+    k = from_facets(faces)
+    _assert_matches(k, oracles.maximal_sets(faces))
+    keep = data.draw(st.lists(mixed_vertices, max_size=6))  # may name vertices outside k
+    _assert_matches(full_subcomplex(k, keep), oracles.full_subcomplex_sets(faces, keep))
+    if k.is_empty:
+        return
+    facet = data.draw(st.sampled_from(k.facet_list()))
+    s = data.draw(st.lists(st.sampled_from(facet), min_size=1, unique=True))
+    _assert_matches(link(k, s), oracles.link_sets(faces, s))
+    _assert_matches(star(k, s), oracles.star_sets(faces, s))
+    x_keep = data.draw(st.lists(st.sampled_from(k.vertices()), unique=True))
+    x = full_subcomplex(k, x_keep)
+    x_facets = oracles.full_subcomplex_sets(faces, x_keep)
+    _assert_matches(adjacency_subcomplex(x, k, s), oracles.adjacency_sets(x_facets, faces, s))
+
+
+def test_from_facets_orders_each_vertex_once(monkeypatch):
+    """sd(RP^2) joined with S^0, all vertices tuples: ``vertex_key`` sees
+    each vertex of the complex once, whatever it recurses into."""
+    rp2 = from_facets([[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
+                       [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]])
+    s0 = from_facets([[("s", 0)], [("s", 1)]])
+    facets = [fa + fb for fa in barycentric_subdivision(rp2).facets for fb in s0.facets]
+    calls = Counter()
+    key = simplicial.vertex_key
+
+    def counting_key(v):
+        calls[v] += 1
+        return key(v)
+
+    monkeypatch.setattr(simplicial, "vertex_key", counting_key)
+    k = from_facets(facets)
+    monkeypatch.undo()
+    assert len(k.facets) == len(facets) == 120
+    verts = set(k.vertices())
+    assert len(verts) == 33 and {v: calls[v] for v in verts} == dict.fromkeys(verts, 1)
 
 
 def test_mixed_vertex_ordering():

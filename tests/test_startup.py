@@ -118,6 +118,20 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path):
         assert json.loads(out.splitlines()[-1]) == [], argv
 
 
+def test_only_simplicial_turns_vertex_ranks_into_masks():
+    """Only ``simplicial`` turns vertex ranks into facet bitmasks; other
+    modules read ``_masks()``."""
+    package = os.path.join(SRC, "diskplex")
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "simplicial.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            named = getattr(node, "attr", None) or getattr(node, "id", None)
+            assert named != "_vertex_ranks", (name, node.lineno)
+
+
 def test_no_module_imports_dataclasses():
     package = os.path.join(SRC, "diskplex")
     for name in sorted(os.listdir(package)):

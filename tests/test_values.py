@@ -49,7 +49,7 @@ CASES = [
     (Simplex, dict(vertices=(1, 2)), ("vertices",), [dict(vertices=(1, 3))], [],
      "Simplex(vertices=(1, 2))"),
     (SimplicialComplex, dict(facets=frozenset({(1, 2)}), name="e"), ("facets",),
-     [dict(facets=frozenset({(1,)}))], [dict(name="f"), dict(_cache={"vertices": (1, 2)})],
+     [dict(facets=frozenset({(1,)}))], [dict(name="f")],
      "<e: 1 facets, dim 1>"),
     (AbelianGroup, dict(rank=1, torsion=(2, 4)), ("rank", "torsion"),
      [dict(rank=0), dict(torsion=(2,))], [],
