@@ -14,7 +14,7 @@ from .additivity import Gluing, Placement, SurfaceConfiguration, TetGluing, chec
 from .homology import homology_index
 from .pieces import piece
 from .simplicial import SimplicialComplex, from_facets, full_subcomplex
-from .width import SurfaceComponentModel, SurgeryMove, move_at, move_count
+from .width import SurfaceComponentModel, SurgeryMove, _component_move, move_count
 
 
 def random_complex(
@@ -72,11 +72,17 @@ def random_surface(rng: random.Random) -> tuple[SurfaceComponentModel, ...]:
 
 def random_move(rng: random.Random, surface) -> SurgeryMove | None:
     """A uniform draw from ``available_moves(surface)``, building only the
-    drawn move; no draw is made when there is no move."""
-    total = sum(map(move_count, surface))
-    if not total:
+    drawn move.  Each component's moves are counted once, and one
+    ``rng.randrange`` over their total is decoded against those counts;
+    no draw is made when there is no move."""
+    counts = [move_count(comp) for comp in surface]
+    if not any(counts):
         return None
-    return move_at(surface, rng.randrange(total))
+    j = rng.randrange(sum(counts))
+    for target, count in enumerate(counts):
+        if j < count:
+            return _component_move(target, surface[target], j)
+        j -= count
 
 
 def surfaces_with_moves(rng: random.Random, count: int):

@@ -22,6 +22,7 @@ from math import prod
 from typing import Sequence
 
 from . import _Value
+from .homology import reduced_homology
 from .simplicial import _FACE_BUDGET, SimplicialComplex, simplex_complex
 
 
@@ -178,29 +179,42 @@ def _as_poset(ball) -> CubicalComplex:
     )
 
 
-def validate_ball(complexe) -> None:
-    """A combinatorial n-ball: pure, Euler characteristic 1, sphere boundary."""
-    complexe = _as_poset(complexe)
-    n = complexe.dim
-    for c in complexe.top_cells():
-        if complexe.cell_dim[c] != n:
-            raise ValueError(f"not pure: maximal cell {c!r} has dimension {complexe.cell_dim[c]}")
-    if complexe.euler_characteristic() != 1:
-        raise ValueError(
-            f"Euler characteristic {complexe.euler_characteristic()} != 1; not a ball"
-        )
+def _ball_poset(ball) -> tuple[CubicalComplex, set]:
+    """The face poset of a ball and its boundary closure; ValueError
+    when ``validate_ball`` would refuse it."""
+    poset = _as_poset(ball)
+    n = poset.dim
+    for c in poset.top_cells():
+        if poset.cell_dim[c] != n:
+            raise ValueError(f"not pure: maximal cell {c!r} has dimension {poset.cell_dim[c]}")
+    chi = poset.euler_characteristic()
+    if chi != 1:
+        raise ValueError(f"Euler characteristic {chi} != 1; not a ball")
+    boundary = poset.boundary_cells()
     if n >= 1:
-        boundary = complexe.boundary_cells()
         if not boundary:
             # A closed manifold with chi = 1 (RP^2) would pass the chi test:
             # an empty boundary has chi 0, like the circle a 2-ball needs.
             raise ValueError("empty boundary; a closed complex is not a ball")
-        chi = sum((-1) ** complexe.cell_dim[c] for c in boundary)
+        chi = sum((-1) ** poset.cell_dim[c] for c in boundary)
         expected = 1 + (1 if (n - 1) % 2 == 0 else -1)
         if chi != expected:
             raise ValueError(
                 f"boundary Euler characteristic {chi} != {expected}; boundary is not a sphere"
             )
+    # A disk plus a disjoint annulus passes every count above.  This runs
+    # on a complex whose faces fit the budget; grids are balls by construction.
+    if isinstance(ball, SimplicialComplex):
+        profile = reduced_homology(ball)
+        if not profile.is_acyclic:
+            raise ValueError(f"reduced homology {', '.join(profile.render_lines())}; not a ball")
+    return poset, boundary
+
+
+def validate_ball(complexe) -> None:
+    """A combinatorial n-ball: pure, Euler characteristic 1, sphere
+    boundary and, for a simplicial complex, zero reduced homology."""
+    _ball_poset(complexe)
 
 
 def dual_cells(ball) -> CubicalComplex:
@@ -209,28 +223,20 @@ def dual_cells(ball) -> CubicalComplex:
     Each primal d-cell not contained in the boundary yields a dual
     (n-d)-cell whose vertices are the top cells containing it; incidence
     is the primal incidence reversed.  Boundary-only primal cells have no
-    duals, so the dual complex covers a smaller concentric ball.
+    duals, so the dual complex covers a smaller concentric ball.  One
+    sweep down the interior, in descending dimension, gives the vertex
+    sets: a parent of an interior cell is interior; a top cell's set is
+    itself, any other cell's the union of its parents' sets.
     """
-    poset = _as_poset(ball)
-    validate_ball(poset)
+    poset, boundary = _ball_poset(ball)
     n = poset.dim
-    boundary = poset.boundary_cells()
-    interior = [c for c in poset.cells if c not in boundary]
-
     parents = poset.parents()
-    top = set(poset.top_cells())
-
-    def tops_above(cell) -> frozenset:
-        frontier, seen = [cell], {cell}
-        while frontier:
-            c = frontier.pop()
-            for p in parents[c]:
-                if p not in seen:
-                    seen.add(p)
-                    frontier.append(p)
-        return frozenset(("dual", t) for t in seen & top)
-
+    interior = [c for c in poset.cells if c not in boundary]
     dual_ids = {c: ("dual", c) for c in interior}
+    cell_vertices: dict = {}
+    for c in sorted(interior, key=poset.cell_dim.__getitem__, reverse=True):
+        above = [cell_vertices[dual_ids[p]] for p in parents[c]]
+        cell_vertices[dual_ids[c]] = frozenset().union(*above) if above else frozenset({dual_ids[c]})
     cell_dim = {dual_ids[c]: n - poset.cell_dim[c] for c in interior}
     covers = {
         dual_ids[c]: tuple(
@@ -238,7 +244,6 @@ def dual_cells(ball) -> CubicalComplex:
         )
         for c in interior
     }
-    cell_vertices = {dual_ids[c]: tops_above(c) for c in interior}
     cells = tuple(sorted(dual_ids.values(), key=repr))
     return CubicalComplex(
         name=f"dual({poset.name})",

@@ -41,7 +41,7 @@ augmentation to Z, so a single point has trivial homology everywhere.
 from __future__ import annotations
 
 from math import gcd
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable
 
 from . import _Value
 from .simplicial import _FACE_BUDGET, SimplicialComplex, _ranks
@@ -143,17 +143,6 @@ class IntegerMatrix(_Value):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
-        """Sparse matrix from dense rows of ints."""
-        rows = [[int(v) for v in r] for r in rows]
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        if any(len(r) != cols for r in rows):
-            raise ValueError("column count mismatch")
-        entries = tuple(tuple((j, v) for j, v in enumerate(r) if v) for r in rows)
-        return cls(len(rows), cols, entries)
 
 
 def smith_normal_form(

@@ -161,10 +161,6 @@ class SimplicialComplex(_Value):
     def all_faces(self) -> list[tuple]:
         return [f for group in self.faces_by_dim().values() for f in group]
 
-    def has_face(self, vertices: Iterable[Vertex]) -> bool:
-        want = set(vertices)
-        return any(want <= set(f) for f in self.facets)
-
     def f_vector(self) -> tuple[int, ...]:
         groups = self.faces_by_dim()
         if not groups:

@@ -224,17 +224,7 @@ def _component_move(target: int, comp: SurfaceComponentModel, j: int) -> Surgery
     return SurgeryMove(MoveKind.DISHONEST, target, k=j + 1)
 
 
-def move_at(surface: Surface, j: int) -> SurgeryMove:
-    """``available_moves(surface)[j]``, building only that move."""
-    for target, comp in enumerate(surface):
-        count = move_count(comp)
-        if 0 <= j < count:
-            return _component_move(target, comp, j)
-        j -= count
-    raise IndexError("move index out of range")
-
-
 def available_moves(surface: Surface) -> list[SurgeryMove]:
-    """Every structurally valid move from a surface, in ``move_at`` order."""
+    """Every structurally valid move from a surface, component by component."""
     return [_component_move(target, comp, j)
             for target, comp in enumerate(surface) for j in range(move_count(comp))]

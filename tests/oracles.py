@@ -18,6 +18,17 @@ from math import comb, gcd
 
 # ------------------------------------------------------------ linear algebra
 
+def matrix_fields(rows, cols: int | None = None) -> tuple[int, int, tuple]:
+    """The ``IntegerMatrix`` fields (rows, cols, entries) of dense rows of ints."""
+    rows = [[int(v) for v in r] for r in rows]
+    if cols is None:
+        cols = len(rows[0]) if rows else 0
+    if any(len(r) != cols for r in rows):
+        raise ValueError("column count mismatch")
+    entries = tuple(tuple((j, v) for j, v in enumerate(r) if v) for r in rows)
+    return len(rows), cols, entries
+
+
 def rational_rank(rows: list[list[int]]) -> int:
     """Rank over the rationals by straightforward Gaussian elimination."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -183,9 +194,15 @@ def euler_characteristic(facets) -> int:
     return sum((-1) ** (len(f) - 1) for f in all_faces(facets))
 
 
+def has_face(k, vertices) -> bool:
+    """The vertices span a face of complex ``k``."""
+    want = set(vertices)
+    return any(want <= set(f) for f in k.facets)
+
+
 def is_subcomplex(x, y) -> bool:
     """Every facet of complex ``x`` is a face of complex ``y``."""
-    return all(y.has_face(f) for f in x.facets)
+    return all(has_face(y, f) for f in x.facets)
 
 
 def torsion_count_divisible_by(group, p: int) -> int:
@@ -274,6 +291,32 @@ def grid_coordinates(vertex: tuple, counts) -> tuple[Fraction, ...]:
             x = lo
         coords.append(Fraction(x, c + 1))
     return tuple(coords)
+
+
+def face_covers(facets) -> dict:
+    """Each face of the facets (tuples as given) to its codimension-1 faces."""
+    faces = {f for facet in facets for r in range(1, len(facet) + 1)
+             for f in itertools.combinations(facet, r)}
+    return {f: tuple(itertools.combinations(f, len(f) - 1)) if len(f) > 1 else () for f in faces}
+
+
+def dual_vertices(covers: dict, c) -> set:
+    """The top cells (faces of no cell) whose downward closure holds ``c``,
+    walking down from each top cell through ``covers``."""
+    covered = {f for faces in covers.values() for f in faces}
+    found = set()
+    for top in covers:
+        if top in covered:
+            continue
+        seen, todo = {top}, [top]
+        while todo:
+            for f in covers[todo.pop()]:
+                if f not in seen:
+                    seen.add(f)
+                    todo.append(f)
+        if c in seen:
+            found.add(top)
+    return found
 
 
 # ------------------------------------------------------------ configurations

@@ -5,13 +5,14 @@ import pytest
 import oracles
 
 from diskplex.cubes import (
+    CubicalComplex,
     cone_base_complex,
     cube_from_cone,
     dual_cells,
     subdivide_cube,
     validate_ball,
 )
-from diskplex.simplicial import cone, from_facets, simplex_complex
+from diskplex.simplicial import barycentric_subdivision, cone, from_facets, join, simplex_complex
 
 
 def test_unit_cube_counts_match_formula():
@@ -69,7 +70,7 @@ def test_cone_cube_labels_bijective_with_cone_faces():
         for label in labels:
             if label == "z":
                 continue
-            assert apexed.has_face(tuple(label) + ("z",))
+            assert oracles.has_face(apexed, tuple(label) + ("z",))
 
 
 def test_cone_cube_range():
@@ -106,6 +107,12 @@ def test_validate_ball_accepts_and_rejects():
                        [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]])
     with pytest.raises(ValueError, match="empty boundary"):
         validate_ball(rp2)
+    # a triangle and a disjoint annulus: pure, chi = 1, nonempty boundary
+    # of chi 0, yet H~0 = H~1 = Z
+    disk_annulus = from_facets([[0, 1, 2], [10, 11, 20], [11, 20, 21], [11, 12, 21],
+                                [12, 21, 22], [12, 10, 22], [10, 22, 20]])
+    with pytest.raises(ValueError, match=r"reduced homology H~0 = Z, H~1 = Z; not a ball"):
+        validate_ball(disk_annulus)
 
 
 def test_dual_cells_of_interval_path():
@@ -142,6 +149,40 @@ def test_dual_vertices_are_incident_top_cells():
     assert dual.cell_vertices[edge] == frozenset(
         {("dual", (1, 2, 3)), ("dual", (2, 3, 4))}
     )
+
+
+def test_dual_vertices_match_reference_on_grids_and_simplicial_balls():
+    rng = random.Random(16)
+    posets = []
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        grid = subdivide_cube(n, [rng.randint(0, 2) for _ in range(n)])
+        posets.append((grid, grid.covers))
+    for ball in (simplex_complex(range(5)), from_facets([[1, 2, 3], [2, 3, 4], [3, 4, 5]]),
+                 cone(from_facets([[1, 2], [2, 3], [3, 4]]), apex="z"),
+                 barycentric_subdivision(simplex_complex(range(3))),
+                 join(from_facets([[1, 2], [2, 3]]), from_facets([["a", "b"]]))):
+        posets.append((ball, oracles.face_covers(ball.facets)))
+    for ball, covers in posets:
+        dual = dual_cells(ball)
+        for cell in dual.cells:
+            want = {("dual", t) for t in oracles.dual_vertices(covers, cell[1])}
+            assert dual.cell_vertices[cell] == want, (ball, cell)
+
+
+def test_dual_cells_finds_the_boundary_once(monkeypatch):
+    calls = []
+    boundary_cells = CubicalComplex.boundary_cells
+
+    def counting(self):
+        calls.append(self)
+        return boundary_cells(self)
+
+    monkeypatch.setattr(CubicalComplex, "boundary_cells", counting)
+    for ball in (subdivide_cube(2, [1, 2]), from_facets([[1, 2, 3], [2, 3, 4]])):
+        del calls[:]
+        dual_cells(ball)
+        assert len(calls) == 1
 
 
 def test_dual_requires_ball():

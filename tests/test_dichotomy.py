@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import oracles
+
 from diskplex.dichotomy import DichotomyWitness, check_dichotomy
 from diskplex.homology import finite_index
 from diskplex.simplicial import (
@@ -69,7 +71,7 @@ def test_random_full_pairs_never_fail():
         w = check_dichotomy(x, y)
         assert w.verdict in ("Y_SMALL", "TAU_FOUND")
         if w.verdict == "TAU_FOUND":
-            assert y.has_face(w.tau)
+            assert oracles.has_face(y, w.tau)
             assert w.index_vtau.at_most(w.index_x.value - w.dim_tau)
 
 

@@ -72,19 +72,19 @@ def test_snf_matches_determinantal_oracle():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         data = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        ours = smith_normal_form(IntegerMatrix.from_rows(data))
+        ours = smith_normal_form(IntegerMatrix(*oracles.matrix_fields(data)))
         expected = tuple(oracles.invariant_factors_by_minors(data))
         assert ours == expected, (data, ours, expected)
 
 
 def test_snf_fixed_cases():
-    assert smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
-    assert smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 2]])) == (2, 2)
-    assert smith_normal_form(IntegerMatrix.from_rows([[0, 0], [0, 0]])) == ()
-    assert smith_normal_form(IntegerMatrix.from_rows([[6, 4], [4, 6]])) == (2, 10)
+    assert smith_normal_form(IntegerMatrix(*oracles.matrix_fields([[2, 0], [0, 3]]))) == (1, 6)
+    assert smith_normal_form(IntegerMatrix(*oracles.matrix_fields([[2, 0], [0, 2]]))) == (2, 2)
+    assert smith_normal_form(IntegerMatrix(*oracles.matrix_fields([[0, 0], [0, 0]]))) == ()
+    assert smith_normal_form(IntegerMatrix(*oracles.matrix_fields([[6, 4], [4, 6]]))) == (2, 10)
     # one unit pivot leaves the non-unit residue [[-2]]
     residue = [[1, 1], [1, -1]]
-    assert smith_normal_form(IntegerMatrix.from_rows(residue)) == (1, 2)
+    assert smith_normal_form(IntegerMatrix(*oracles.matrix_fields(residue))) == (1, 2)
     assert tuple(oracles.invariant_factors_by_minors(residue)) == (1, 2)
     # no unit entry: units appear only after a gcd step
     for rows, expected in (
@@ -104,16 +104,16 @@ def test_snf_fixed_cases():
         # the peel stops after column 0 and the loop finishes with torsion
         ([[1, 1, 0], [0, 1, 1], [0, 1, -1]], (1, 1, 2)),
     ):
-        assert smith_normal_form(IntegerMatrix.from_rows(rows)) == expected, rows
+        assert smith_normal_form(IntegerMatrix(*oracles.matrix_fields(rows))) == expected, rows
         assert tuple(oracles.invariant_factors_by_minors(rows)) == expected, rows
 
 
 def test_integer_matrix_is_sparse_and_validated():
-    m = IntegerMatrix.from_rows([[0, 3, 0], [0, 0, 0], [-1, 0, 2]])
+    m = IntegerMatrix(*oracles.matrix_fields([[0, 3, 0], [0, 0, 0], [-1, 0, 2]]))
     assert (m.rows, m.cols) == (3, 3)
     assert m.entries == (((1, 3),), (), ((0, -1), (2, 2)))
     with pytest.raises(ValueError):
-        IntegerMatrix.from_rows([[1, 2], [3]])
+        IntegerMatrix(*oracles.matrix_fields([[1, 2], [3]]))
     with pytest.raises(ValueError):
         IntegerMatrix(1, 2, (((0, 1), (0, 2)),))  # repeated column
     with pytest.raises(ValueError):
@@ -172,7 +172,8 @@ def _scrambled_pair(rng, lower, upper, scales=(2, 3, 5)):
             row[t] += c * row[s]
         b[s] = [x - c * y for x, y in zip(b[s], b[t])]
     a = [[p * v for v in row] for p, row in zip((rng.choice(scales) for _ in a), a)]
-    return IntegerMatrix.from_rows(a, n), IntegerMatrix.from_rows(b, upper.cols)
+    return (IntegerMatrix(*oracles.matrix_fields(a, n)),
+            IntegerMatrix(*oracles.matrix_fields(b, upper.cols)))
 
 
 def test_clearing_keeps_factors_on_scrambled_chain_pairs():
@@ -207,7 +208,7 @@ def small_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(small_matrices())
 def test_snf_property_against_minors_and_sympy(rows):
-    ours = smith_normal_form(IntegerMatrix.from_rows(rows))
+    ours = smith_normal_form(IntegerMatrix(*oracles.matrix_fields(rows)))
     assert ours == tuple(oracles.invariant_factors_by_minors(rows))
     assert _sympy_factors(rows) in (None, ours)
 
@@ -245,7 +246,7 @@ def test_snf_agrees_with_sympy():
         ])
     matrices.extend(_dense(m) for k in _small_surfaces() for m in boundary_matrices(k))
     for rows in matrices:
-        ours = smith_normal_form(IntegerMatrix.from_rows(rows))
+        ours = smith_normal_form(IntegerMatrix(*oracles.matrix_fields(rows)))
         assert ours == _sympy_factors(rows), rows
 
 

@@ -20,6 +20,9 @@ from diskplex import corpus
 
 RP2 = [[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
        [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]]
+# a triangle and a disjoint six-triangle annulus: chi 1, boundary chi 0
+DISK_ANNULUS = [[0, 1, 2], [10, 11, 20], [11, 20, 21], [11, 12, 21], [12, 21, 22],
+                [12, 10, 22], [10, 22, 20]]
 
 
 def test_round_trip_mixed_vertices(tmp_path):
@@ -195,6 +198,12 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["dual", rp2]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: empty boundary")
+    # passes every count a ball's cells obey, but is not acyclic
+    disk_annulus = write_fixture(tmp_path, "disk_annulus.json", {"facets": DISK_ANNULUS})
+    assert main(["dual", disk_annulus]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: reduced homology H~0 = Z, H~1 = Z; not a ball\n"
     not_a_list = write_fixture(tmp_path, "cfg.json", {"tets": 1, "gluings": 5})
     assert main(["additivity", not_a_list]) == 2
     assert "gluings" in capsys.readouterr().err

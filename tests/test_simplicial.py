@@ -143,8 +143,8 @@ def test_faces_and_f_vector():
     k = simplex_complex([1, 2, 3])
     assert k.f_vector() == (3, 3, 1)
     assert k.euler_characteristic() == 1
-    assert k.has_face((1, 3))
-    assert not k.has_face((1, 4))
+    assert oracles.has_face(k, (1, 3))
+    assert not oracles.has_face(k, (1, 4))
     boundary = boundary_of_simplex(4)
     assert boundary.f_vector() == (4, 6, 4)
     assert boundary.euler_characteristic() == 2
@@ -205,8 +205,8 @@ def test_cone_link_star():
     assert disk.euler_characteristic() == 1
     assert link(disk, ("c",)).facets == circle.facets
     st = star(disk, (1,))
-    assert st.has_face((1, "c"))
-    assert not st.has_face((2, 3))
+    assert oracles.has_face(st, (1, "c"))
+    assert not oracles.has_face(st, (2, 3))
     with pytest.raises(ValueError):
         link(disk, (99,))
 

@@ -1,4 +1,5 @@
-"""What a fresh process loads, and what the lazy package namespace binds.
+"""What a fresh process loads, what the lazy package namespace binds, and
+what the package's sources define.
 
 Each check runs in its own interpreter, because this test session has
 already imported every module.
@@ -7,6 +8,7 @@ already imported every module.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -147,3 +149,32 @@ def test_no_module_imports_dataclasses():
             else:
                 continue
             assert not any(m.split(".")[0] == "dataclasses" for m in imported), (name, node.lineno)
+
+
+def test_every_function_has_a_caller_outside_tests():
+    """Each non-dunder ``def`` in the package is named in ``src/``,
+    ``demos/`` or ``bench/`` outside its own definition; code that only
+    tests call belongs in ``tests/oracles.py``."""
+    root = os.path.dirname(SRC)
+    texts = []
+    for top in ("src", "demos", "bench"):
+        for folder, _, files in os.walk(os.path.join(root, top)):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                        texts.append(fh.read())
+    package = os.path.join(SRC, "diskplex")
+    unused = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or re.fullmatch(r"__\w+__", node.name):
+                continue
+            named = re.compile(rf"\b{node.name}\b")
+            defined = re.compile(rf"^\s*def {node.name}\b", re.M)
+            if all(len(named.findall(t)) == len(defined.findall(t)) for t in texts):
+                unused.append(f"{name}:{node.lineno} {node.name}")
+    assert not unused

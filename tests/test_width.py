@@ -15,7 +15,6 @@ from diskplex.width import (
     apply_surgery,
     available_moves,
     compare_width,
-    move_at,
     move_count,
     verify_width_decrease,
     width,
@@ -144,7 +143,10 @@ def _plain(move):
 def test_move_table_and_rng_stream_match_reference():
     rng = random.Random(4)
     fixed = [(), (comp(1, 0),), (comp(2, 0), comp(3, 0)), (comp(3, 4),), (comp(0, 0),),
-             (comp(-1, 0), comp(3, 2)), (comp(-3, 5), comp(1, 0), comp(0, 1))]
+             (comp(-1, 0), comp(3, 2)), (comp(-3, 5), comp(1, 0), comp(0, 1)),
+             # moves only after, between or before components with none
+             (comp(1, 0), comp(2, 0), comp(-2, 1)), (comp(1, 0), comp(0, 2), comp(3, 0)),
+             (comp(2, 3), comp(1, 0), comp(2, 0))]
     surfaces = fixed + [corpus.random_surface(rng) for _ in range(400)]
     draws, ref_draws = random.Random(8), random.Random(8)
     for s in surfaces:
@@ -172,6 +174,23 @@ def test_random_move_builds_only_the_drawn_move(monkeypatch):
         assert len(built) - before == (move is not None)
 
 
+def test_random_move_counts_each_component_once(monkeypatch):
+    counted = []
+
+    def counting(c):
+        counted.append(c)
+        return move_count(c)
+
+    # patched in both modules, so a recount inside ``width`` is seen too
+    monkeypatch.setattr(corpus, "move_count", counting)
+    monkeypatch.setattr(width_module, "move_count", counting)
+    rng = random.Random(9)
+    for s in [(comp(1, 0), comp(2, 0))] + [corpus.random_surface(rng) for _ in range(200)]:
+        del counted[:]
+        corpus.random_move(rng, s)
+        assert counted == list(s)
+
+
 @settings(deadline=None)
 @given(euler=st.integers(-200, 2), weight=st.integers(0, 30))
 def test_move_count_and_decoder_match_enumeration(euler, weight):
@@ -180,6 +199,3 @@ def test_move_count_and_decoder_match_enumeration(euler, weight):
     ref = oracles.surgery_moves([(euler, weight)])
     assert move_count(c) == len(ref)
     assert [_plain(m) for m in available_moves((c,))] == ref
-    assert [_plain(move_at((c,), j)) for j in range(len(ref))] == ref
-    with pytest.raises(IndexError):
-        move_at((c,), len(ref))
