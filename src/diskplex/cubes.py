@@ -184,7 +184,8 @@ def _ball_poset(ball) -> tuple[CubicalComplex, set]:
     when ``validate_ball`` would refuse it."""
     poset = _as_poset(ball)
     n = poset.dim
-    for c in poset.top_cells():
+    tops = poset.top_cells()
+    for c in tops:
         if poset.cell_dim[c] != n:
             raise ValueError(f"not pure: maximal cell {c!r} has dimension {poset.cell_dim[c]}")
     chi = poset.euler_characteristic()
@@ -208,12 +209,31 @@ def _ball_poset(ball) -> tuple[CubicalComplex, set]:
         profile = reduced_homology(ball)
         if not profile.is_acyclic:
             raise ValueError(f"reduced homology {', '.join(profile.render_lines())}; not a ball")
+    # A hand-built CubicalComplex gets no homology test: an annulus plus a
+    # disjoint square passes every count above, and is not strongly
+    # connected.  Purity gives each (n-1)-cell at least one top cell.
+    par = poset.parents()
+    for c in poset.cells_of_dim(n - 1):
+        if len(par[c]) > 2:
+            raise ValueError(f"{n - 1}-cell {c!r} lies in {len(par[c])} top cells; not a pseudomanifold")
+    reached, todo = {tops[0]}, [tops[0]]
+    while todo:
+        for f in poset.covers[todo.pop()]:
+            for t in par[f]:
+                if t not in reached:
+                    reached.add(t)
+                    todo.append(t)
+    if len(reached) != len(tops):
+        raise ValueError(f"{len(tops) - len(reached)} of {len(tops)} top cells are not reached "
+                         f"across {n - 1}-cells; not strongly connected")
     return poset, boundary
 
 
 def validate_ball(complexe) -> None:
     """A combinatorial n-ball: pure, Euler characteristic 1, sphere
-    boundary and, for a simplicial complex, zero reduced homology."""
+    boundary, for a simplicial complex zero reduced homology, and then a
+    strongly connected pseudomanifold: each (n-1)-cell lies in one or two
+    top cells, and top cells sharing (n-1)-cells connect them all."""
     _ball_poset(complexe)
 
 

@@ -25,7 +25,9 @@ factor 1 by column operations that touch no other row, so its row and
 column are dropped with no fill-in, and a worklist of the columns left
 with one live row peels chains of them without a rescan
 (Kaczynski, Mrozek & Slusarek; Mrozek & Batko, "Coreduction homology
-algorithm", 2009).  On boundary maps the peel does nearly all the work.
+algorithm", 2009), on flat per-column lists of row numbers and one set
+of the non-unit positions.  On boundary maps the peel does nearly all
+the work.
 What is left goes to one loop over one pivot step.  Simplicial boundary
 maps are sparse and nearly all their pivots are units, so the loop takes
 ±1 pivots first, short rows and sparse columns first; each clears its
@@ -50,15 +52,15 @@ from .simplicial import _FACE_BUDGET, SimplicialComplex, _ranks
 # ---------------------------------------------------------------- groups
 
 def divisor_chain(values: Iterable[int]) -> tuple[int, ...]:
-    """Normalize a multiset of nonzero integers into a divisor chain.
+    """Normalize a multiset of integers into a divisor chain; 0s are dropped.
 
     diag(a, b) is equivalent to diag(gcd(a, b), lcm(a, b)); repeating that
     exchange until stable yields the invariant factors, in ascending order.
     A 1 divides everything, so 1s are set aside and put back in front.
     """
-    vals = sorted(abs(v) for v in values if v)
+    vals = sorted(map(abs, values))
     ones = vals.count(1)
-    del vals[:ones]
+    del vals[: vals.count(0) + ones]
     changed = True
     while changed:
         changed = False
@@ -156,11 +158,14 @@ def smith_normal_form(
     off a factor 1: the column operations that clear row pi add multiples
     of column pj, which is zero outside row pi, so they touch no other
     row and make no fill-in.  Row pi and column pj are dropped and the
-    rest of the matrix is unchanged.  One pass counts the live rows of
-    each column; a stack holds the columns with count 1, and dropping
-    row pi lowers the count of each of its columns, so a column that
-    reaches 1 is pushed.  A non-unit alone in its column stays.  Only
-    the rows left after the peel are copied into the working dicts.
+    rest of the matrix is unchanged.  One pass lists the live row
+    numbers of each column and puts the (row, column) of every entry
+    other than ±1 into one set; a column's count starts at its list's
+    length.  A stack holds the columns with count 1, ascending at the
+    start, and dropping row pi lowers the count of each of its columns,
+    so a column that reaches 1 is pushed.  A popped column's live row is
+    the first listed one still live; a non-unit there stays.  Only the
+    rows left after the peel are copied into the working dicts.
 
     Each sweep visits the rows shortest first and pivots on a ±1 entry of
     each, taking its sparsest column.  A sweep that finds no unit is
@@ -194,19 +199,24 @@ def smith_normal_form(
     """
     entries = matrix.entries
     live = {i for i, r in enumerate(entries) if r and i not in skip}
-    col_rows: dict[int, list[tuple[int, int]]] = {}  # column -> its (row, value) pairs
+    col_rows: list[list[int]] = [[] for _ in range(matrix.cols)]  # column -> its rows
+    nonunit = set()  # (row, column) of every entry other than ±1
     for i in live:
         for j, v in entries[i]:
-            col_rows.setdefault(j, []).append((i, v))
-    count = {j: len(r) for j, r in col_rows.items()}  # live rows of each column
-    stack = [j for j, n in count.items() if n == 1]
+            col_rows[j].append(i)
+            if v != 1 and v != -1:
+                nonunit.add((i, j))
+    count = [len(r) for r in col_rows]  # live rows of each column
+    stack = [j for j, n in enumerate(count) if n == 1]
     factors: list[int] = []
     while stack:
         pj = stack.pop()
         if count[pj] != 1:
             continue
-        pi, p = next((i, v) for i, v in col_rows[pj] if i in live)
-        if p != 1 and p != -1:
+        for pi in col_rows[pj]:
+            if pi in live:
+                break
+        if (pi, pj) in nonunit:
             continue
         live.discard(pi)
         factors.append(1)
@@ -328,17 +338,19 @@ def boundary_matrices(k: SimplicialComplex) -> list[IntegerMatrix]:
     out = []
     for size in range(top, 1, -1):
         rows: dict[int, list[tuple[int, int]]] = {}  # (size-1)-face -> its row
+        get = rows.get
         for j, f in enumerate(level):
-            signed, v, rest = ((j, 1), (j, -1)), 0, f
+            pos, neg, rest = (j, 1), (j, -1), f
             while rest:
                 low = rest & -rest
                 rest ^= low
                 face = f ^ low
-                row = rows.get(face)
+                row = get(face)
                 if row is None:
-                    row = rows[face] = []
-                row.append(signed[v])
-                v ^= 1
+                    rows[face] = [pos]
+                else:
+                    row.append(pos)
+                pos, neg = neg, pos
         facets = sorted(by_size.get(size - 1, ()))
         entries = tuple(map(tuple, rows.values())) + ((),) * len(facets)
         out.append(IntegerMatrix(len(entries), len(level), entries))

@@ -319,6 +319,38 @@ def dual_vertices(covers: dict, c) -> set:
     return found
 
 
+def ridge_sets(covers: dict, cell_dim: dict, n: int) -> list[frozenset]:
+    """Each n-cell's set of (n-1)-cells, one set per n-cell."""
+    return [frozenset(covers[c]) for c in covers if cell_dim[c] == n]
+
+
+def is_pseudomanifold(covers: dict, cell_dim: dict, n: int) -> bool:
+    """Whether every (n-1)-cell lies in one or two n-cells, counted by
+    membership in each n-cell's ridge set."""
+    tops = ridge_sets(covers, cell_dim, n)
+    return all(1 <= sum(c in t for t in tops) <= 2 for c in covers if cell_dim[c] == n - 1)
+
+
+def is_strongly_connected(covers: dict, cell_dim: dict, n: int) -> bool:
+    """Whether the n-cells form one class when two n-cells that share an
+    (n-1)-cell are joined: grow one union of ridge sets by every ridge
+    set that meets it, until nothing more meets it."""
+    tops = ridge_sets(covers, cell_dim, n)
+    if not tops:
+        return False
+    grown, rest = set(tops[0]), tops[1:]
+    while True:
+        left = []
+        for t in rest:
+            if t & grown:
+                grown |= t
+            else:
+                left.append(t)
+        if len(left) == len(rest):
+            return not rest
+        rest = left
+
+
 # ------------------------------------------------------------ configurations
 
 def config_to_json_dict(config) -> dict:

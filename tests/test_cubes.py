@@ -188,3 +188,99 @@ def test_dual_cells_finds_the_boundary_once(monkeypatch):
 def test_dual_requires_ball():
     with pytest.raises(ValueError):
         dual_cells(from_facets([[1, 2], [2, 3], [3, 1]]))
+
+
+def _grid_part(grid, tops, shift=0):
+    """The cells of ``grid`` under the top cells ``tops``, every axis
+    moved by ``shift``: (cells, cell_dim, covers)."""
+    def moved(c):
+        return tuple((lo + shift, hi + shift) for lo, hi in c)
+
+    keep, todo = set(tops), list(tops)
+    while todo:
+        for f in grid.covers[todo.pop()]:
+            if f not in keep:
+                keep.add(f)
+                todo.append(f)
+    cells = sorted(keep)
+    return ([moved(c) for c in cells], {moved(c): grid.cell_dim[c] for c in cells},
+            {moved(c): tuple(map(moved, grid.covers[c])) for c in cells})
+
+
+def _hand_built(n, *parts):
+    cells, cell_dim, covers = [], {}, {}
+    for part_cells, part_dim, part_covers in parts:
+        cells += part_cells
+        cell_dim.update(part_dim)
+        covers.update(part_covers)
+    return CubicalComplex("hand-built", n, tuple(cells), cell_dim, covers)
+
+
+def test_annulus_plus_disjoint_square_is_not_a_ball():
+    # pure, chi 0 + 1 = 1, boundary of three circles with chi 0: every
+    # count passes, but the top cells fall into two classes
+    grid = subdivide_cube(2, [2, 2])
+    ring = [c for c in grid.cells_of_dim(2) if c != ((1, 2), (1, 2))]
+    square = subdivide_cube(2, [0, 0])
+    k = _hand_built(2, _grid_part(grid, ring), _grid_part(square, square.cells_of_dim(2), shift=10))
+    assert k.euler_characteristic() == 1
+    assert not oracles.is_strongly_connected(k.covers, k.cell_dim, 2)
+    for check in (validate_ball, dual_cells):
+        with pytest.raises(ValueError, match=r"1 of 9 top cells are not reached across 1-cells; "
+                                             r"not strongly connected"):
+            check(k)
+
+
+def test_a_fin_on_an_interior_edge_is_not_a_pseudomanifold():
+    # a fan disk with one more triangle on the edge from its centre to the
+    # rim: contractible, and its boundary, the rim plus a hanging path, has
+    # chi 0, so only the edge in three triangles shows it is no ball
+    fan = [["c", i, i % 6 + 1] for i in range(1, 7)]
+    validate_ball(from_facets(fan))
+    with pytest.raises(ValueError, match=r"1-cell \(1, 'c'\) lies in 3 top cells; not a pseudomanifold"):
+        validate_ball(from_facets([*fan, ["c", 1, "x"]]))
+    # the same on a 2x2 grid: a square x-y on the edge from the rim vertex
+    # (1, 0) to the centre (1, 1)
+    grid = subdivide_cube(2, [1, 1])
+    rim, centre, spoke = ((1, 1), (0, 0)), ((1, 1), (1, 1)), ((1, 1), (0, 1))
+    fin_covers = {"x": (), "y": (), "rim-x": (rim, "x"), "centre-y": (centre, "y"), "x-y": ("x", "y"),
+                  "fin": (spoke, "rim-x", "centre-y", "x-y")}
+    fin_dim = {"x": 0, "y": 0, "rim-x": 1, "centre-y": 1, "x-y": 1, "fin": 2}
+    k = _hand_built(2, _grid_part(grid, grid.cells_of_dim(2)), (list(fin_covers), fin_dim, fin_covers))
+    assert k.euler_characteristic() == 1
+    assert not oracles.is_pseudomanifold(k.covers, k.cell_dim, 2)
+    with pytest.raises(ValueError, match=r"1-cell \(\(1, 1\), \(0, 1\)\) lies in 3 top cells"):
+        validate_ball(k)
+
+
+def test_ball_checks_on_grids_with_top_cells_removed_match_set_references():
+    # grids with random top cells removed, alone or beside a square grid
+    # with a hole: whatever validate_ball decides agrees with set-based
+    # pseudomanifold and strong-connectivity references
+    rng = random.Random(36)
+    seen = {"accepted": 0, "not strongly connected": 0}
+    for _ in range(200):
+        n = rng.choice((1, 2, 2, 3))
+        grid = subdivide_cube(n, [rng.randint(0, 3) for _ in range(n)])
+        drop = rng.random() / 3
+        parts = [_grid_part(grid, [c for c in grid.cells_of_dim(n) if rng.random() > drop]
+                            or grid.cells_of_dim(n)[:1])]
+        if n == 2 and rng.random() < 0.5:
+            m = rng.randint(2, 3)
+            ring = subdivide_cube(2, [m, m])
+            a, b = rng.randint(1, m - 1), rng.randint(1, m - 1)
+            hole = ((a, a + 1), (b, b + 1))
+            parts.append(_grid_part(ring, [c for c in ring.cells_of_dim(2) if c != hole], shift=10))
+        k = _hand_built(n, *parts)
+        assert oracles.is_pseudomanifold(k.covers, k.cell_dim, n)  # grids never branch
+        strong = oracles.is_strongly_connected(k.covers, k.cell_dim, n)
+        try:
+            validate_ball(k)
+        except ValueError as e:
+            if "strongly" in str(e):
+                assert not strong
+                seen["not strongly connected"] += 1
+            continue
+        assert strong
+        seen["accepted"] += 1
+    assert min(seen.values()) >= 10, seen

@@ -1,5 +1,6 @@
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -54,6 +55,10 @@ def test_divisor_chain():
     assert divisor_chain([2, 2]) == (2, 2)
     assert divisor_chain([]) == ()
     assert divisor_chain([1] * 3000 + [2, 3]) == (1,) * 3001 + (6,)
+    # zeros are dropped and signs are ignored
+    assert divisor_chain([0, -1, 1, -4, 6, 0]) == (1, 1, 2, 12)
+    assert divisor_chain([0, 0]) == ()
+    assert divisor_chain([-1, -3]) == (1, 3)
 
 
 def test_abelian_group_contract():
@@ -103,6 +108,15 @@ def test_snf_fixed_cases():
         ([[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, -1, 1], [0, 0, 0, 2]], (1, 1, 1, 2)),
         # the peel stops after column 0 and the loop finishes with torsion
         ([[1, 1, 0], [0, 1, 1], [0, 1, -1]], (1, 1, 2)),
+        # peeling column 0 leaves the 2 alone in column 1, and it stays
+        ([[1, 1], [0, 2]], (1, 2)),
+        # column 1 lists row 0 first, which is peeled before column 1 is
+        # popped, so its one live row is the second it lists
+        ([[1, 1], [0, 1]], (1, 1)),
+        ([[1, 1, 1], [0, 1, 0], [0, 0, 3]], (1, 1, 3)),
+        # empty columns, between and after the others
+        ([[0, 1, 0, 2, 0], [0, 0, 0, 3, 0]], (1, 3)),
+        ([[0, 0, 0]], ()),
     ):
         assert smith_normal_form(IntegerMatrix(*oracles.matrix_fields(rows))) == expected, rows
         assert tuple(oracles.invariant_factors_by_minors(rows)) == expected, rows
@@ -406,6 +420,43 @@ def test_core_and_face_budget_on_simplices_and_their_boundaries():
     assert _collapse_core(sphere) is sphere
     with pytest.raises(ValueError, match=r"\b46137322\b.*\b262144\b"):
         reduced_homology(boundary_of_simplex(22))
+
+
+def test_boundaries_of_simplices_are_peeled_whole(monkeypatch):
+    # with clearing, every pivot of a sphere's boundary maps is a ±1 alone
+    # in its column at some point of the peel, so the loop takes no step;
+    # a peel that stopped early would hand the rest to the loop, whose
+    # fill-in makes the larger spheres of other tests take minutes
+    import diskplex.homology as homology
+
+    steps = []
+    pivot_step = homology._pivot_step
+
+    def counting(*args):
+        steps.append(args[2:])
+        return pivot_step(*args)
+
+    monkeypatch.setattr(homology, "_pivot_step", counting)
+    rng = random.Random(17)
+    spheres = [boundary_of_simplex(m) for m in (4, 8, 11)]
+    for m in (4, 8, 11):
+        labels = rng.sample(range(100), m)
+        spheres.append(from_facets([[str(labels[v]) for v in f] for f in boundary_of_simplex(m).facets]))
+    # a peel that never lowers a count re-pops its column for ever; all
+    # six spheres take well under a second
+    def expire(signum, frame):
+        raise TimeoutError("the peel did not finish within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        for k in spheres:
+            m = len(k.vertices())
+            assert reduced_homology(k).render_lines()[-1] == f"H~{m - 2} = Z"
+            assert steps == [], (m, len(steps))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_long_paths_and_trees_collapse_to_a_point_at_once():
