@@ -295,10 +295,9 @@ def config_from_json_dict(data: dict) -> SurfaceConfiguration:
     "pieces": [[tet, "KIND", mult], ...]}."""
     if not isinstance(data, dict):
         raise ValueError("configuration file must hold a JSON object")
-    try:
-        tets = int(data["tets"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError('configuration needs an integer "tets" field') from None
+    if "tets" not in data:
+        raise ValueError('configuration needs an integer "tets" field')
+    tets = _json_int(data["tets"], 'configuration field "tets"')
     for name in ("gluings", "pieces"):
         if not isinstance(data.get(name, []), list):
             raise ValueError(f'configuration field "{name}" must be a list')
@@ -306,17 +305,26 @@ def config_from_json_dict(data: dict) -> SurfaceConfiguration:
     for i, entry in enumerate(data.get("gluings", [])):
         try:
             ta, fa, tb, fb, perm = entry
-            gluings.append(Gluing(int(ta), int(fa), int(tb), int(fb), tuple(int(p) for p in perm)))
+            fields = [_json_int(v, name) for name, v in zip(Gluing._fields, (ta, fa, tb, fb))]
+            perm = tuple(_json_int(p, f"perm[{k}]") for k, p in enumerate(perm))
+            gluings.append(Gluing(*fields, perm))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"gluings[{i}]: {exc}") from None
     placements = []
     for i, entry in enumerate(data.get("pieces", [])):
         try:
             tet, kind, mult = entry
-            placements.append(Placement(int(tet), str(kind), int(mult)))
+            placements.append(Placement(_json_int(tet, "tet"), str(kind), _json_int(mult, "multiplicity")))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"pieces[{i}]: {exc}") from None
     return SurfaceConfiguration(TetGluing(tets, tuple(gluings)), tuple(placements))
+
+
+def _json_int(value, field: str) -> int:
+    """``value`` if it is a JSON integer (a bool is not); else ValueError naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, not {value!r}")
+    return value
 
 
 def load_config(path) -> SurfaceConfiguration:

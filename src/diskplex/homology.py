@@ -28,12 +28,13 @@ with one live row peels chains of them without a rescan
 algorithm", 2009), on flat per-column lists of row numbers and one set
 of the non-unit positions.  On boundary maps the peel does nearly all
 the work.
-What is left goes to one loop over one pivot step.  Simplicial boundary
-maps are sparse and nearly all their pivots are units, so the loop takes
-±1 pivots first, short rows and sparse columns first; each clears its
-column by exact row operations and splits off a factor 1.  Only when no
-unit is left does it pivot on an entry of minimal |value|, which either
-splits off its factor or leaves smaller remainders for the next pivot.
+What is left goes to one loop over one pivot step with one rule: each
+sweep pivots on entries of the smallest |value| left, short rows and
+sparse columns first.  Simplicial boundary maps are sparse and nearly
+all their pivots are units, and a ±1 pivot clears its column by exact
+row operations and splits off a factor 1.  A larger pivot either splits
+off its factor or leaves smaller remainders, and the next sweep pivots
+on those.
 A gcd/lcm pass normalizes the split-off factors into a divisor chain.
 
 Homology is reduced throughout: the degree-0 boundary map is the
@@ -167,13 +168,14 @@ def smith_normal_form(
     the first listed one still live; a non-unit there stays.  Only the
     rows left after the peel are copied into the working dicts.
 
-    Each sweep visits the rows shortest first and pivots on a ±1 entry of
-    each, taking its sparsest column.  A sweep that finds no unit is
-    followed by one pivot on an entry of minimal |value|, ties broken by
-    fill (Markowitz cost), then position.  The loop ends: no step adds a
-    row, a unit step always splits off its factor and its row, and a
-    non-unit step that splits off nothing leaves an entry smaller than
-    |p|, so the global minimum |value| drops.
+    Loop.  Each sweep takes m, the smallest |value| left, visits the rows
+    shortest first and pivots on an entry of |value| m in each, taking
+    its sparsest column; a step that splits nothing ends the sweep.  The
+    loop ends: no step adds a row, so there are at most as many splits as
+    rows.  A sweep pivots at least once, since the first row that held an
+    m-entry at its start is unchanged until something is pivoted.  A step
+    that splits nothing leaves an entry smaller than m (a remainder, or
+    an entry skipped with quotient 0), so between splits m strictly falls.
 
     Clearing.  Rows whose index is in ``skip`` are left out.  When
     ``split`` is a set, it receives the column pj of every factor split
@@ -232,33 +234,21 @@ def smith_normal_form(
         for j in row:
             cols.setdefault(j, set()).add(i)
     while rows:
-        found_unit = False
+        m = min(abs(v) for row in rows.values() for v in row.values())
         for pi in sorted(rows, key=lambda i: (len(rows[i]), i)):
             if pi not in rows:
                 continue
-            pj = min(
-                (j for j, v in rows[pi].items() if v == 1 or v == -1),
-                key=lambda j: (len(cols[j]), j),
-                default=None,
-            )
-            if pj is not None:
-                factors.append(_pivot_step(rows, cols, pi, pj))
-                found_unit = True
-                if split is not None:
-                    split.add(pj)
-        if not found_unit:
-            _, _, pi, pj = min(
-                (abs(v), (len(row) - 1) * (len(cols[j]) - 1), i, j)
-                for i, row in rows.items()
-                for j, v in row.items()
-            )
+            pj = min((j for j, v in rows[pi].items() if v == m or v == -m),
+                     key=lambda j: (len(cols[j]), j), default=None)
+            if pj is None:
+                continue
             factor = _pivot_step(rows, cols, pi, pj)
-            if factor:
-                factors.append(factor)
-                if split is not None:
-                    split.add(pj)
-            else:
+            if not factor:
                 split = None
+                break
+            factors.append(factor)
+            if split is not None:
+                split.add(pj)
     return divisor_chain(factors)
 
 
@@ -266,12 +256,15 @@ def _pivot_step(rows: dict[int, dict[int, int]], cols: dict[int, set[int]], pi: 
     """Pivot on p at (pi, pj); return |p| if it was split off, else 0.
 
     Row operations row_i -= (a_i // p) * row_pi leave a_i mod p in column
-    pj, so a unit p clears it exactly.  Once the column is clear, column
-    operations reduce row pi mod p and touch no other row.  If the row is
-    then clear too, the matrix is diag(|p|) plus the rest: row pi and
-    column pj stay dropped.  Otherwise row pi goes back with p in place
-    and the smaller remainders are left for the next pivot.  ``rows`` and
-    ``cols`` are updated in place.
+    pj, so a unit p clears it exactly.  A row whose quotient is 0 (a_i of
+    the sign of p and smaller, which a sweep at |p| can meet after an
+    earlier step left a remainder) is left as it is, so any p is a valid
+    pivot: that entry keeps the column and the step splits nothing.  Once
+    the column is clear, column operations reduce row pi mod p and touch
+    no other row.  If the row is then clear too, the matrix is diag(|p|)
+    plus the rest: row pi and column pj stay dropped.  Otherwise row pi
+    goes back with p in place and the smaller remainders are left for the
+    next pivot.  ``rows`` and ``cols`` are updated in place.
     """
     pivot_row = rows[pi]
     p = pivot_row[pj]
@@ -280,6 +273,8 @@ def _pivot_step(rows: dict[int, dict[int, int]], cols: dict[int, set[int]], pi: 
             continue
         row = rows[i]
         q = row[pj] // p
+        if not q:
+            continue
         for j, v in pivot_row.items():
             w = row.get(j, 0) - q * v
             if w:

@@ -19,7 +19,8 @@ Vertex = Any
 
 # Most faces an enumeration may meet, by the bound sum(2^|f| - 1) over the
 # facets; ``faces_by_dim`` and ``cubes.subdivide_cube`` refuse larger
-# inputs, and ``homology`` holds the strong-collapse core to it.  The
+# inputs, ``join`` refuses operands whose facet counts multiply to more,
+# and ``homology`` holds the strong-collapse core to it.  The
 # boundary of the simplex on 15 vertices (bound 245,745) is accepted and
 # its homology takes 0.14 s on a 2-core Xeon under Python 3.11 (0.20 s
 # before the peel's flat column lists, measured at the same time); on 16
@@ -250,12 +251,16 @@ def join(a: SimplicialComplex, b: SimplicialComplex, *, relabel_on_collision: bo
     Joining with the empty complex returns the other complex unchanged.
     Overlapping vertex sets are rejected unless ``relabel_on_collision``
     is set, in which case both sides are namespaced and the relabeling is
-    recorded in the result's name.
+    recorded in the result's name.  A join with more facets than the face
+    budget is refused with a ValueError before any facet is built.
     """
     if a.is_empty:
         return b
     if b.is_empty:
         return a
+    n = len(a.facets) * len(b.facets)
+    if n > _FACE_BUDGET:
+        raise ValueError(f"join would have {n} facets, over the face budget of {_FACE_BUDGET}")
     overlap = set(a.vertices()) & set(b.vertices())
     relabeled = ""
     if overlap:

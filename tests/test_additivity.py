@@ -140,6 +140,29 @@ def test_config_json_errors():
         config_from_json_dict({"tets": 1, "gluings": 5})
     with pytest.raises(ValueError, match="pieces"):
         config_from_json_dict({"tets": 1, "pieces": {"0": "TRI_0"}})
+    # only JSON integers (not bools) are read as integers, and the error
+    # names the field; int() truncated 1.9 and read true as 1
+    for data, message in (
+        ({"tets": 1.9}, 'configuration field "tets" must be an integer, not 1.9'),
+        ({"tets": True}, 'configuration field "tets" must be an integer, not True'),
+        ({"tets": "2"}, "configuration field \"tets\" must be an integer, not '2'"),
+        ({"tets": 2, "gluings": [[0, 0.5, 1, 0, [0, 1, 2]]]},
+         "gluings[0]: face_a must be an integer, not 0.5"),
+        ({"tets": 2, "gluings": [[True, 0, 1, 0, [0, 1, 2]]]},
+         "gluings[0]: tet_a must be an integer, not True"),
+        ({"tets": 2, "gluings": [[0, 0, 1.0, 0, [0, 1, 2]]]},
+         "gluings[0]: tet_b must be an integer, not 1.0"),
+        ({"tets": 2, "gluings": [[0, 0, 1, 0, [0, 1, 2.0]]]},
+         "gluings[0]: perm[2] must be an integer, not 2.0"),
+        ({"tets": 1, "pieces": [[0.0, "TRI_0", 1]]}, "pieces[0]: tet must be an integer, not 0.0"),
+        ({"tets": 1, "pieces": [[0, "TRI_0", 1.5]]},
+         "pieces[0]: multiplicity must be an integer, not 1.5"),
+        ({"tets": 1, "pieces": [[0, "TRI_0", True]]},
+         "pieces[0]: multiplicity must be an integer, not True"),
+    ):
+        with pytest.raises(ValueError) as info:
+            config_from_json_dict(data)
+        assert str(info.value) == message, data
 
 
 # --------------------------------------------------- two-tet closed gluings

@@ -117,9 +117,68 @@ def test_snf_fixed_cases():
         # empty columns, between and after the others
         ([[0, 1, 0, 2, 0], [0, 0, 0, 3, 0]], (1, 3)),
         ([[0, 0, 0]], ()),
+        # a split at |value| 2 leaves a smaller entry in a later row, and
+        # the next pivot at 2 meets a row of its sign with quotient 0
+        ([[0, 3, 3, 0], [0, -2, 6, 2], [4, -4, 0, 2], [0, 3, 3, -4]], (1, 2, 4, 48)),
+        ([[2, -4, 4, 3], [0, 6, 0, -3], [-2, 0, -2, 6], [-4, 0, -3, -2], [0, -3, -3, 0]],
+         (1, 1, 1, 6)),
     ):
         assert smith_normal_form(IntegerMatrix(*oracles.matrix_fields(rows))) == expected, rows
         assert tuple(oracles.invariant_factors_by_minors(rows)) == expected, rows
+
+
+def test_snf_matches_minors_on_unit_free_and_mixed_matrices(monkeypatch):
+    # without units every pivot is above 1, and sweeps at one |value| meet
+    # the smaller remainders their own steps leave; a step that splits
+    # nothing ends its sweep, so the next pivot is smaller
+    import diskplex.homology as homology
+
+    steps = []
+    pivot_step = homology._pivot_step
+
+    def recording(rows, cols, pi, pj):
+        p = abs(rows[pi][pj])
+        steps.append((p, pivot_step(rows, cols, pi, pj)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(homology, "_pivot_step", recording)
+    rng = random.Random(2024)
+    stopped = 0
+    for n in range(1500):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        values = (2, -2, 3, -3, 4, -4, 6, -6) if n % 2 else (1, -1, 2, -2, 3, -3, 5)
+        data = [[rng.choice(values) if rng.random() < 0.5 else 0 for _ in range(cols)]
+                for _ in range(rows)]
+        steps.clear()
+        ours = smith_normal_form(IntegerMatrix(*oracles.matrix_fields(data)))
+        assert ours == tuple(oracles.invariant_factors_by_minors(data)), data
+        for (p, factor), (q, _) in zip(steps, steps[1:]):
+            stopped += not factor
+            assert factor or q < p, (data, steps)
+    assert stopped >= 1000, stopped
+
+
+def test_snf_of_unit_free_boundary_maps_is_fast():
+    # sd^3 of RP^2 with every entry doubled has no unit, so every pivot
+    # step is a non-unit one; a loop that scanned every entry for each
+    # such step took about 16 s on a 2-core Xeon, one sweep per |value|
+    # takes about 0.3 s
+    def expire(signum, frame):
+        raise TimeoutError("unit-free elimination did not finish within 5 s")
+
+    k = from_facets(RP2)
+    for _ in range(3):
+        k = barycentric_subdivision(k)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        factors = [smith_normal_form(IntegerMatrix(m.rows, m.cols, tuple(
+            tuple((j, 2 * v) for j, v in row) for row in m.entries
+        ))) for m in boundary_matrices(k)]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert factors == [(2,), (2,) * 1080, (2,) * 2159 + (4,)]
 
 
 def test_integer_matrix_is_sparse_and_validated():

@@ -15,6 +15,7 @@ from diskplex.io import (
     parse_complex,
     write_complex,
 )
+from diskplex import simplicial
 from diskplex.simplicial import from_facets, join
 from diskplex import corpus
 
@@ -182,7 +183,7 @@ def test_cli_width_catalog_cube_dual(tmp_path, capsys):
     assert "[2, 1, 0]" in capsys.readouterr().out
 
 
-def test_cli_error_paths(tmp_path, capsys):
+def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     assert main(["homology", str(tmp_path / "missing.json")]) == 2
     assert "error" in capsys.readouterr().err
     bad = tmp_path / "bad.json"
@@ -216,6 +217,14 @@ def test_cli_error_paths(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: gluings[0] identifies edge 23")
+    # a configuration field must be a JSON integer: 0.5 is not truncated
+    half_face = write_fixture(
+        tmp_path, "half.json", {"tets": 2, "gluings": [[0, 0.5, 1, 0, [0, 1, 2]]], "pieces": []}
+    )
+    assert main(["additivity", half_face]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: gluings[0]: face_a must be an integer, not 0.5\n"
     assert main(["suite", "--counts", "-1"]) == 2
     assert "counts" in capsys.readouterr().err
     for depth in (500, 3000):  # past the vertex bound, and past what json can read
@@ -251,6 +260,23 @@ def test_cli_error_paths(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: grid would have 65450827 cells, over the face budget of 262144\n"
+    # a join is refused before it is built: 600 x 600 facets
+    a = write_fixture(tmp_path, "a600.json", {"facets": [[i, 1000 + i] for i in range(600)]})
+    b = write_fixture(tmp_path, "b600.json", {"facets": [[2000 + i, 3000 + i] for i in range(600)]})
+    for argv in (["join", a, b, "-o", str(tmp_path / "ab.json")], ["milnor", a, b]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: join would have 360000 facets, over the face budget of 262144\n"
+    assert not (tmp_path / "ab.json").exists()
+    # 30 copies of OCT_1 (two facets each) join to 2^30 facets; with the
+    # budget at 2^10 the join past it is refused before it is built
+    monkeypatch.setattr(simplicial, "_FACE_BUDGET", 1 << 10)
+    oct30 = write_fixture(tmp_path, "oct30.json", {"tets": 1, "gluings": [], "pieces": [[0, "OCT_1", 30]]})
+    assert main(["additivity", oct30]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: join would have 2048 facets, over the face budget of 1024\n"
 
 
 def test_cli_suite_small(capsys):

@@ -171,6 +171,14 @@ def test_join_identities_and_collisions():
     j2 = join(a, b)
     # S^0 * S^0 is a 4-cycle
     assert j2.f_vector() == (4, 4)
+    # every facet of a join is a face, so |A|·|B| facets over the face
+    # budget are refused before any is built, overlapping operands included
+    a = from_facets([[("a", i)] for i in range(513)])
+    b = from_facets([[("b", i)] for i in range(512)])
+    for left, right in ((a, b), (b, a), (a, a)):
+        n = len(left.facets) * len(right.facets)
+        with pytest.raises(ValueError, match=rf"^join would have {n} facets, over the face budget of 262144$"):
+            join(left, right, relabel_on_collision=True)
 
 
 def test_join_matches_oracle_product():

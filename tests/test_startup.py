@@ -134,6 +134,16 @@ def test_only_simplicial_turns_vertex_ranks_into_masks():
             assert named != "_vertex_ranks", (name, node.lineno)
 
 
+def test_smith_elimination_has_one_pivot_call():
+    """The loop of ``smith_normal_form`` has one pivot rule, so
+    ``_pivot_step`` is called at exactly one place."""
+    with open(os.path.join(SRC, "diskplex", "homology.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), "homology.py")
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_pivot_step"]
+    assert len(calls) == 1, calls
+
+
 def test_no_module_imports_dataclasses():
     package = os.path.join(SRC, "diskplex")
     for name in sorted(os.listdir(package)):
