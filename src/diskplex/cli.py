@@ -221,10 +221,7 @@ def _cmd_suite(args) -> int:
 
     seed = {} if args.seed is None else {"seed": args.seed}  # None: RunConfig's default
     report = run_suite(RunConfig(counts=args.counts, **seed))
-    if args.json:
-        print(json.dumps(report_json_dict(report), indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(render_text(report))
+    _emit(args, report_json_dict(report), render_text(report).splitlines())
     return report.exit_code
 
 

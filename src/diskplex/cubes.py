@@ -230,10 +230,15 @@ def _ball_poset(ball) -> tuple[CubicalComplex, set]:
 
 
 def validate_ball(complexe) -> None:
-    """A combinatorial n-ball: pure, Euler characteristic 1, sphere
-    boundary, for a simplicial complex zero reduced homology, and then a
+    """Refuse what is not an n-ball.  The checks: pure, Euler characteristic
+    1, for n >= 1 a nonempty boundary with the Euler characteristic of an
+    (n-1)-sphere, for a simplicial complex zero reduced homology, and a
     strongly connected pseudomanifold: each (n-1)-cell lies in one or two
-    top cells, and top cells sharing (n-1)-cells connect them all."""
+    top cells, and top cells sharing (n-1)-cells connect them all.  For
+    n <= 2 these identify balls exactly.  For n >= 3 and simplicial input
+    they are homology-ball conditions, which some non-balls meet too
+    (Björner & Lutz, Exp. Math. 9, 2000); cubical input has no homology
+    test, and ``subdivide_cube`` grids are balls by construction."""
     _ball_poset(complexe)
 
 

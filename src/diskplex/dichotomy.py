@@ -16,7 +16,6 @@ never, at small scale) archives the homology profiles it examined.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterator
 
 from . import _Value
@@ -31,7 +30,6 @@ from .homology import (  # noqa: F401
 )
 from .simplicial import (
     SimplicialComplex,
-    Simplex,
     adjacency_subcomplex,
     full_subcomplex,
     is_full_subcomplex,
@@ -102,10 +100,8 @@ def _outside_simplices(x: SimplicialComplex, y: SimplicialComplex) -> Iterator[t
     """
     inside = set(x.vertices())
     outside = full_subcomplex(y, [v for v in y.vertices() if v not in inside])
-    outside._check_face_budget()
-    key = outside._face_order()
-    for r in range(1, outside.dim + 2):
-        yield from sorted({c for f in outside.facets for c in combinations(f, r)}, key=key)
+    for group in outside._face_groups():
+        yield from group
 
 
 def check_dichotomy(x: SimplicialComplex, y: SimplicialComplex) -> DichotomyWitness:
@@ -125,7 +121,7 @@ def check_dichotomy(x: SimplicialComplex, y: SimplicialComplex) -> DichotomyWitn
     profiles: dict[frozenset, HomologyProfile] = {x.facets: profile_x}
     archive = [(None, profile_x), (None, profile_y)]
     for tau in _outside_simplices(x, y):
-        vtau = adjacency_subcomplex(x, y, Simplex(tau))
+        vtau = adjacency_subcomplex(x, y, tau)
         profile = profiles.get(vtau.facets)
         if profile is None:
             profile = profiles[vtau.facets] = reduced_homology(vtau)

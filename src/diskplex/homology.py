@@ -47,7 +47,7 @@ from math import gcd
 from typing import Collection, Iterable
 
 from . import _Value
-from .simplicial import _FACE_BUDGET, SimplicialComplex, _ranks
+from .simplicial import SimplicialComplex, _ranks
 
 
 # ---------------------------------------------------------------- groups
@@ -486,12 +486,7 @@ def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
     if k.is_empty:
         return EMPTY_PROFILE
     k = _collapse_core(k)
-    bound = sum((1 << len(f)) - 1 for f in k.facets)
-    if bound > _FACE_BUDGET:
-        raise ValueError(
-            f"complex may have {bound} faces after strong collapses, "
-            f"over the face budget of {_FACE_BUDGET}"
-        )
+    k._check_face_budget()
     mats = boundary_matrices(k)
     factors = []
     split: set[int] = set()

@@ -252,16 +252,12 @@ def catalog() -> tuple[LocalPiece, ...]:
     return result
 
 
-@functools.lru_cache(maxsize=1)
-def catalog_by_kind() -> dict[str, LocalPiece]:
-    return {p.kind: p for p in catalog()}
-
-
+@functools.lru_cache(maxsize=None)
 def piece(kind: str) -> LocalPiece:
-    try:
-        return catalog_by_kind()[kind]
-    except KeyError:
-        raise ValueError(f"unknown piece kind {kind!r}") from None
+    for p in catalog():
+        if p.kind == kind:
+            return p
+    raise ValueError(f"unknown piece kind {kind!r}")
 
 
 def local_index(p: LocalPiece) -> HomologyIndex:

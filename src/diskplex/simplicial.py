@@ -18,13 +18,13 @@ from . import _Value
 Vertex = Any
 
 # Most faces an enumeration may meet, by the bound sum(2^|f| - 1) over the
-# facets; ``faces_by_dim`` and ``cubes.subdivide_cube`` refuse larger
-# inputs, ``join`` refuses operands whose facet counts multiply to more,
-# and ``homology`` holds the strong-collapse core to it.  The
-# boundary of the simplex on 15 vertices (bound 245,745) is accepted and
-# its homology takes 0.14 s on a 2-core Xeon under Python 3.11 (0.20 s
-# before the peel's flat column lists, measured at the same time); on 16
-# vertices (bound 524,272) it is refused.
+# facets; ``_face_groups`` (so every face listing) and
+# ``cubes.subdivide_cube`` refuse larger inputs, ``join_all`` refuses
+# operands whose facet counts multiply to more, and ``homology`` holds the
+# strong-collapse core to it.  The boundary of the simplex on 15 vertices
+# (bound 245,745) is accepted and its homology takes 0.14 s on a 2-core
+# Xeon under Python 3.11 (0.20 s before the peel's flat column lists,
+# measured at the same time); on 16 vertices (bound 524,272) it is refused.
 _FACE_BUDGET = 1 << 18
 
 
@@ -145,29 +145,32 @@ class SimplicialComplex(_Value):
         if bound > _FACE_BUDGET:
             raise ValueError(f"complex may have {bound} faces, over the face budget of {_FACE_BUDGET}")
 
+    def _face_groups(self):
+        """Each dimension's faces in canonical order, one dimension at a time.
+
+        A dimension is listed only when the caller reaches it.  Raises
+        ValueError before the first group when the complex may have more
+        faces than the budget.
+        """
+        self._check_face_budget()
+        key = self._face_order()
+        for r in range(1, self.dim + 2):
+            yield sorted({c for f in self.facets for c in itertools.combinations(f, r)}, key=key)
+
     def faces_by_dim(self) -> dict[int, list[tuple]]:
         """All faces grouped by dimension, each group in canonical order.
 
         Raises ValueError when the complex may have more faces than the budget.
         """
         if "faces" not in self._cache:
-            self._check_face_budget()
-            groups: dict[int, set] = {}
-            for facet in self.facets:
-                for r in range(1, len(facet) + 1):
-                    groups.setdefault(r - 1, set()).update(itertools.combinations(facet, r))
-            key = self._face_order()
-            self._cache["faces"] = {d: sorted(g, key=key) for d, g in sorted(groups.items())}
+            self._cache["faces"] = dict(enumerate(self._face_groups()))
         return self._cache["faces"]
 
     def all_faces(self) -> list[tuple]:
         return [f for group in self.faces_by_dim().values() for f in group]
 
     def f_vector(self) -> tuple[int, ...]:
-        groups = self.faces_by_dim()
-        if not groups:
-            return ()
-        return tuple(len(groups.get(d, [])) for d in range(self.dim + 1))
+        return tuple(map(len, self.faces_by_dim().values()))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * n for d, n in enumerate(self.f_vector()))
@@ -248,40 +251,45 @@ def relabel(k: SimplicialComplex, prefix: str) -> SimplicialComplex:
 def join(a: SimplicialComplex, b: SimplicialComplex, *, relabel_on_collision: bool = False) -> SimplicialComplex:
     """Simplicial join: facets are unions of one facet from each side.
 
-    Joining with the empty complex returns the other complex unchanged.
-    Overlapping vertex sets are rejected unless ``relabel_on_collision``
-    is set, in which case both sides are namespaced and the relabeling is
-    recorded in the result's name.  A join with more facets than the face
-    budget is refused with a ValueError before any facet is built.
+    The two-operand case of ``join_all``.  Overlapping vertex sets are
+    rejected unless ``relabel_on_collision`` is set, in which case both
+    sides are namespaced first and the relabeling is recorded in the
+    result's name.
     """
-    if a.is_empty:
-        return b
-    if b.is_empty:
-        return a
-    n = len(a.facets) * len(b.facets)
-    if n > _FACE_BUDGET:
-        raise ValueError(f"join would have {n} facets, over the face budget of {_FACE_BUDGET}")
-    overlap = set(a.vertices()) & set(b.vertices())
-    relabeled = ""
-    if overlap:
-        if not relabel_on_collision:
-            shown = sorted(overlap, key=vertex_key)[:4]
-            raise ValueError(f"join operands share vertices {shown!r}")
+    if relabel_on_collision and not set(a.vertices()).isdisjoint(b.vertices()):
         a, b = relabel(a, "L"), relabel(b, "R")
-        relabeled = " [relabeled L:/R:]"
-    name = f"({a.name or '?'}) * ({b.name or '?'}){relabeled}"
-    facets = [fa + fb for fa in a.facets for fb in b.facets]
-    return from_facets(facets, name=name)
+        return join_all([a, b], name=f"({a.name}) * ({b.name}) [relabeled L:/R:]")
+    return join_all([a, b])
 
 
 def join_all(complexes: Sequence[SimplicialComplex], name: str = "") -> SimplicialComplex:
-    """Iterated join; empty operands act as identities."""
-    out = empty_complex()
-    for k in complexes:
-        out = join(out, k)
-    if name:
-        out = SimplicialComplex(out.facets, name=name)
-    return out
+    """Join of all operands, built in one product of their facets.
+
+    Empty operands act as identities, and a single operand comes back as
+    is; so, as from a left fold of binary joins, operands that are all
+    empty give the last.  Without ``name`` the result is named as that
+    fold would name it.  Before any facet is built, a ValueError refuses
+    the first operand at which the facet count, the product of the counts
+    so far, exceeds the face budget (every facet is a face), or the first
+    that shares vertices with the operands before it.
+    """
+    parts = [k for k in complexes if not k.is_empty] or list(complexes[-1:]) or [empty_complex()]
+    first = parts[0]
+    if len(parts) == 1:
+        return SimplicialComplex(first.facets, name) if name else first
+    n, seen, label = len(first.facets), set(first.vertices()), first.name
+    for k in parts[1:]:
+        n *= len(k.facets)
+        if n > _FACE_BUDGET:
+            raise ValueError(f"join would have {n} facets, over the face budget of {_FACE_BUDGET}")
+        overlap = seen.intersection(k.vertices())
+        if overlap:
+            shown = sorted(overlap, key=vertex_key)[:4]
+            raise ValueError(f"join operands share vertices {shown!r}")
+        seen.update(k.vertices())
+        label = f"({label or '?'}) * ({k.name or '?'})"
+    facets = itertools.product(*(k.facets for k in parts))
+    return from_facets(map(itertools.chain.from_iterable, facets), name=name or label)
 
 
 def cone(k: SimplicialComplex, apex: Vertex) -> SimplicialComplex:

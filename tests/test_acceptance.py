@@ -209,15 +209,21 @@ def test_criterion_8_catalog_integrity():
            f"{len(PIECE_KINDS)} kinds + negative control")
 
 
-# SHA-256 of the default-seed report text, as recorded by the benchmark
-SUITE_1036_SHA256 = "370ea2e2e27c514b645a86ab0f386ac6e780d3104f96a50dcfa2d694184bd26a"
+# SHA-256 of the suite report text: the default seed's as recorded by the
+# benchmark, and three more seeds recorded alongside it
+SUITE_SHA256 = {
+    1036: "370ea2e2e27c514b645a86ab0f386ac6e780d3104f96a50dcfa2d694184bd26a",
+    1: "aeafab669583be3c4b65da94fc3e8029359283508562f28dcd5709b6cb880d0f",
+    2: "d3f5f4e5e95a2d50d7d92b244ac627bbd872198d33311c3bc007459298d960c2",
+    77: "70f1cab21a24221c047e3dec2a6e7b56b839f8251d0076353ba7a6a6d2a60478",
+}
 
 
 def test_criterion_9_determinism():
-    config = RunConfig(seed=1036)
-    first = run_suite(config)
-    second = run_suite(config)
-    text = render_text(first)
-    ok = text == render_text(second) and first.exit_code == 0
-    ok = ok and hashlib.sha256(text.encode("utf-8")).hexdigest() == SUITE_1036_SHA256
-    record(9, "same-seed suite runs are byte-identical and match the recorded report", ok)
+    first = run_suite(RunConfig(seed=1036))
+    ok = render_text(first) == render_text(run_suite(RunConfig(seed=1036))) and first.exit_code == 0
+    for seed, digest in SUITE_SHA256.items():
+        text = render_text(first if seed == 1036 else run_suite(RunConfig(seed=seed)))
+        ok = ok and hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    record(9, "same-seed suite runs are byte-identical and match the recorded reports", ok,
+           f"seeds {sorted(SUITE_SHA256)}")

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import signal
 import tempfile
 
 import pytest
@@ -260,23 +261,44 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: grid would have 65450827 cells, over the face budget of 262144\n"
-    # a join is refused before it is built: 600 x 600 facets
-    a = write_fixture(tmp_path, "a600.json", {"facets": [[i, 1000 + i] for i in range(600)]})
-    b = write_fixture(tmp_path, "b600.json", {"facets": [[2000 + i, 3000 + i] for i in range(600)]})
-    for argv in (["join", a, b, "-o", str(tmp_path / "ab.json")], ["milnor", a, b]):
-        assert main(argv) == 2
+    # a join is refused before it is built, so each refusal below is quick;
+    # building the joins under the budget one pair at a time took about 7 s
+    def expire(signum, frame):
+        raise TimeoutError("an over-budget join was not refused within 2 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        # 600 x 600 facets
+        a = write_fixture(tmp_path, "a600.json", {"facets": [[i, 1000 + i] for i in range(600)]})
+        b = write_fixture(tmp_path, "b600.json", {"facets": [[2000 + i, 3000 + i] for i in range(600)]})
+        for argv in (["join", a, b, "-o", str(tmp_path / "ab.json")], ["milnor", a, b]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: join would have 360000 facets, over the face budget of 262144\n"
+        assert not (tmp_path / "ab.json").exists()
+        # 19 copies of OCT_1 (two facets each) join to 2^19 facets
+        oct19 = write_fixture(tmp_path, "oct19.json", {"tets": 1, "gluings": [], "pieces": [[0, "OCT_1", 19]]})
+        assert main(["additivity", oct19]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: join would have 360000 facets, over the face budget of 262144\n"
-    assert not (tmp_path / "ab.json").exists()
-    # 30 copies of OCT_1 (two facets each) join to 2^30 facets; with the
-    # budget at 2^10 the join past it is refused before it is built
-    monkeypatch.setattr(simplicial, "_FACE_BUDGET", 1 << 10)
-    oct30 = write_fixture(tmp_path, "oct30.json", {"tets": 1, "gluings": [], "pieces": [[0, "OCT_1", 30]]})
-    assert main(["additivity", oct30]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: join would have 2048 facets, over the face budget of 1024\n"
+        assert captured.err == "error: join would have 524288 facets, over the face budget of 262144\n"
+        # with the budget at 2^10, the first operand whose prefix product
+        # passes it is named, and no complex is built
+        operands = [from_facets([[(i, j)] for j in range(n)]) for i, n in enumerate((4, 8, 64, 2))]
+        monkeypatch.setattr(simplicial, "_FACE_BUDGET", 1 << 10)
+        oct30 = write_fixture(tmp_path, "oct30.json", {"tets": 1, "gluings": [], "pieces": [[0, "OCT_1", 30]]})
+        assert main(["additivity", oct30]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: join would have 2048 facets, over the face budget of 1024\n"
+        monkeypatch.setattr(simplicial, "from_facets", lambda *args, **kw: pytest.fail("a complex was built"))
+        with pytest.raises(ValueError, match=r"^join would have 2048 facets, over the face budget of 1024$"):
+            simplicial.join_all(operands)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_cli_suite_small(capsys):

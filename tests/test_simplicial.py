@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 
@@ -205,6 +206,31 @@ def test_join_all_associative_shape():
     assert j.dim == 2
     assert len(j.facet_list()) == 8
     assert j.euler_characteristic() == 2
+
+
+def test_join_all_is_one_product_matching_a_fold_of_binary_joins(monkeypatch):
+    built = []
+    real = simplicial.from_facets
+    monkeypatch.setattr(simplicial, "from_facets", lambda *args, **kw: built.append(1) or real(*args, **kw))
+    rng = random.Random(19)
+    for _ in range(80):
+        parts = [relabel(corpus.random_complex(rng, max_vertices=3, max_facet_size=3, max_facets=3), f"p{i}")
+                 for i in range(rng.randint(0, 5))]
+        fold = functools.reduce(join, parts, empty_complex())
+        built.clear()
+        got = join_all(parts)
+        assert (got.facets, got.name, got.vertices()) == (fold.facets, fold.name, fold.vertices())
+        nonempty = [k for k in parts if not k.is_empty]
+        assert len(built) == (len(nonempty) >= 2)
+        if len(nonempty) == 1:
+            assert got is nonempty[0]
+        named = join_all(parts, name="named")
+        assert (named.facets, named.name) == (fold.facets, "named")
+    a, b, c = from_facets([[1], [2]]), from_facets([["x"]]), from_facets([[2, "x"], [5]])
+    with pytest.raises(ValueError, match=r"^join operands share vertices \[2, 'x'\]$"):
+        join_all([a, b, c])
+    e1, e2 = empty_complex("e1"), empty_complex("e2")
+    assert join_all([e1, e2]) is e2 is functools.reduce(join, [e1, e2], empty_complex())
 
 
 def test_cone_link_star():
