@@ -1,12 +1,23 @@
 """Reduced integer homology of simplicial complexes, exactly.
 
-A complex is first replaced by its strong-collapse core: a vertex v is
-dominated when some other vertex lies in every facet that contains v,
-and deleting v keeps the homotopy type, so dominated vertices are
-deleted one at a time, on facets held as int bitmasks, until none is
-left.  A cone or a simplex becomes a point.  A core whose face bound,
-the sum of 2^|f| - 1 over its facets, exceeds a fixed budget is refused
-with a ValueError before any face is enumerated.
+``reduced_homology`` takes these steps in order, and the first that
+applies gives the answer:
+
+1. the empty complex has its own marker;
+2. a cone, some vertex lying in every facet, is acyclic;
+3. from dimension 2 up, the complex is replaced by its strong-collapse
+   core: a vertex v is dominated when some other vertex lies in every
+   facet that contains v, and deleting v keeps the homotopy type, so
+   dominated vertices are deleted one at a time, on facets held as int
+   bitmasks, until none is left;
+4. a complex or core of dimension <= 1 is a graph, answered by
+   union-find with no matrix: with c components, V vertices and E
+   edges, H~0 = Z^(c-1) and H~1 = Z^(E-V+c);
+5. otherwise the core's boundary matrices are reduced to Smith form.
+
+Steps 1-4 list no face, so they answer at any size.  Step 5 refuses a
+core whose face bound, the sum of 2^|f| - 1 over its facets, exceeds a
+fixed budget with a ValueError before any face is enumerated.
 
 Boundary matrices are built sparse over Z, with Python's
 arbitrary-precision ints, straight from the core's facets held as int
@@ -43,7 +54,9 @@ augmentation to Z, so a single point has trivial homology everywhere.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd
+from operator import and_
 from typing import Collection, Iterable
 
 from . import _Value
@@ -477,15 +490,48 @@ def _collapse_core(k: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(frozenset(core), name=k.name)
 
 
-def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
-    """Smith-form reduced homology over Z, computed on the strong-collapse core.
+def _graph_profile(k: SimplicialComplex) -> HomologyProfile:
+    """Reduced homology of a nonempty graph by union-find over its rank
+    masks: a spanning forest of c trees on V vertices has V - c edges, and
+    each of the other E - V + c edges closes one independent cycle."""
+    parent = list(range(len(k.vertices())))
 
-    Each boundary map skips the rows that the map below split off.
-    Raises ValueError when the core may have more faces than the budget.
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    edges = [f for f in k._masks() if f & (f - 1)]
+    for f in edges:
+        parent[find((f & -f).bit_length() - 1)] = find(f.bit_length() - 1)
+    c = sum(i == p for i, p in enumerate(parent))
+    cycles = len(edges) - len(parent) + c
+    return HomologyProfile(groups=_trim([AbelianGroup(c - 1), AbelianGroup(cycles)]))
+
+
+def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
+    """Reduced homology over Z, answered by the first of these steps that applies.
+
+    1. The empty complex gets ``EMPTY_PROFILE``.
+    2. A cone, some vertex in every facet (the AND of the facet masks is
+       nonzero), is acyclic.
+    3. From dimension 2 up, ``k`` is replaced by its strong-collapse core.
+    4. A complex or core of dimension <= 1 is a graph: with c components,
+       V vertices and E edges, H~0 = Z^(c-1) and H~1 = Z^(E-V+c).
+    5. Otherwise Smith forms of the core's boundary maps, each skipping
+       the rows that the map below split off.
+
+    Raises ValueError when step 5's core may have more faces than the
+    budget; the steps before it list no face and answer at any size.
     """
     if k.is_empty:
         return EMPTY_PROFILE
-    k = _collapse_core(k)
+    if reduce(and_, k._masks()):
+        return HomologyProfile()
+    if k.dim >= 2:
+        k = _collapse_core(k)
+    if k.dim <= 1:
+        return _graph_profile(k)
     k._check_face_budget()
     mats = boundary_matrices(k)
     factors = []

@@ -1,9 +1,12 @@
+import itertools
 import os
 import random
 import signal
 import subprocess
 import sys
 import time
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -367,7 +370,7 @@ def _collapse_cases():
 
 def _assert_profile_matches_whole_maps_and_oracles(k):
     """reduced_homology(k), which collapses and clears, against
-    _uncollapsed(k) and the field Betti numbers."""
+    _uncollapsed(k) and the field Betti numbers; returns the profile."""
     expected = _uncollapsed(k)
     prof = reduced_homology(k)
     assert [(prof.group(d).rank, prof.group(d).torsion) for d in range(k.dim + 1)] == expected, k
@@ -377,6 +380,7 @@ def _assert_profile_matches_whole_maps_and_oracles(k):
         below = expected[d - 1][1] if d else ()
         assert oracles.reduced_betti_mod_p(facets, d, 2) == rank + sum(
             t % 2 == 0 for t in torsion + below), (k, d)
+    return prof
 
 
 def test_strong_collapse_keeps_every_profile():
@@ -466,6 +470,89 @@ facet_lists = st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=4, uniqu
 @given(facet_lists)
 def test_collapse_and_clearing_keep_every_profile(facets):
     _assert_profile_matches_whole_maps_and_oracles(from_facets(facets))
+
+
+def _graph_with_hanging_triangles(seed):
+    """Facets of a seeded random graph with filled triangles hung off it,
+    each by one of its vertices or by a new edge: 2-dimensional, and its
+    strong-collapse core is a graph."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    facets = [[rng.randrange(n), rng.randrange(n)] for _ in range(rng.randint(1, 10))]
+    facets = [sorted(set(f)) for f in facets]
+    fresh = n
+    for _ in range(rng.randint(1, 3)):
+        anchor = rng.randrange(n)
+        if rng.random() < 0.5:
+            facets.append([anchor, fresh])
+            anchor, fresh = fresh, fresh + 1
+        facets.append([anchor, fresh, fresh + 1])
+        fresh += 2
+    return facets
+
+
+graphs = st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=2, unique=True),
+                  min_size=1, max_size=14)
+cones = facet_lists.map(lambda facets: [f + [99] for f in facets])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(graphs, cones, st.integers(0, 2 ** 32).map(_graph_with_hanging_triangles)))
+def test_cones_and_graph_cores_are_answered_without_matrices(facets):
+    # both shortcuts against the whole maps and the oracles; a cone must not
+    # reach the collapse, nor a graph, and no shortcut may build a matrix
+    import diskplex.homology as homology
+
+    def refuse(k):
+        raise AssertionError(f"boundary matrices built for {k}")
+
+    k = from_facets(facets)
+    collapsed = []
+    collapse = homology._collapse_core
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "boundary_matrices", refuse)
+        mp.setattr(homology, "_collapse_core", lambda k: collapsed.append(k) or collapse(k))
+        prof = _assert_profile_matches_whole_maps_and_oracles(k)
+    is_cone = bool(reduce(and_, k._masks()))
+    assert is_cone or k.dim <= 1 or _collapse_core(k).dim <= 1, k
+    if is_cone or k.dim <= 1:
+        assert not collapsed, k
+    assert prof.group(0).rank == oracles.component_count(facets) - 1
+    assert prof.group(1).rank == oracles.reduced_betti(facets, 1)
+
+
+def test_matrices_are_built_only_for_cores_of_dimension_two_or_more(monkeypatch):
+    # a lost shortcut still answers right, only slower: this is its guard
+    import diskplex.homology as homology
+    from diskplex.suite import RunConfig, run_suite
+
+    built = []
+    build = homology.boundary_matrices
+    monkeypatch.setattr(homology, "boundary_matrices", lambda k: built.append(k) or build(k))
+    run_suite(RunConfig(seed=1036, counts=4))
+    assert built
+    for k in built:
+        assert _collapse_core(k) is k, k
+        assert not reduce(and_, k._masks()), k
+        assert k.dim >= 2, k
+
+
+def test_graphs_are_answered_over_the_face_budget():
+    # the complete graph on 420 vertices may have 263970 faces, over the
+    # budget that guards only the matrix route
+    k = from_facets(itertools.combinations(range(420), 2))
+
+    def expire(signum, frame):
+        raise TimeoutError("the graph path did not finish within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        assert reduced_homology(k).render_lines() == ["H~0 = 0", "H~1 = Z^87571"]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert "faces" not in k._cache
 
 
 def test_core_and_face_budget_on_simplices_and_their_boundaries():
