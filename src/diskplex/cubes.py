@@ -12,18 +12,21 @@ Dual structures: in a combinatorial n-ball, every d-cell not contained in
 the boundary sphere receives a dual (n-d)-cell, with incidence reversed;
 cells lying entirely in the boundary get no dual.  The dual of a single
 n-cube is a single vertex at its center; two squares glued along an edge
-dualize to two vertices joined through the shared edge's dual.
+dualize to two vertices joined through the shared edge's dual.  A
+simplicial ball is checked and dualized from its facet bitmasks, so the
+cost follows its interior: the dual of a simplex lists no boundary face.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 from math import prod
 from typing import Sequence
 
 from . import _Value
 from .homology import reduced_homology
-from .simplicial import _FACE_BUDGET, SimplicialComplex, simplex_complex
+from .simplicial import _FACE_BUDGET, SimplicialComplex, _ranks, simplex_complex
 
 
 class CubicalComplex(_Value):
@@ -69,9 +72,6 @@ class CubicalComplex(_Value):
                     par[f].append(c)
             object.__setattr__(self, "_parents", par)
         return self._parents
-
-    def top_cells(self) -> list:
-        return [c for c in self.cells if not self.parents()[c]]
 
     def boundary_cells(self) -> set:
         """Closure of the codim-1 cells met by at most one top cell."""
@@ -162,71 +162,90 @@ def cone_base_complex(n: int) -> SimplicialComplex:
 
 # ----------------------------------------------------------------- duals
 
-def _as_poset(ball) -> CubicalComplex:
-    """A cell complex as is; a simplicial complex as its face poset."""
-    if not isinstance(ball, SimplicialComplex):
-        return ball
-    if ball.is_empty:
-        raise ValueError("empty complex is not a ball")
-    faces = ball.all_faces()
-    return CubicalComplex(
-        name=ball.name or "simplicial",
-        dim=ball.dim,
-        cells=tuple(faces),
-        cell_dim={f: len(f) - 1 for f in faces},
-        covers={f: tuple(f[:i] + f[i + 1 :] for i in range(len(f))) if len(f) > 1 else ()
-                for f in faces},
-    )
-
-
-def _ball_poset(ball) -> tuple[CubicalComplex, set]:
-    """The face poset of a ball and its boundary closure; ValueError
-    when ``validate_ball`` would refuse it."""
-    poset = _as_poset(ball)
-    n = poset.dim
-    tops = poset.top_cells()
-    for c in tops:
-        if poset.cell_dim[c] != n:
-            raise ValueError(f"not pure: maximal cell {c!r} has dimension {poset.cell_dim[c]}")
-    chi = poset.euler_characteristic()
+def _ball_poset(ball) -> tuple:
+    """Refuse what ``validate_ball`` refuses; else return the name, the
+    dimension n, the interior cells in cell order with their parents, and
+    functions giving a cell's dimension and label.  The checks read the top
+    cells, the top cells of each (n-1)-cell (ridge) and the interior's
+    parents: a ``CubicalComplex`` off its poset, a ``SimplicialComplex`` off
+    the ranks of its facet masks, listing no boundary face."""
+    if isinstance(ball, SimplicialComplex):
+        ball._check_face_budget()
+        if ball.is_empty:
+            raise ValueError("empty complex is not a ball")
+        name, n, verts = ball.name or "simplicial", ball.dim, ball.vertices()
+        below = lambda c: [c[:j] + c[j + 1:] for j in range(len(c))]  # codimension-1 faces
+        tops = [tuple(_ranks(f)) for f in ball._masks()]  # each facet's ranks, ascending
+        ridges: dict = {}
+        for f in tops:
+            for r in below(f):
+                ridges.setdefault(r, []).append(f)
+        held = [set() for _ in verts]  # rank -> the one-facet (boundary) ridges holding it
+        for r in (r for r, ts in ridges.items() if len(ts) == 1):
+            for i in r:
+                held[i].add(r)
+        interior, todo = {f: [] for f in tops}, list(tops)  # walk down, stop at boundary faces
+        while todo:
+            c = todo.pop()
+            for g in below(c) if len(c) > 1 else ():
+                if g in interior:
+                    interior[g].append(c)
+                elif not set.intersection(*map(held.__getitem__, g)):
+                    interior[g] = [c]
+                    todo.append(g)
+        profile = reduced_homology(ball)
+        chi = 1 + sum((-1) ** d * g.rank for d, g in enumerate(profile.groups))
+        order = lambda c: (len(c), c)  # cell order: dimension, then ranks
+        interior = {c: interior[c] for c in sorted(interior, key=order)}
+        dim, first = (lambda c: len(c) - 1), partial(min, key=order)
+        label = lambda c: tuple(verts[i] for i in c)
+    else:  # a cubical complex lists its cells in cell order
+        name, n, par = ball.name, ball.dim, ball.parents()
+        tops = [c for c in ball.cells if not par[c]]
+        ridges = {c: par[c] for c in ball.cells_of_dim(n - 1)}
+        boundary = ball.boundary_cells()
+        interior = {c: par[c] for c in ball.cells if c not in boundary}
+        chi, profile = ball.euler_characteristic(), None
+        dim, label, first = ball.cell_dim.__getitem__, (lambda c: c), (lambda cells: cells[0])
+        below = ball.covers.__getitem__
+    impure = [c for c in tops if dim(c) != n]
+    if impure:
+        c = first(impure)
+        raise ValueError(f"not pure: maximal cell {label(c)!r} has dimension {dim(c)}")
     if chi != 1:
         raise ValueError(f"Euler characteristic {chi} != 1; not a ball")
-    boundary = poset.boundary_cells()
     if n >= 1:
-        if not boundary:
+        if not any(len(ts) == 1 for ts in ridges.values()):
             # A closed manifold with chi = 1 (RP^2) would pass the chi test:
             # an empty boundary has chi 0, like the circle a 2-ball needs.
             raise ValueError("empty boundary; a closed complex is not a ball")
-        chi = sum((-1) ** poset.cell_dim[c] for c in boundary)
+        chi -= sum((-1) ** dim(c) for c in interior)  # now the boundary's
         expected = 1 + (1 if (n - 1) % 2 == 0 else -1)
         if chi != expected:
-            raise ValueError(
-                f"boundary Euler characteristic {chi} != {expected}; boundary is not a sphere"
-            )
-    # A disk plus a disjoint annulus passes every count above.  This runs
-    # on a complex whose faces fit the budget; grids are balls by construction.
-    if isinstance(ball, SimplicialComplex):
-        profile = reduced_homology(ball)
-        if not profile.is_acyclic:
-            raise ValueError(f"reduced homology {', '.join(profile.render_lines())}; not a ball")
+            raise ValueError(f"boundary Euler characteristic {chi} != {expected}; boundary is not a sphere")
+    # A disk plus a disjoint annulus passes every count above.  Grids are
+    # balls by construction.
+    if profile is not None and not profile.is_acyclic:
+        raise ValueError(f"reduced homology {', '.join(profile.render_lines())}; not a ball")
     # A hand-built CubicalComplex gets no homology test: an annulus plus a
     # disjoint square passes every count above, and is not strongly
     # connected.  Purity gives each (n-1)-cell at least one top cell.
-    par = poset.parents()
-    for c in poset.cells_of_dim(n - 1):
-        if len(par[c]) > 2:
-            raise ValueError(f"{n - 1}-cell {c!r} lies in {len(par[c])} top cells; not a pseudomanifold")
-    reached, todo = {tops[0]}, [tops[0]]
+    branching = [r for r, ts in ridges.items() if len(ts) > 2]
+    if branching:
+        r = first(branching)
+        raise ValueError(f"{n - 1}-cell {label(r)!r} lies in {len(ridges[r])} top cells; not a pseudomanifold")
+    reached = {first(tops)}
+    todo = list(reached)
     while todo:
-        for f in poset.covers[todo.pop()]:
-            for t in par[f]:
+        for r in below(todo.pop()):
+            for t in ridges[r]:
                 if t not in reached:
                     reached.add(t)
                     todo.append(t)
     if len(reached) != len(tops):
         raise ValueError(f"{len(tops) - len(reached)} of {len(tops)} top cells are not reached "
                          f"across {n - 1}-cells; not strongly connected")
-    return poset, boundary
+    return name, n, interior, dim, label
 
 
 def validate_ball(complexe) -> None:
@@ -253,28 +272,13 @@ def dual_cells(ball) -> CubicalComplex:
     sets: a parent of an interior cell is interior; a top cell's set is
     itself, any other cell's the union of its parents' sets.
     """
-    poset, boundary = _ball_poset(ball)
-    n = poset.dim
-    parents = poset.parents()
-    interior = [c for c in poset.cells if c not in boundary]
-    dual_ids = {c: ("dual", c) for c in interior}
+    name, n, parents, dim, label = _ball_poset(ball)
+    dual_ids = {c: ("dual", label(c)) for c in parents}
     cell_vertices: dict = {}
-    for c in sorted(interior, key=poset.cell_dim.__getitem__, reverse=True):
+    for c in sorted(parents, key=dim, reverse=True):
         above = [cell_vertices[dual_ids[p]] for p in parents[c]]
         cell_vertices[dual_ids[c]] = frozenset().union(*above) if above else frozenset({dual_ids[c]})
-    cell_dim = {dual_ids[c]: n - poset.cell_dim[c] for c in interior}
-    covers = {
-        dual_ids[c]: tuple(
-            sorted((dual_ids[p] for p in parents[c]), key=repr)
-        )
-        for c in interior
-    }
+    cell_dim = {dual_ids[c]: n - dim(c) for c in parents}
+    covers = {dual_ids[c]: tuple(sorted((dual_ids[p] for p in parents[c]), key=repr)) for c in parents}
     cells = tuple(sorted(dual_ids.values(), key=repr))
-    return CubicalComplex(
-        name=f"dual({poset.name})",
-        dim=n,
-        cells=cells,
-        cell_dim=cell_dim,
-        covers=covers,
-        cell_vertices=cell_vertices,
-    )
+    return CubicalComplex(f"dual({name})", n, cells, cell_dim, covers, cell_vertices)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Any, Iterable, Sequence
 
 from . import _Value
@@ -18,10 +19,10 @@ from . import _Value
 Vertex = Any
 
 # Most faces an enumeration may meet, by the bound sum(2^|f| - 1) over the
-# facets; ``_face_groups`` (so every face listing) and
-# ``cubes.subdivide_cube`` refuse larger inputs, ``join_all`` refuses
-# operands whose facet counts multiply to more, and ``homology`` holds the
-# strong-collapse core to it.  The boundary of the simplex on 15 vertices
+# facets; ``_face_groups`` (so every face listing), the ball checks and
+# ``cubes.subdivide_cube`` refuse larger inputs, ``join_all`` and
+# ``barycentric_subdivision`` refuse to build more facets, and ``homology``
+# holds the strong-collapse core to it.  The boundary of the simplex on 15 vertices
 # (bound 245,745) is accepted and its homology takes 0.14 s on a 2-core
 # Xeon under Python 3.11 (0.20 s before the peel's flat column lists,
 # measured at the same time); on 16 vertices (bound 524,272) it is refused.
@@ -329,8 +330,12 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
     """First barycentric subdivision.
 
     New vertices are the faces of ``k`` (as sorted tuples); new facets are
-    the maximal chains of faces inside each facet.
+    the maximal chains of faces inside each facet, |f|! of them per facet
+    f.  Raises ValueError, before building any, when they exceed the face budget.
     """
+    total = sum(math.factorial(len(f)) for f in k.facets)
+    if total > _FACE_BUDGET:
+        raise ValueError(f"subdivision would have {total} facets, over the face budget of {_FACE_BUDGET}")
     rank = k._vertex_ranks().__getitem__
     new_facets = []
     for facet in k.facets:

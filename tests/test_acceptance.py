@@ -177,7 +177,7 @@ def test_criterion_7_constructions():
         tops = 1
         for c in counts:
             tops *= c + 1
-        grid_ok = grid_ok and len(grid.top_cells()) == tops
+        grid_ok = grid_ok and len(grid.cells_of_dim(n)) == tops
         dual = dual_cells(grid)
         boundary = set(grid.boundary_cells())
         for d in range(n + 1):

@@ -1,4 +1,6 @@
 import random
+import signal
+from collections import Counter
 
 import pytest
 
@@ -12,7 +14,16 @@ from diskplex.cubes import (
     subdivide_cube,
     validate_ball,
 )
-from diskplex.simplicial import barycentric_subdivision, cone, from_facets, join, simplex_complex
+from diskplex.homology import reduced_homology
+from diskplex.simplicial import (
+    SimplicialComplex,
+    barycentric_subdivision,
+    cone,
+    from_facets,
+    join,
+    simplex_complex,
+    vertex_key,
+)
 
 
 def test_unit_cube_counts_match_formula():
@@ -33,8 +44,8 @@ def test_grid_counts_match_formula():
         for d in range(n + 1):
             assert len(grid.cells_of_dim(d)) == oracles.grid_cell_count(counts, d)
         assert grid.euler_characteristic() == 1
-        # top cells tile the cube
-        assert len(grid.top_cells()) == len(grid.cells_of_dim(n))
+        # the top cells, the cells under no other, are the n-cells
+        assert [c for c in grid.cells if not grid.parents()[c]] == grid.cells_of_dim(n)
 
 
 def test_grid_rejects_bad_input():
@@ -139,7 +150,7 @@ def test_dual_cells_dimension_correspondence_on_grids():
         for d, count in primal_interior.items():
             assert len(dual.cells_of_dim(n - d)) == count
         # dual vertices match top cells one to one
-        assert len(dual.cells_of_dim(0)) == len(grid.top_cells())
+        assert len(dual.cells_of_dim(0)) == len(grid.cells_of_dim(n))
 
 
 def test_dual_vertices_are_incident_top_cells():
@@ -171,6 +182,8 @@ def test_dual_vertices_match_reference_on_grids_and_simplicial_balls():
 
 
 def test_dual_cells_finds_the_boundary_once(monkeypatch):
+    # a grid finds its boundary closure once; a simplicial ball lists no
+    # face and builds no poset, since its checks read the facet masks
     calls = []
     boundary_cells = CubicalComplex.boundary_cells
 
@@ -179,10 +192,17 @@ def test_dual_cells_finds_the_boundary_once(monkeypatch):
         return boundary_cells(self)
 
     monkeypatch.setattr(CubicalComplex, "boundary_cells", counting)
-    for ball in (subdivide_cube(2, [1, 2]), from_facets([[1, 2, 3], [2, 3, 4]])):
-        del calls[:]
-        dual_cells(ball)
-        assert len(calls) == 1
+    dual_cells(subdivide_cube(2, [1, 2]))
+    assert len(calls) == 1
+
+    def listing(self):
+        raise AssertionError("the ball checks listed faces")
+
+    monkeypatch.setattr(SimplicialComplex, "faces_by_dim", listing)
+    monkeypatch.setattr(CubicalComplex, "boundary_cells", listing)
+    two = from_facets([[1, 2, 3], [2, 3, 4]])
+    validate_ball(two)
+    assert dual_cells(two).counts_by_dim() == (2, 1, 0)
 
 
 def test_dual_requires_ball():
@@ -284,3 +304,82 @@ def test_ball_checks_on_grids_with_top_cells_removed_match_set_references():
         assert strong
         seen["accepted"] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def _within(seconds, check):
+    """``check()``, failing when it takes longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return check()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_dual_of_a_simplex_walks_only_its_interior():
+    # all 2^18 - 2 proper faces of the 17-simplex lie in its boundary, and
+    # its dual is one cell; listing the faces took about 11 s
+    dual = _within(2, lambda: dual_cells(simplex_complex(range(18))))
+    assert dual.cells == (("dual", tuple(range(18))),)
+    assert dual.counts_by_dim() == (1,) + (0,) * 17
+    with pytest.raises(ValueError, match="complex may have 524287 faces, over the face budget of 262144"):
+        dual_cells(simplex_complex(range(19)))
+
+
+def _face_poset(k):
+    """``k`` as a CubicalComplex built from the set-based
+    ``oracles.face_covers``, its cells in simplicial cell order: by
+    dimension, then by vertex keys."""
+    covers = oracles.face_covers(k.facets)
+    cells = tuple(sorted(covers, key=lambda f: (len(f), [vertex_key(v) for v in f])))
+    return CubicalComplex(k.name, k.dim, cells, {f: len(f) - 1 for f in cells}, covers)
+
+
+def _dual_or_refusal(k):
+    try:
+        dual = dual_cells(k)
+    except ValueError as e:
+        return str(e)
+    return dual.cells, dual.counts_by_dim(), dual.cell_vertices, dual.covers
+
+
+def _random_pure(rng, d):
+    """One or two disjoint pieces, each grown from a d-simplex by gluing
+    d-simplices along ridges, with vertices drawn from d + 3."""
+    facets = []
+    for shift in range(0, rng.randint(1, 2) * 10, 10):
+        piece = [[shift + i for i in range(d + 1)]]
+        for _ in range(rng.randint(0, 8)):
+            ridge = rng.choice(piece)[:]
+            ridge.remove(rng.choice(ridge))
+            piece.append(ridge + [rng.choice([shift + v for v in range(d + 3) if shift + v not in ridge])])
+        facets += piece
+    return from_facets(facets, name=f"pure-{d}")
+
+
+def test_ball_checks_on_masks_match_the_face_poset_route():
+    # the same complex handed in as a simplicial complex (facet masks) and
+    # as a face poset (the cubical route) gets the same verdict, message
+    # and dual, except where H~ alone refuses it: only simplicial input is
+    # tested for homology, so those are exactly the cases that pass every
+    # count and are not acyclic
+    rng = random.Random(21)
+    seen = Counter()
+    for _ in range(600):
+        k = _random_pure(rng, rng.randint(1, 3))
+        for case in (k, cone(k, "z")) + ((barycentric_subdivision(k),) if k.dim <= 2 else ()):
+            masks, poset = _dual_or_refusal(case), _dual_or_refusal(_face_poset(case))
+            counted = not isinstance(poset, str) or poset.endswith(("pseudomanifold", "strongly connected"))
+            profile = reduced_homology(case)
+            assert (masks != poset) == (counted and not profile.is_acyclic), (case.facets, masks, poset)
+            if masks != poset:
+                assert masks == f"reduced homology {', '.join(profile.render_lines())}; not a ball"
+            kinds = ("boundary", "Euler", "homology", "pseudomanifold", "connected")
+            seen[next(w for w in kinds if w in masks) if isinstance(masks, str) else "accepted"] += 1
+    # accepted, and refused by chi, the boundary's chi, H~, a branching
+    # ridge and strong connectivity
+    assert len(seen) == 6 and min(seen.values()) >= 5, seen

@@ -1,5 +1,6 @@
 import functools
 import random
+import signal
 from collections import Counter
 
 import pytest
@@ -258,6 +259,33 @@ def test_barycentric_subdivision_counts_and_euler():
         assert oracles.euler_characteristic(
             [list(f) for f in sd.facet_list()]
         ) == k.euler_characteristic() or k.is_empty
+
+
+def test_barycentric_subdivision_refuses_over_the_face_budget(monkeypatch):
+    # sd makes |f|! facets of each facet f: 9! = 362,880 and 11! are over
+    # 2^18 and refused before a facet is built; at the budget it builds
+    def expire(signum, frame):
+        raise TimeoutError("the refusal did not come within 2 s")
+
+    simplices = [simplex_complex(range(n)) for n in (9, 11)]
+    built = []
+    monkeypatch.setattr(simplicial, "from_facets", lambda *args, **kwargs: built.append(args))
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        for k, total in zip(simplices, (362880, 39916800)):
+            with pytest.raises(ValueError, match=f"subdivision would have {total} facets, "
+                                                 "over the face budget of 262144"):
+                barycentric_subdivision(k)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert built == []
+    monkeypatch.undo()
+    monkeypatch.setattr(simplicial, "_FACE_BUDGET", 720)
+    assert len(barycentric_subdivision(simplex_complex(range(6))).facets) == 720
+    with pytest.raises(ValueError, match="subdivision would have 726 facets, over the face budget of 720"):
+        barycentric_subdivision(from_facets([range(6), ["a", "b", "c"]]))
 
 
 def test_full_subcomplex():
