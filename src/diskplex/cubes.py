@@ -254,10 +254,11 @@ def validate_ball(complexe) -> None:
     (n-1)-sphere, for a simplicial complex zero reduced homology, and a
     strongly connected pseudomanifold: each (n-1)-cell lies in one or two
     top cells, and top cells sharing (n-1)-cells connect them all.  For
-    n <= 2 these identify balls exactly.  For n >= 3 and simplicial input
-    they are homology-ball conditions, which some non-balls meet too
-    (Björner & Lutz, Exp. Math. 9, 2000); cubical input has no homology
-    test, and ``subdivide_cube`` grids are balls by construction."""
+    n <= 2 these identify balls exactly.  For n >= 3 no vertex link is
+    checked, so a complex that is not a manifold can pass: the cone over
+    a strip of six triangles whose two end vertices are identified does.
+    Cubical input has no homology test, and ``subdivide_cube`` grids are
+    balls by construction."""
     _ball_poset(complexe)
 
 
@@ -279,6 +280,7 @@ def dual_cells(ball) -> CubicalComplex:
         above = [cell_vertices[dual_ids[p]] for p in parents[c]]
         cell_vertices[dual_ids[c]] = frozenset().union(*above) if above else frozenset({dual_ids[c]})
     cell_dim = {dual_ids[c]: n - dim(c) for c in parents}
-    covers = {dual_ids[c]: tuple(sorted((dual_ids[p] for p in parents[c]), key=repr)) for c in parents}
     cells = tuple(sorted(dual_ids.values(), key=repr))
+    place = {d: i for i, d in enumerate(cells)}.__getitem__  # repr order, one repr per cell
+    covers = {dual_ids[c]: tuple(sorted((dual_ids[p] for p in parents[c]), key=place)) for c in parents}
     return CubicalComplex(f"dual({name})", n, cells, cell_dim, covers, cell_vertices)

@@ -1,52 +1,14 @@
 """Reduced integer homology of simplicial complexes, exactly.
 
-``reduced_homology`` takes these steps in order, and the first that
-applies gives the answer:
-
-1. the empty complex has its own marker;
-2. a cone, some vertex lying in every facet, is acyclic;
-3. from dimension 2 up, the complex is replaced by its strong-collapse
-   core: a vertex v is dominated when some other vertex lies in every
-   facet that contains v, and deleting v keeps the homotopy type, so
-   dominated vertices are deleted one at a time, on facets held as int
-   bitmasks, until none is left;
-4. a complex or core of dimension <= 1 is a graph, answered by
-   union-find with no matrix: with c components, V vertices and E
-   edges, H~0 = Z^(c-1) and H~1 = Z^(E-V+c);
-5. otherwise the core's boundary matrices are reduced to Smith form.
-
-Steps 1-4 list no face, so they answer at any size.  Step 5 refuses a
-core whose face bound, the sum of 2^|f| - 1 over its facets, exceeds a
-fixed budget with a ValueError before any face is enumerated.
-
-Boundary matrices are built sparse over Z, with Python's
-arbitrary-precision ints, straight from the core's facets held as int
-bitmasks over the vertex ranks, the masks that ``simplicial`` keeps for
-every complex: each face yields its codimension-1 faces by clearing one
-bit at a time, so no face tuple is formed or sorted.
-They are eliminated in ascending degree, d_0 first, and each elimination
-skips the rows of the faces whose columns the degree below split off
-("clearing"; Kaczynski, Mrozek & Slusarek, "Homology computation by
-reduction of chain complexes", 1998).  Since d_k d_{k+1} = 0 those rows
-lie in the Z-span of the others, so the invariant factors stay the same,
-and the rows that elimination would otherwise grind down to zero through
-fill-in are never touched; ``smith_normal_form`` gives the argument.
-Smith reduction first peels: a ±1 alone in its column splits off a
-factor 1 by column operations that touch no other row, so its row and
-column are dropped with no fill-in, and a worklist of the columns left
-with one live row peels chains of them without a rescan
-(Kaczynski, Mrozek & Slusarek; Mrozek & Batko, "Coreduction homology
-algorithm", 2009), on flat per-column lists of row numbers and one set
-of the non-unit positions.  On boundary maps the peel does nearly all
-the work.
-What is left goes to one loop over one pivot step with one rule: each
-sweep pivots on entries of the smallest |value| left, short rows and
-sparse columns first.  Simplicial boundary maps are sparse and nearly
-all their pivots are units, and a ±1 pivot clears its column by exact
-row operations and splits off a factor 1.  A larger pivot either splits
-off its factor or leaves smaller remainders, and the next sweep pivots
-on those.
-A gcd/lcm pass normalizes the split-off factors into a divisor chain.
+``reduced_homology`` answers the empty complex, cones and complexes whose
+strong-collapse core is a graph without a matrix, and otherwise reduces
+the core's boundary maps over Z; its docstring lists the steps and the
+face budget.  ``boundary_matrices`` builds the maps sparse from the facet
+bitmasks that ``simplicial`` keeps, ``smith_normal_form`` takes each
+map's invariant factors, skipping the rows that the map below split off,
+and ``divisor_chain`` normalises a multiset of factors.  ``AbelianGroup``
+and ``HomologyProfile`` keep results in normal form, and
+``HomologyIndex`` reads the three-way index off a profile.
 
 Homology is reduced throughout: the degree-0 boundary map is the
 augmentation to Z, so a single point has trivial homology everywhere.
@@ -60,7 +22,7 @@ from operator import and_
 from typing import Collection, Iterable
 
 from . import _Value
-from .simplicial import SimplicialComplex, _ranks
+from .simplicial import SimplicialComplex, _maximal, _ranks
 
 
 # ---------------------------------------------------------------- groups
@@ -68,23 +30,21 @@ from .simplicial import SimplicialComplex, _ranks
 def divisor_chain(values: Iterable[int]) -> tuple[int, ...]:
     """Normalize a multiset of integers into a divisor chain; 0s are dropped.
 
-    diag(a, b) is equivalent to diag(gcd(a, b), lcm(a, b)); repeating that
-    exchange until stable yields the invariant factors, in ascending order.
-    A 1 divides everything, so 1s are set aside and put back in front.
+    diag(a, b) is equivalent to diag(gcd(a, b), lcm(a, b)).  One pass
+    exchanges each entry with every later one: afterwards vals[i] divides
+    all later entries, and later exchanges only replace those by gcds and
+    lcms of multiples of vals[i].  So the pass leaves the invariant
+    factors, each dividing the next and so in ascending order.  A 1
+    divides everything, so 1s are set aside and put back in front.
     """
     vals = sorted(map(abs, values))
     ones = vals.count(1)
     del vals[: vals.count(0) + ones]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if vals[j] % vals[i]:
-                    g = gcd(vals[i], vals[j])
-                    vals[i], vals[j] = g, vals[i] // g * vals[j]
-                    changed = True
-        vals.sort()
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            if vals[j] % vals[i]:
+                g = gcd(vals[i], vals[j])
+                vals[i], vals[j] = g, vals[i] // g * vals[j]
     return (1,) * ones + tuple(vals)
 
 
@@ -112,9 +72,6 @@ class AbelianGroup(_Value):
     @property
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
-
-    def direct_sum(self, other: "AbelianGroup") -> "AbelianGroup":
-        return AbelianGroup.from_parts(self.rank + other.rank, self.torsion + other.torsion)
 
     def render(self) -> str:
         if self.is_trivial:
@@ -171,7 +128,8 @@ def smith_normal_form(
     Peel.  A column pj whose only live entry is p = ±1 at row pi splits
     off a factor 1: the column operations that clear row pi add multiples
     of column pj, which is zero outside row pi, so they touch no other
-    row and make no fill-in.  Row pi and column pj are dropped and the
+    row and make no fill-in (a coreduction; Mrozek & Batko, "Coreduction
+    homology algorithm", 2009).  Row pi and column pj are dropped and the
     rest of the matrix is unchanged.  One pass lists the live row
     numbers of each column and puts the (row, column) of every entry
     other than ±1 into one set; a column's count starts at its list's
@@ -190,11 +148,12 @@ def smith_normal_form(
     that splits nothing leaves an entry smaller than m (a remainder, or
     an entry skipped with quotient 0), so between splits m strictly falls.
 
-    Clearing.  Rows whose index is in ``skip`` are left out.  When
-    ``split`` is a set, it receives the column pj of every factor split
-    off before the first step that splits nothing.  For a chain pair
-    d_k d_{k+1} = 0, the rows of d_{k+1} named by d_k's ``split`` can be
-    skipped without changing d_{k+1}'s factors:
+    Clearing (Kaczynski, Mrozek & Slusarek, "Homology computation by
+    reduction of chain complexes", 1998).  Rows whose index is in
+    ``skip`` are left out.  When ``split`` is a set, it receives the
+    column pj of every factor split off before the first step that splits
+    nothing.  For a chain pair d_k d_{k+1} = 0, the rows of d_{k+1} named
+    by d_k's ``split`` can be skipped without changing d_{k+1}'s factors:
 
     - Elimination turns d_k into P d_k Q with P and Q unimodular.  P
       never reaches d_{k+1}; Q turns it into Q^-1 d_{k+1}.
@@ -370,7 +329,10 @@ def boundary_matrices(k: SimplicialComplex) -> list[IntegerMatrix]:
 
 
 class HomologyProfile(_Value):
-    """Reduced homology groups in degrees 0..dim, trailing trivials trimmed.
+    """Reduced homology groups in degrees 0..dim.
+
+    The constructor drops trailing trivial groups, so equal homology gives
+    equal profiles whatever degree the caller stopped at.
 
     The empty complex gets a distinguished marker (``empty_complex``): by
     convention its reduced homology is a single Z in degree -1, which the
@@ -380,6 +342,8 @@ class HomologyProfile(_Value):
     _fields = ("groups", "empty_complex")
 
     def __init__(self, groups: tuple[AbelianGroup, ...] = (), empty_complex: bool = False):
+        while groups and groups[-1].is_trivial:
+            groups = groups[:-1]
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "empty_complex", empty_complex)
 
@@ -394,7 +358,7 @@ class HomologyProfile(_Value):
 
     @property
     def is_acyclic(self) -> bool:
-        return not self.empty_complex and all(g.is_trivial for g in self.groups)
+        return not self.empty_complex and not self.groups
 
     def render_lines(self) -> list[str]:
         if self.empty_complex:
@@ -413,12 +377,6 @@ class HomologyProfile(_Value):
 
 
 EMPTY_PROFILE = HomologyProfile(empty_complex=True)
-
-
-def _trim(groups: list[AbelianGroup]) -> tuple[AbelianGroup, ...]:
-    while groups and groups[-1].is_trivial:
-        groups.pop()
-    return tuple(groups)
 
 
 def _collapse_core(k: SimplicialComplex) -> SimplicialComplex:
@@ -444,8 +402,7 @@ def _collapse_core(k: SimplicialComplex) -> SimplicialComplex:
     the worklist.
 
     Returns ``k`` itself when nothing is dominated, so its memoised masks
-    are reused.  Rank order is ``vertex_key`` order, so the core's facets
-    map back to canonical tuples.
+    are reused.
     """
     verts = k.vertices()
     facets = dict(enumerate(k._masks()))  # facet id -> bitmask of vertex ranks
@@ -486,8 +443,7 @@ def _collapse_core(k: SimplicialComplex) -> SimplicialComplex:
                         todo.append(j)
             else:
                 facets[n] = f
-    core = (tuple(verts[i] for i in _ranks(f)) for f in facets.values())
-    return SimplicialComplex(frozenset(core), name=k.name)
+    return _maximal(facets.values(), verts, k.name)
 
 
 def _graph_profile(k: SimplicialComplex) -> HomologyProfile:
@@ -506,7 +462,7 @@ def _graph_profile(k: SimplicialComplex) -> HomologyProfile:
         parent[find((f & -f).bit_length() - 1)] = find(f.bit_length() - 1)
     c = sum(i == p for i, p in enumerate(parent))
     cycles = len(edges) - len(parent) + c
-    return HomologyProfile(groups=_trim([AbelianGroup(c - 1), AbelianGroup(cycles)]))
+    return HomologyProfile(groups=(AbelianGroup(c - 1), AbelianGroup(cycles)))
 
 
 def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
@@ -546,7 +502,7 @@ def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
         if free < 0:
             raise AssertionError("negative free rank: boundary ranks inconsistent")
         groups.append(AbelianGroup.from_parts(free, factors[d + 1]))
-    return HomologyProfile(groups=_trim(groups))
+    return HomologyProfile(groups=tuple(groups))
 
 
 # ----------------------------------------------------------------- index

@@ -31,9 +31,7 @@ from .homology import (
     AbelianGroup,
     HomologyIndex,
     HomologyProfile,
-    TRIVIAL_GROUP,
     ZERO_INDEX,
-    _trim,
     finite_index,
     reduced_homology,
 )
@@ -63,18 +61,12 @@ def join_homology_via_formula(a: HomologyProfile, b: HomologyProfile) -> Homolog
     """Graded join homology computed purely from the factor profiles."""
     if a.empty_complex or b.empty_complex:
         raise ValueError("formula applies to nonempty factors; join with the empty complex is the identity")
-    top = a.top_degree + b.top_degree + 2
     groups = []
-    for k in range(top + 1):
-        total = TRIVIAL_GROUP
-        for i in range(k):
-            j = k - 1 - i
-            total = total.direct_sum(tensor(a.group(i), b.group(j)))
-        for i in range(k - 1):
-            j = k - 2 - i
-            total = total.direct_sum(tor(a.group(i), b.group(j)))
-        groups.append(total)
-    return HomologyProfile(groups=_trim(groups))
+    for k in range(a.top_degree + b.top_degree + 3):
+        parts = [tensor(a.group(i), b.group(k - 1 - i)) for i in range(k)]
+        parts += [tor(a.group(i), b.group(k - 2 - i)) for i in range(k - 1)]
+        groups.append(AbelianGroup.from_parts(sum(g.rank for g in parts), [d for g in parts for d in g.torsion]))
+    return HomologyProfile(groups=tuple(groups))
 
 
 def index_sum_law(indices: Iterable[HomologyIndex]) -> HomologyIndex:

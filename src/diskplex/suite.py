@@ -285,10 +285,10 @@ def prop_constructions(config: RunConfig) -> PropertyResult:
     return PropertyResult("constructions", ok, n_chi + 4 + 2 * n_grid, tuple(details))
 
 
-def prop_catalog_integrity(config: RunConfig, pieces=None) -> PropertyResult:
+def prop_catalog_integrity(config: RunConfig) -> PropertyResult:
     details = []
     ok = True
-    entries = catalog() if pieces is None else pieces
+    entries = catalog()
     for p in entries:
         try:
             validate_piece(p)
@@ -296,7 +296,7 @@ def prop_catalog_integrity(config: RunConfig, pieces=None) -> PropertyResult:
         except ValueError as exc:
             ok = False
             details.append(f"FAIL {exc}")
-    return PropertyResult("catalog_integrity", ok, len(tuple(entries)), tuple(details))
+    return PropertyResult("catalog_integrity", ok, len(entries), tuple(details))
 
 
 def prop_determinism(config: RunConfig) -> PropertyResult:

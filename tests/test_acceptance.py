@@ -23,7 +23,7 @@ from diskplex.pieces import PIECE_KINDS, LocalPiece, catalog, check_normal_arcs,
 from diskplex.simplicial import barycentric_subdivision, boundary_of_simplex, from_facets
 from diskplex.suite import RunConfig, prop_catalog_integrity, render_text, run_suite
 from diskplex.width import apply_surgery, available_moves, verify_width_decrease
-from diskplex import corpus
+from diskplex import corpus, suite
 
 RESULTS = []
 
@@ -191,7 +191,7 @@ def test_criterion_7_constructions():
            f"chi {chi_ok}/50, cones n<=4, 20 grids")
 
 
-def test_criterion_8_catalog_integrity():
+def test_criterion_8_catalog_integrity(monkeypatch):
     ok = True
     for p in catalog():
         ok = ok and local_index(p) == p.declared_index
@@ -203,7 +203,8 @@ def test_criterion_8_catalog_integrity():
     first = tampered[0]
     tampered[0] = LocalPiece(first.kind, first.edge_weights, first.face_arcs, first.euler,
                              finite_index(3), first.model_complex)
-    bad = prop_catalog_integrity(RunConfig(counts=2), pieces=tuple(tampered))
+    monkeypatch.setattr(suite, "catalog", lambda: tuple(tampered))
+    bad = prop_catalog_integrity(RunConfig(counts=2))
     ok = ok and not bad.passed
     record(8, "catalog indices recompute and tampering is caught", ok,
            f"{len(PIECE_KINDS)} kinds + negative control")

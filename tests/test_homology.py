@@ -290,14 +290,25 @@ def test_snf_property_against_minors_and_sympy(rows):
 
 
 def _sympy_factors(rows):
-    """Invariant factors by sympy, or None when sympy is not installed."""
+    """Invariant factors by sympy, the nonzero diagonal of its Smith form
+    as it comes, or None when sympy is not installed."""
     try:
         import sympy
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     except ImportError:
         return None
     diag = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
-    return divisor_chain(abs(int(diag[i, i])) for i in range(min(diag.shape)))
+    return tuple(d for d in (abs(int(diag[i, i])) for i in range(min(diag.shape))) if d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-12, 12), st.integers(-720, 720)),
+                min_size=1, max_size=8))
+def test_divisor_chain_is_the_smith_form_of_the_diagonal(values):
+    """One exchange pass gives the invariant factors of diag(values)."""
+    pytest.importorskip("sympy")
+    rows = [[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)]
+    assert divisor_chain(values) == _sympy_factors(rows)
 
 
 def test_snf_agrees_with_sympy():

@@ -134,6 +134,21 @@ def test_only_simplicial_turns_vertex_ranks_into_masks():
             assert named != "_vertex_ranks", (name, node.lineno)
 
 
+def test_no_module_imports_private_names_from_homology():
+    """Normal forms live behind ``homology``'s public names: no module
+    imports an underscore name from it."""
+    package = os.path.join(SRC, "diskplex")
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "homology":
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, (name, node.lineno, private)
+
+
 def test_smith_elimination_has_one_pivot_call():
     """The loop of ``smith_normal_form`` has one pivot rule, so
     ``_pivot_step`` is called at exactly one place."""

@@ -190,6 +190,18 @@ def test_positional_order_and_defaults():
     assert LocalPiece("K", (0,) * 6, (ARCS,) * 4, 1, INDEX2, EDGE).model_complex is EDGE
 
 
+def test_profile_drops_trailing_trivial_groups():
+    """Equal homology gives equal profiles, however many trivial degrees
+    the caller listed."""
+    zero = AbelianGroup()
+    padded, trimmed = HomologyProfile((zero, Z2, zero, zero)), HomologyProfile((zero, Z2))
+    assert padded == trimmed and hash(padded) == hash(trimmed) and padded.groups == (zero, Z2)
+    assert padded.render_lines() == trimmed.render_lines() and padded.to_json() == trimmed.to_json()
+    assert padded.top_degree == 1 and not padded.is_acyclic
+    acyclic = HomologyProfile((zero, zero))
+    assert acyclic == HomologyProfile() and acyclic.is_acyclic and acyclic.render_lines() == ["H~0 = 0"]
+
+
 def test_cubical_complex_compares_by_identity():
     a, b = subdivide_cube(1, [0]), subdivide_cube(1, [0])
     assert a == a and a != b and hash(a) == object.__hash__(a)
