@@ -63,11 +63,12 @@ class TetGluing(_Value):
         object.__setattr__(self, "tets", tets)
         object.__setattr__(self, "gluings", gluings)
 
-    def glued_faces(self) -> set[tuple[int, int]]:
-        out = set()
+    def glued_faces(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """Each glued ``(tet, face)`` mapped to the face it is glued to."""
+        out = {}
         for g in self.gluings:
-            out.add((g.tet_a, g.face_a))
-            out.add((g.tet_b, g.face_b))
+            out[(g.tet_a, g.face_a)] = (g.tet_b, g.face_b)
+            out[(g.tet_b, g.face_b)] = (g.tet_a, g.face_a)
         return out
 
 
@@ -206,10 +207,7 @@ def euler_characteristic(config: SurfaceConfiguration) -> int:
     if not report.passed:
         raise ValueError("matching failed; residuals: " + "; ".join(report.render_lines()[1:]))
 
-    glued = {}
-    for g in config.skeleton.gluings:
-        glued[(g.tet_a, g.face_a)] = (g.tet_b, g.face_b)
-        glued[(g.tet_b, g.face_b)] = (g.tet_a, g.face_a)
+    glued = config.skeleton.glued_faces()
     # a tetrahedron no gluing or placement names adds no crossing, arc or piece
     tets = sorted({t for t, _ in glued} | {pl.tet for pl in config.placements})
 
@@ -314,7 +312,11 @@ def config_from_json_dict(data: dict) -> SurfaceConfiguration:
     for i, entry in enumerate(data.get("pieces", [])):
         try:
             tet, kind, mult = entry
-            placements.append(Placement(_json_int(tet, "tet"), str(kind), _json_int(mult, "multiplicity")))
+            tet = _json_int(tet, "tet")
+            if not isinstance(kind, str):
+                raise ValueError(f"kind must be a string, not {kind!r}")
+            piece(kind)  # raises on unknown kinds
+            placements.append(Placement(tet, kind, _json_int(mult, "multiplicity")))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"pieces[{i}]: {exc}") from None
     return SurfaceConfiguration(TetGluing(tets, tuple(gluings)), tuple(placements))

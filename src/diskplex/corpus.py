@@ -124,25 +124,24 @@ def random_configuration(rng: random.Random) -> SurfaceConfiguration:
     """A random valid configuration: gluing forest, triangle backbone,
     mirrored quad chains, and indexed pieces on unglued faces."""
     tets = rng.randint(1, 5)
-    free_faces = {(t, f) for t in range(tets) for f in range(4)}
+    # each tetrahedron's unglued faces, ascending; when tb picks ta, ta has
+    # at most 3 faces glued (to its parent and to tetrahedra in between)
+    # and tb none, so no draw sees an empty list
+    free = [[0, 1, 2, 3] for _ in range(tets)]
     gluings: list[Gluing] = []
     attached: dict[int, list[Gluing]] = {t: [] for t in range(tets)}
     for tb in range(1, tets):
         if rng.random() < 0.75:
             ta = rng.randrange(tb)
-            choices_a = sorted(f for (t, f) in free_faces if t == ta)
-            choices_b = sorted(f for (t, f) in free_faces if t == tb)
-            if not choices_a or not choices_b:
-                continue
-            fa = rng.choice(choices_a)
-            fb = rng.choice(choices_b)
+            fa = rng.choice(free[ta])
+            fb = rng.choice(free[tb])
             perm = tuple(rng.sample(range(3), 3))
             g = Gluing(ta, fa, tb, fb, perm)
             gluings.append(g)
             attached[ta].append(g)
             attached[tb].append(g)
-            free_faces.discard((ta, fa))
-            free_faces.discard((tb, fb))
+            free[ta].remove(fa)
+            free[tb].remove(fb)
     skeleton = TetGluing(tets, tuple(gluings))
 
     counts: dict[tuple[int, str], int] = {}
@@ -174,22 +173,15 @@ def random_configuration(rng: random.Random) -> SurfaceConfiguration:
                     todo.append((g.tet_a, _mirror_quad(kind, g, outgoing=False), g))
 
     # indexed pieces where their arc-bearing faces are free
-    glued_faces = skeleton.glued_faces()
     budget = rng.randint(0, 3)
     placed = 0
     for _ in range(12):
         if placed >= budget:
             break
         kind = rng.choice(_INDEXED_OPEN + _INDEXED_VERTEX)
-        candidates = []
-        for t in range(tets):
-            faces_used = {f for (tt, f) in glued_faces if tt == t}
-            if kind in _INDEXED_VERTEX:
-                # vertex-0 pieces keep face 0 arc-free
-                if faces_used <= {0}:
-                    candidates.append(t)
-            elif not faces_used:
-                candidates.append(t)
+        # vertex-0 pieces keep face 0 arc-free, so need only faces 1-3 free
+        needed = [1, 2, 3] if kind in _INDEXED_VERTEX else [0, 1, 2, 3]
+        candidates = [t for t in range(tets) if free[t][-len(needed):] == needed]
         if candidates:
             mult = 1 if rng.random() < 0.8 else min(2, budget - placed)
             put(rng.choice(candidates), kind, mult)

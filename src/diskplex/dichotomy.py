@@ -61,7 +61,7 @@ class DichotomyWitness(_Value):
             f"index(Y) = {self.index_y}",
         ]
         if self.verdict == Y_SMALL:
-            out.append(f"verdict: Y_SMALL (index of Y within the bound)")
+            out.append("verdict: Y_SMALL (index of Y within the bound)")
         elif self.verdict == TAU_FOUND:
             out.append(
                 f"verdict: TAU_FOUND tau={self.tau!r} dim={self.dim_tau} "

@@ -56,6 +56,7 @@ class AbelianGroup(_Value):
     def __init__(self, rank: int = 0, torsion: tuple[int, ...] = ()):
         if rank < 0:
             raise ValueError("negative rank")
+        torsion = tuple(torsion)
         for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError(f"torsion {torsion} is not a divisor chain")
@@ -66,14 +67,13 @@ class AbelianGroup(_Value):
 
     @classmethod
     def from_parts(cls, rank: int, factors: Iterable[int]) -> "AbelianGroup":
-        chain = tuple(d for d in divisor_chain(factors) if d > 1)
-        return cls(rank, chain)
+        return cls(rank, [d for d in divisor_chain(factors) if d > 1])
 
     @property
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
 
-    def render(self) -> str:
+    def __str__(self):
         if self.is_trivial:
             return "0"
         parts = []
@@ -83,9 +83,6 @@ class AbelianGroup(_Value):
             parts.append(f"Z^{self.rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts)
-
-    def __str__(self):
-        return self.render()
 
 
 TRIVIAL_GROUP = AbelianGroup()
@@ -342,6 +339,7 @@ class HomologyProfile(_Value):
     _fields = ("groups", "empty_complex")
 
     def __init__(self, groups: tuple[AbelianGroup, ...] = (), empty_complex: bool = False):
+        groups = tuple(groups)
         while groups and groups[-1].is_trivial:
             groups = groups[:-1]
         object.__setattr__(self, "groups", groups)
@@ -365,7 +363,7 @@ class HomologyProfile(_Value):
             return ["empty complex (reduced H~(-1) = Z)"]
         if not self.groups:
             return ["H~0 = 0"]
-        return [f"H~{k} = {g.render()}" for k, g in enumerate(self.groups)]
+        return [f"H~{k} = {g}" for k, g in enumerate(self.groups)]
 
     def to_json(self):
         if self.empty_complex:
@@ -502,7 +500,7 @@ def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
         if free < 0:
             raise AssertionError("negative free rank: boundary ranks inconsistent")
         groups.append(AbelianGroup.from_parts(free, factors[d + 1]))
-    return HomologyProfile(groups=tuple(groups))
+    return HomologyProfile(groups)
 
 
 # ----------------------------------------------------------------- index

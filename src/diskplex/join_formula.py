@@ -66,7 +66,7 @@ def join_homology_via_formula(a: HomologyProfile, b: HomologyProfile) -> Homolog
         parts = [tensor(a.group(i), b.group(k - 1 - i)) for i in range(k)]
         parts += [tor(a.group(i), b.group(k - 2 - i)) for i in range(k - 1)]
         groups.append(AbelianGroup.from_parts(sum(g.rank for g in parts), [d for g in parts for d in g.torsion]))
-    return HomologyProfile(groups=tuple(groups))
+    return HomologyProfile(groups)
 
 
 def index_sum_law(indices: Iterable[HomologyIndex]) -> HomologyIndex:

@@ -83,9 +83,6 @@ class FaceArcs(_Value):
         object.__setattr__(self, "loops", loops)
         object.__setattr__(self, "non_normal", non_normal)
 
-    def count(self, face: int, corner: int) -> int:
-        return self.corners[FACES[face].index(corner)]
-
 
 class ArcCheck(_Value):
     _fields = ("passed", "problems")
@@ -136,9 +133,6 @@ class LocalPiece(_Value):
     def edge_weight(self, edge: tuple[int, int]) -> int:
         return self.edge_weights[EDGE_INDEX[tuple(sorted(edge))]]
 
-    def arc_count(self, face: int, corner: int) -> int:
-        return self.face_arcs[face].count(face, corner)
-
 
 def _model_empty() -> SimplicialComplex:
     return empty_complex("no-move model")
@@ -168,7 +162,7 @@ def _weights(per_edge: Mapping[tuple[int, int], int]) -> tuple[int, ...]:
 def _tri_data(v: int):
     arcs = {f: {v: 1} for f in range(4) if f != v}
     weights = {e: 1 for e in EDGES if v in e}
-    return _arcs_from_corner_counts(arcs), _weights(weights)
+    return _weights(weights), _arcs_from_corner_counts(arcs)
 
 
 def _quad_data(q: int):
@@ -179,7 +173,7 @@ def _quad_data(q: int):
         partner = next(v for v in side if v != f)
         arcs[f] = {partner: 1}
     weights = {tuple(sorted((a, b))): 1 for a in side_a for b in side_b}
-    return _arcs_from_corner_counts(arcs), _weights(weights)
+    return _weights(weights), _arcs_from_corner_counts(arcs)
 
 
 def _oct_data(q: int):
@@ -191,65 +185,51 @@ def _oct_data(q: int):
     weights = {tuple(sorted((a, b))): 1 for a in side_a for b in side_b}
     weights[tuple(sorted(side_a))] = 2
     weights[tuple(sorted(side_b))] = 2
-    return _arcs_from_corner_counts(arcs), _weights(weights)
+    return _weights(weights), _arcs_from_corner_counts(arcs)
 
 
 def _scale(data, factor: int):
-    arcs, weights = data
+    weights, arcs = data
     scaled_arcs = tuple(
         FaceArcs(corners=tuple(c * factor for c in fa.corners)) for fa in arcs
     )
-    return scaled_arcs, tuple(w * factor for w in weights)
+    return tuple(w * factor for w in weights), scaled_arcs
 
 
 def _add(d1, d2):
+    weights = tuple(a + b for a, b in zip(d1[0], d2[0]))
     arcs = tuple(
         FaceArcs(corners=tuple(a + b for a, b in zip(fa.corners, fb.corners)))
-        for fa, fb in zip(d1[0], d2[0])
+        for fa, fb in zip(d1[1], d2[1])
     )
-    weights = tuple(a + b for a, b in zip(d1[1], d2[1]))
-    return arcs, weights
+    return weights, arcs
 
 
 def _helical_data():
     arcs = {f: {c: 1 for c in FACES[f]} for f in range(4)}
     weights = {e: 2 for e in EDGES}
-    return _arcs_from_corner_counts(arcs), _weights(weights)
+    return _weights(weights), _arcs_from_corner_counts(arcs)
 
 
 @functools.lru_cache(maxsize=1)
 def catalog() -> tuple[LocalPiece, ...]:
-    """The validated catalog, one entry per piece kind."""
-    pieces = []
+    """The validated catalog, one entry per piece kind.
 
-    def add(kind, data, euler, index, model):
-        arcs, weights = data
-        pieces.append(
-            LocalPiece(
-                kind=kind,
-                edge_weights=weights,
-                face_arcs=arcs,
-                euler=euler,
-                declared_index=index,
-                model_complex=model,
-            )
-        )
-
-    for v in range(4):
-        add(f"TRI_{v}", _tri_data(v), 1, ZERO_INDEX, _model_empty())
-    for q in (1, 2, 3):
-        add(f"QUAD_{q}", _quad_data(q), 1, ZERO_INDEX, _model_empty())
-    for q in (1, 2, 3):
-        add(f"OCT_{q}", _oct_data(q), 1, finite_index(1), _model_two_points())
-    add("TUBE", _scale(_tri_data(0), 2), 0, finite_index(1), _model_two_points())
-    add("HELICAL_12GON", _helical_data(), 1, finite_index(2), _model_circle())
-    add("TRIPLE_TUBE", _scale(_tri_data(0), 3), -1, finite_index(2), _model_circle())
-    add("OCT_TUBE_DISK", _add(_oct_data(1), _tri_data(0)), 0, finite_index(2), _model_circle())
-    add("OCT_TUBE_SELF", _oct_data(1), -1, finite_index(2), _model_circle())
-
-    result = tuple(pieces)
-    validate_catalog(result)
-    return result
+    Each data helper returns ``(edge_weights, face_arcs)``, in
+    ``LocalPiece``'s field order.
+    """
+    pieces = (
+        *(LocalPiece(f"TRI_{v}", *_tri_data(v), 1, ZERO_INDEX, _model_empty()) for v in range(4)),
+        *(LocalPiece(f"QUAD_{q}", *_quad_data(q), 1, ZERO_INDEX, _model_empty()) for q in (1, 2, 3)),
+        *(LocalPiece(f"OCT_{q}", *_oct_data(q), 1, finite_index(1), _model_two_points()) for q in (1, 2, 3)),
+        LocalPiece("TUBE", *_scale(_tri_data(0), 2), 0, finite_index(1), _model_two_points()),
+        LocalPiece("HELICAL_12GON", *_helical_data(), 1, finite_index(2), _model_circle()),
+        LocalPiece("TRIPLE_TUBE", *_scale(_tri_data(0), 3), -1, finite_index(2), _model_circle()),
+        LocalPiece("OCT_TUBE_DISK", *_add(_oct_data(1), _tri_data(0)), 0, finite_index(2), _model_circle()),
+        LocalPiece("OCT_TUBE_SELF", *_oct_data(1), -1, finite_index(2), _model_circle()),
+    )
+    validate_catalog(pieces)
+    return pieces
 
 
 @functools.lru_cache(maxsize=None)
@@ -279,11 +259,11 @@ def validate_piece(p: LocalPiece) -> None:
         raise ValueError(f"piece {p.kind}: negative edge weight")
     # arcs landing on an edge from within a face must match the crossing count
     for f in range(4):
-        corners = FACES[f]
+        corners, arcs = FACES[f], p.face_arcs[f].corners
         for a in range(3):
             for b in range(a + 1, 3):
                 e = (corners[a], corners[b])
-                endpoint_arcs = p.arc_count(f, corners[a]) + p.arc_count(f, corners[b])
+                endpoint_arcs = arcs[a] + arcs[b]
                 if endpoint_arcs != p.edge_weight(e):
                     raise ValueError(
                         f"piece {p.kind}: face {f} leaves {endpoint_arcs} endpoints "

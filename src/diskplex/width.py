@@ -66,11 +66,8 @@ class Width(_Value):
     def __init__(self, pairs: tuple[tuple[int, int], ...]):
         object.__setattr__(self, "pairs", pairs)
 
-    def render(self) -> str:
-        return "{" + ", ".join(f"({a}, {b})" for a, b in self.pairs) + "}"
-
     def __str__(self):
-        return self.render()
+        return "{" + ", ".join(f"({a}, {b})" for a, b in self.pairs) + "}"
 
 
 def width(surface: Surface) -> Width:
@@ -133,7 +130,6 @@ def apply_surgery(surface: Surface, move: SurgeryMove) -> tuple[SurfaceComponent
     if not (0 <= move.target < len(surface)):
         raise ValueError(f"no component {move.target} in a surface of {len(surface)}")
     comp = surface[move.target]
-    rest = surface[: move.target] + surface[move.target + 1 :]
 
     if move.kind is MoveKind.HONEST_COMPRESS_NONSEP:
         new = (SurfaceComponentModel(comp.euler + 2, comp.weight),)
@@ -164,7 +160,7 @@ def apply_surgery(surface: Surface, move: SurgeryMove) -> tuple[SurfaceComponent
     else:
         raise ValueError(f"unknown move kind {move.kind!r}")
 
-    return rest[: move.target] + new + rest[move.target :]
+    return surface[: move.target] + new + surface[move.target + 1 :]
 
 
 class DecreaseVerdict(_Value):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -17,7 +18,7 @@ from diskplex.additivity import (
     verify_index_sum,
 )
 from diskplex.homology import finite_index, homology_index
-from diskplex.pieces import FACES, PIECE_KINDS, piece
+from diskplex.pieces import FACES, PIECE_KINDS, catalog, piece
 from diskplex import additivity, corpus
 
 
@@ -114,6 +115,22 @@ def test_random_configurations_always_match_and_add():
         assert r.passed, r.render_lines()
 
 
+# SHA-256 of the reprs of random_configuration(Random(s)) for s in
+# 0..2999, one per line, then the catalog's repr and each model complex's
+# facet list: any change to a draw, a placement or a catalog entry moves it
+CORPUS_SHA256 = "373e752585193f399b9bb41bf2241817519cb83a48f5eeeccf0a833148fab3d9"
+
+
+def test_configuration_corpus_and_catalog_are_pinned():
+    digest = hashlib.sha256()
+    for s in range(3000):
+        digest.update(repr(corpus.random_configuration(random.Random(s))).encode("utf-8") + b"\n")
+    digest.update(repr(catalog()).encode("utf-8") + b"\n")
+    for p in catalog():
+        digest.update(repr(p.model_complex.facet_list()).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == CORPUS_SHA256
+
+
 def test_config_json_round_trip():
     rng = random.Random(5)
     for cfg in corpus.random_configurations(rng, 10):
@@ -159,6 +176,8 @@ def test_config_json_errors():
          "pieces[0]: multiplicity must be an integer, not 1.5"),
         ({"tets": 1, "pieces": [[0, "TRI_0", True]]},
          "pieces[0]: multiplicity must be an integer, not True"),
+        ({"tets": 1, "pieces": [[0, 5, 1]]}, "pieces[0]: kind must be a string, not 5"),
+        ({"tets": 1, "pieces": [[0, "NOPE", 1]]}, "pieces[0]: unknown piece kind 'NOPE'"),
     ):
         with pytest.raises(ValueError) as info:
             config_from_json_dict(data)

@@ -149,6 +149,17 @@ def test_no_module_imports_private_names_from_homology():
                 assert not private, (name, node.lineno, private)
 
 
+def test_corpus_builds_no_set():
+    """``corpus`` promises that set iteration never feeds a draw; it holds
+    by construction when the module builds no set at all."""
+    with open(os.path.join(SRC, "diskplex", "corpus.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), "corpus.py")
+    sets = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Set, ast.SetComp))
+            or isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("set", "frozenset")]
+    assert not sets, sets
+
+
 def test_smith_elimination_has_one_pivot_call():
     """The loop of ``smith_normal_form`` has one pivot rule, so
     ``_pivot_step`` is called at exactly one place."""

@@ -190,6 +190,15 @@ def test_positional_order_and_defaults():
     assert LocalPiece("K", (0,) * 6, (ARCS,) * 4, 1, INDEX2, EDGE).model_complex is EDGE
 
 
+def test_sequence_fields_are_stored_as_tuples():
+    """A list given for a sequence field is stored as a tuple, so the
+    value hashes and equals the one built from a tuple."""
+    assert hash(HomologyProfile([Z])) == hash(HomologyProfile((Z,)))
+    assert HomologyProfile([Z]) == HomologyProfile((Z,)) and HomologyProfile([Z]).groups == (Z,)
+    assert AbelianGroup(0, [2]) == AbelianGroup(0, (2,)) == Z2
+    assert hash(AbelianGroup(0, [2])) == hash(Z2) and AbelianGroup(0, [2]).torsion == (2,)
+
+
 def test_profile_drops_trailing_trivial_groups():
     """Equal homology gives equal profiles, however many trivial degrees
     the caller listed."""
