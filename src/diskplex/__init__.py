@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # Home module -> the public names it defines, in ``__all__`` order.
 _HOMES = {
     "simplicial": (
-        "Simplex", "SimplicialComplex", "adjacency_subcomplex", "barycentric_subdivision",
+        "SimplicialComplex", "adjacency_subcomplex", "barycentric_subdivision",
         "boundary_of_simplex", "cone", "empty_complex", "from_facets", "full_subcomplex",
         "join", "join_all", "link", "point", "relabel", "simplex_complex", "star",
     ),

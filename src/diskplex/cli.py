@@ -107,6 +107,8 @@ def _cmd_width(args) -> int:
     from .corpus import random_move, random_surface
     from .width import apply_surgery, verify_width_decrease, width
 
+    if args.steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {args.steps}")
     rng = random.Random(args.seed)
     surface = random_surface(rng)
     lines = [f"seed {args.seed}: random surgery cascade"]
@@ -177,7 +179,10 @@ def _cmd_cube(args) -> int:
             shown = "apex z" if label == "z" else f"face {label}"
             lines.append(f"corner {corner}: {shown}")
     else:
-        counts = [int(c) for c in args.subdivide.split(",") if c != ""]
+        try:
+            counts = [int(c) for c in args.subdivide.split(",")]
+        except ValueError:
+            raise ValueError(f"--subdivide takes comma-separated plane counts, got {args.subdivide!r}") from None
         grid = subdivide_cube(len(counts), counts)
         payload = {
             "dimension": grid.dim,

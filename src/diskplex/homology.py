@@ -499,7 +499,7 @@ def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
         free = m.cols - len(factors[d]) - len(factors[d + 1])  # m.cols: the d-faces
         if free < 0:
             raise AssertionError("negative free rank: boundary ranks inconsistent")
-        groups.append(AbelianGroup.from_parts(free, factors[d + 1]))
+        groups.append(AbelianGroup(free, [f for f in factors[d + 1] if f > 1]))  # Smith chains ascend
     return HomologyProfile(groups)
 
 

@@ -47,36 +47,6 @@ def _ranks(mask: int) -> list[int]:
     return out
 
 
-class Simplex(_Value):
-    """A single abstract simplex: strictly sorted, nonempty vertex tuple."""
-
-    _fields = ("vertices",)
-
-    def __init__(self, vertices: tuple):
-        if not vertices:
-            raise ValueError("a simplex needs at least one vertex")
-        canon = tuple(sorted(vertices, key=vertex_key))
-        if len(set(canon)) != len(canon):
-            raise ValueError(f"repeated vertex in simplex {vertices!r}")
-        object.__setattr__(self, "vertices", canon)
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __len__(self):
-        return len(self.vertices)
-
-
-def as_simplex(s) -> Simplex:
-    if isinstance(s, Simplex):
-        return s
-    return Simplex(tuple(s))
-
-
 class SimplicialComplex(_Value):
     """Abstract simplicial complex, represented by its facets.
 
@@ -294,35 +264,40 @@ def join_all(complexes: Sequence[SimplicialComplex], name: str = "") -> Simplici
 
 def cone(k: SimplicialComplex, apex: Vertex) -> SimplicialComplex:
     """Join with a single new vertex.  The cone over the empty complex is a point."""
-    if any(apex in f for f in k.facets):
-        raise ValueError(f"cone apex {apex!r} already a vertex of the complex")
-    return join(k, point(apex), relabel_on_collision=False)
+    return join(k, point(apex))
 
 
-def _face_mask(k: SimplicialComplex, vertices: tuple, where: str) -> int:
-    """The bitmask of ``vertices`` over ``k``'s ranks; ValueError unless they span a face."""
+def _face_mask(k: SimplicialComplex, vertices: Iterable[Vertex], where: str) -> tuple[int, tuple]:
+    """The face given by a vertex iterable, as its bitmask over ``k``'s ranks and
+    its ``vertex_key``-sorted tuple; ValueError when it is empty, repeats a
+    vertex or is not a face of ``k``.
+    """
+    given = tuple(vertices)
+    if not given:
+        raise ValueError("a simplex needs at least one vertex")
+    face = tuple(sorted(given, key=vertex_key))
+    if len(set(face)) != len(face):
+        raise ValueError(f"repeated vertex in simplex {given!r}")
     rank = k._vertex_ranks()
-    if all(v in rank for v in vertices):
-        m = sum(1 << rank[v] for v in vertices)
+    if all(v in rank for v in face):
+        m = sum(1 << rank[v] for v in face)
         if any(f & m == m for f in k._masks()):
-            return m
-    raise ValueError(f"{vertices!r} is not a simplex of {where}")
+            return m, face
+    raise ValueError(f"{face!r} is not a simplex of {where}")
 
 
 def link(k: SimplicialComplex, s) -> SimplicialComplex:
-    """Link of a simplex: faces disjoint from ``s`` whose union with ``s`` is a face."""
-    s = as_simplex(s)
-    m = _face_mask(k, s.vertices, "the complex")
+    """Link of the face ``s`` (any vertex iterable): faces disjoint from it whose union with it is a face."""
+    m, face = _face_mask(k, s, "the complex")
     rest = [f ^ m for f in k._masks() if f & m == m and f != m]
-    return _maximal(rest, k.vertices(), f"link({k.name}, {s.vertices!r})")
+    return _maximal(rest, k.vertices(), f"link({k.name}, {face!r})")
 
 
 def star(k: SimplicialComplex, s) -> SimplicialComplex:
-    """Closed star of a simplex: all facets containing it, with their faces."""
-    s = as_simplex(s)
-    m = _face_mask(k, s.vertices, "the complex")
+    """Closed star of the face ``s`` (any vertex iterable): all facets containing it, with their faces."""
+    m, face = _face_mask(k, s, "the complex")
     facets = [f for f in k._masks() if f & m == m]
-    return _maximal(facets, k.vertices(), f"star({k.name}, {s.vertices!r})")
+    return _maximal(facets, k.vertices(), f"star({k.name}, {face!r})")
 
 
 def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
@@ -364,15 +339,15 @@ def adjacency_subcomplex(x: SimplicialComplex, y: SimplicialComplex, tau) -> Sim
     Returns the full subcomplex of ``x`` induced on that vertex set.  When
     ``tau`` lies inside ``x`` the condition is vacuous and all of ``x``
     comes back.  Monotone: enlarging ``tau`` can only shrink the result.
+    ``tau`` is any vertex iterable, refused before ``x`` is checked.
     """
-    tau = as_simplex(tau)
+    t, face = _face_mask(y, tau, "y")
     if not is_full_subcomplex(x, y):
         raise ValueError("x is not a full subcomplex of y")
-    t = _face_mask(y, tau.vertices, "y")
     masks = y._masks()
     rank = y._vertex_ranks()
     near = sum(1 << rank[v] for v in x.vertices())
     for b in _ranks(t & ~near):  # keep what shares a facet, so an edge, with each b outside x
         near &= functools.reduce(int.__or__, [f for f in masks if f >> b & 1])
     faces = [f & near for f in masks if f & near]  # x is full in y: this is x induced on near
-    return _maximal(faces, y.vertices(), f"adjacency({x.name}; {tau.vertices!r})")
+    return _maximal(faces, y.vertices(), f"adjacency({x.name}; {face!r})")

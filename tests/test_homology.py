@@ -548,6 +548,31 @@ def test_matrices_are_built_only_for_cores_of_dimension_two_or_more(monkeypatch)
         assert k.dim >= 2, k
 
 
+def test_each_smith_chain_is_normalised_once(monkeypatch):
+    # smith_normal_form returns a divisor chain, and reduced_homology keeps
+    # its non-unit factors as they are: one divisor_chain call per Smith form
+    import diskplex.homology as homology
+
+    calls = {"divisor_chain": 0, "smith_normal_form": 0}
+
+    def counted(name):
+        fn = getattr(homology, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(homology, name, wrapper)
+
+    counted("divisor_chain")
+    counted("smith_normal_form")
+    rp2, torus = from_facets(RP2), from_facets(TORUS)
+    assert reduced_homology(rp2).render_lines() == ["H~0 = 0", "H~1 = Z/2"]
+    assert reduced_homology(join(rp2, torus, relabel_on_collision=True)).groups[4] == AbelianGroup(0, (2,))
+    assert calls["smith_normal_form"] >= 5
+    assert calls["divisor_chain"] == calls["smith_normal_form"]
+
+
 def test_graphs_are_answered_over_the_face_budget():
     # the complete graph on 420 vertices may have 263970 faces, over the
     # budget that guards only the matrix route

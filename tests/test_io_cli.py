@@ -228,6 +228,12 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     assert captured.err == "error: gluings[0]: face_a must be an integer, not 0.5\n"
     assert main(["suite", "--counts", "-1"]) == 2
     assert "counts" in capsys.readouterr().err
+    assert main(["width", "--steps", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: steps must be nonnegative, got -1\n")
+    for value in ("1,x", "1,,2"):  # not a number, and an empty count
+        assert main(["cube", "--subdivide", value]) == 2
+        message = f"error: --subdivide takes comma-separated plane counts, got {value!r}\n"
+        assert capsys.readouterr() == ("", message)
     for depth in (500, 3000):  # past the vertex bound, and past what json can read
         deep = tmp_path / f"deep{depth}.json"
         deep.write_text('{"facets": [[' + "[" * depth + "1" + "]" * depth + ", 2]]}")

@@ -10,7 +10,6 @@ import oracles
 
 from diskplex import simplicial
 from diskplex.simplicial import (
-    Simplex,
     adjacency_subcomplex,
     barycentric_subdivision,
     boundary_of_simplex,
@@ -31,14 +30,28 @@ from diskplex.simplicial import (
 from diskplex import corpus
 
 
-def test_simplex_canonical_and_distinct():
-    s = Simplex((1, 2, 3))
-    assert s.dim == 2
-    assert Simplex((2, 1)).vertices == (1, 2)
-    with pytest.raises(ValueError):
-        Simplex((1, 1, 2))
-    with pytest.raises(ValueError):
-        Simplex(())
+PATH = from_facets([[1, 2], [2, 3]], "path")
+FACE_CALLS = [
+    ("link", lambda face: link(PATH, face), "the complex"),
+    ("star", lambda face: star(PATH, face), "the complex"),
+    ("adjacency_subcomplex", lambda face: adjacency_subcomplex(full_subcomplex(PATH, [1]), PATH, face), "y"),
+]
+BAD_FACES = [
+    ((), "a simplex needs at least one vertex"),
+    ((1, 1), "repeated vertex in simplex (1, 1)"),
+    ((3, 1), "(1, 3) is not a simplex of {}"),
+]
+
+
+@pytest.mark.parametrize("face, message", BAD_FACES, ids=[m.replace(" of {}", "") for _, m in BAD_FACES])
+@pytest.mark.parametrize("call, where", [c[1:] for c in FACE_CALLS], ids=[c[0] for c in FACE_CALLS])
+def test_face_arguments_keep_their_messages(call, where, face, message):
+    """Each function taking a face refuses a bad one with a fixed message,
+    whatever iterable carries it."""
+    for carrier in (tuple, list, iter):
+        with pytest.raises(ValueError) as err:
+            call(carrier(face))
+        assert str(err.value) == message.format(where)
 
 
 def test_from_facets_antichain():
@@ -92,12 +105,20 @@ def test_mask_operations_match_set_references(faces, data):
         return
     facet = data.draw(st.sampled_from(k.facet_list()))
     s = data.draw(st.lists(st.sampled_from(facet), min_size=1, unique=True))
-    _assert_matches(link(k, s), oracles.link_sets(faces, s))
-    _assert_matches(star(k, s), oracles.star_sets(faces, s))
     x_keep = data.draw(st.lists(st.sampled_from(k.vertices()), unique=True))
     x = full_subcomplex(k, x_keep)
     x_facets = oracles.full_subcomplex_sets(faces, x_keep)
-    _assert_matches(adjacency_subcomplex(x, k, s), oracles.adjacency_sets(x_facets, faces, s))
+    shown = tuple(sorted(s, key=vertex_key))  # each result's name prints the sorted face
+    for carrier in (list, tuple, iter):  # the face is any vertex iterable
+        got = link(k, carrier(s))
+        _assert_matches(got, oracles.link_sets(faces, s))
+        assert got.name == f"link({k.name}, {shown!r})"
+        got = star(k, carrier(s))
+        _assert_matches(got, oracles.star_sets(faces, s))
+        assert got.name == f"star({k.name}, {shown!r})"
+        got = adjacency_subcomplex(x, k, carrier(s))
+        _assert_matches(got, oracles.adjacency_sets(x_facets, faces, s))
+        assert got.name == f"adjacency({x.name}; {shown!r})"
 
 
 def test_from_facets_orders_each_vertex_once(monkeypatch):
@@ -244,6 +265,9 @@ def test_cone_link_star():
     assert not oracles.has_face(st, (2, 3))
     with pytest.raises(ValueError):
         link(disk, (99,))
+    # the apex check is join_all's shared-vertex refusal
+    with pytest.raises(ValueError, match=r"^join operands share vertices \['c'\]$"):
+        cone(disk, "c")
 
 
 def test_barycentric_subdivision_counts_and_euler():
@@ -307,9 +331,14 @@ def test_adjacency_subcomplex():
     x = full_subcomplex(y, [1, 3])
     v = adjacency_subcomplex(x, y, (2,))
     assert sorted(v.facet_list()) == [(1,), (3,)]
-    # tau must be a simplex of y
-    with pytest.raises(ValueError):
+    # tau must be a simplex of y, and is refused before x is checked
+    with pytest.raises(ValueError, match=r"^\(2, 4\) is not a simplex of y$"):
         adjacency_subcomplex(x, y, (2, 4))
+    not_full = from_facets([[1], [2]])
+    with pytest.raises(ValueError, match=r"^\(2, 4\) is not a simplex of y$"):
+        adjacency_subcomplex(not_full, y, (2, 4))
+    with pytest.raises(ValueError, match="^x is not a full subcomplex of y$"):
+        adjacency_subcomplex(not_full, y, (2,))
     # an edge tau keeps only x-vertices adjacent to its outside endpoint
     y2 = from_facets([[1, 2], [2, 3], [3, 4], [4, 5], [5, 1], [2, 4]])
     x2 = full_subcomplex(y2, [1, 3])

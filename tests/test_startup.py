@@ -214,3 +214,21 @@ def test_every_function_has_a_caller_outside_tests():
             if all(len(named.findall(t)) == len(defined.findall(t)) for t in texts):
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert not unused
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    """Every source file parses with the grammar of the oldest Python that
+    ``pyproject.toml`` claims to support."""
+    root = os.path.dirname(SRC)
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        oldest = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', fh.read()).groups()))
+    checked = 0
+    for top in ("src", "tests", "bench", "demos"):
+        for folder, _, files in os.walk(os.path.join(root, top)):
+            for name in files:
+                if name.endswith(".py"):
+                    path = os.path.join(folder, name)
+                    with open(path, encoding="utf-8") as fh:
+                        ast.parse(fh.read(), path, feature_version=oldest)
+                    checked += 1
+    assert checked

@@ -28,7 +28,7 @@ from diskplex.homology import (
 )
 from diskplex.join_formula import MilnorReport
 from diskplex.pieces import ArcCheck, FaceArcs, LocalPiece
-from diskplex.simplicial import Simplex, SimplicialComplex
+from diskplex.simplicial import SimplicialComplex
 from diskplex.suite import PropertyResult, RunConfig, SuiteReport
 from diskplex.width import DecreaseVerdict, MoveKind, SurfaceComponentModel, SurgeryMove, Width
 
@@ -46,8 +46,6 @@ RESULT = PropertyResult("p", True, 3)
 # (class, sample fields, compare fields, overrides that make it unequal,
 #  overrides of non-compare fields that keep it equal, expected repr)
 CASES = [
-    (Simplex, dict(vertices=(1, 2)), ("vertices",), [dict(vertices=(1, 3))], [],
-     "Simplex(vertices=(1, 2))"),
     (SimplicialComplex, dict(facets=frozenset({(1, 2)}), name="e"), ("facets",),
      [dict(facets=frozenset({(1,)}))], [dict(name="f")],
      "<e: 1 facets, dim 1>"),
@@ -162,7 +160,6 @@ def test_value_semantics(case):
 
 
 def test_positional_order_and_defaults():
-    assert Simplex((2, 1)).vertices == (1, 2)
     assert SimplicialComplex(frozenset()).name == ""
     assert AbelianGroup() == AbelianGroup(0, ())
     assert HomologyProfile() == HomologyProfile((), False)
@@ -232,8 +229,6 @@ def test_cache_is_per_instance():
 
 
 BAD = [
-    (lambda: Simplex(()), "a simplex needs at least one vertex"),
-    (lambda: Simplex((1, 1)), "repeated vertex in simplex (1, 1)"),
     (lambda: AbelianGroup(rank=-1), "negative rank"),
     (lambda: AbelianGroup(rank=0, torsion=(3, 2)), "torsion (3, 2) is not a divisor chain"),
     (lambda: AbelianGroup(0, (1, 2)), "torsion orders must be at least 2"),
