@@ -5,10 +5,12 @@ gluing carries a permutation of the three arc types (equivalently, the
 corner correspondence of the identified triangles).  A configuration
 places catalog pieces with multiplicities in the tetrahedra.  Matching
 requires arc counts on glued faces to agree under the permutation; the
-Euler characteristic then comes from counting crossing points, arcs and
-piece contributions after the identifications; and the index of the
-configuration's joined model complex must equal the sum of the local
-declared indices.
+Euler characteristic is then V - E + F: V counts every placed crossing
+point less those on each glued edge that gluing merges into another (the
+skeleton finds its edge classes once, when it is built), E every placed
+arc less those on each gluing's face_a, and F each piece's own Euler
+characteristic times its multiplicity.  The index of the configuration's
+joined model complex must equal the sum of the local declared indices.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from . import _Value
 from .homology import HomologyIndex, homology_index
 from .io import read_json
 from .join_formula import index_sum_law
-from .pieces import EDGES, FACES, LocalPiece, piece
+from .pieces import FACES, LocalPiece, piece
 from .simplicial import SimplicialComplex, join_all, relabel
 
 
@@ -31,6 +33,7 @@ class Gluing(_Value):
     _fields = ("tet_a", "face_a", "tet_b", "face_b", "perm")
 
     def __init__(self, tet_a: int, face_a: int, tet_b: int, face_b: int, perm: tuple[int, int, int]):
+        perm = tuple(perm)
         if sorted(perm) != [0, 1, 2]:
             raise ValueError(f"perm {perm!r} is not a permutation of (0, 1, 2)")
         if not (0 <= face_a <= 3 and 0 <= face_b <= 3):
@@ -45,11 +48,15 @@ class Gluing(_Value):
 
 
 class TetGluing(_Value):
-    """Gluing skeleton: ``tets`` tetrahedra, faces glued at most once."""
+    """Gluing skeleton: ``tets`` tetrahedra, faces glued at most once, and
+    no edge identified with itself reversed.  ``_edge_roots`` maps each
+    glued ``(tet, edge)`` other than its edge class's least to that least.
+    """
 
     _fields = ("tets", "gluings")
 
     def __init__(self, tets: int, gluings: tuple[Gluing, ...] = ()):
+        gluings = tuple(gluings)
         if tets < 1:
             raise ValueError("need at least one tetrahedron")
         used = set()
@@ -62,14 +69,45 @@ class TetGluing(_Value):
                 used.add(side)
         object.__setattr__(self, "tets", tets)
         object.__setattr__(self, "gluings", gluings)
+        object.__setattr__(self, "_edge_roots", _edge_identifications(gluings))
 
-    def glued_faces(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """Each glued ``(tet, face)`` mapped to the face it is glued to."""
-        out = {}
-        for g in self.gluings:
-            out[(g.tet_a, g.face_a)] = (g.tet_b, g.face_b)
-            out[(g.tet_b, g.face_b)] = (g.tet_a, g.face_a)
-        return out
+
+def _edge_identifications(gluings: tuple[Gluing, ...]) -> dict:
+    """Each glued ``(tet, edge)`` other than its class's least, mapped to that least.
+
+    An oriented union-find over the glued edges alone: ``parent`` holds each
+    non-root with the parity of its direction against its parent's, so a
+    gluing that identifies an edge with itself reversed is rejected.
+    """
+    parent = {}
+
+    def find(x):
+        """Root of x's class and x's direction parity against the root."""
+        path = []
+        while x in parent:
+            path.append(x)
+            x = parent[x][0]
+        flip = 0
+        for y in reversed(path):
+            flip ^= parent[y][1]
+            parent[y] = (x, flip)
+        return x, flip
+
+    for n, g in enumerate(gluings):
+        ca, cb = FACES[g.face_a], FACES[g.face_b]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            a, b = cb[g.perm[i]], cb[g.perm[j]]
+            ra, pa = find((g.tet_a, (ca[i], ca[j])))
+            rb, pb = find((g.tet_b, (min(a, b), max(a, b))))
+            flip = pa ^ pb ^ (a > b)
+            if ra != rb:
+                parent[max(ra, rb)] = (min(ra, rb), flip)
+            elif flip:
+                raise ValueError(
+                    f"gluings[{n}] identifies edge {ca[i]}{ca[j]} of tetrahedron {g.tet_a} "
+                    "with itself reversed"
+                )
+    return {x: find(x)[0] for x in parent}
 
 
 class Placement(_Value):
@@ -87,6 +125,7 @@ class SurfaceConfiguration(_Value):
     _fields = ("skeleton", "placements")
 
     def __init__(self, skeleton: TetGluing, placements: tuple[Placement, ...] = ()):
+        placements = tuple(placements)
         for pl in placements:
             if not (0 <= pl.tet < skeleton.tets):
                 raise ValueError(f"placement references missing tetrahedron {pl.tet}")
@@ -94,21 +133,26 @@ class SurfaceConfiguration(_Value):
         object.__setattr__(self, "skeleton", skeleton)
         object.__setattr__(self, "placements", placements)
 
-    def pieces_in(self, tet: int) -> list[tuple[LocalPiece, int]]:
-        return [(piece(pl.kind), pl.multiplicity) for pl in self.placements if pl.tet == tet]
+
+def _pieces_by_tet(config: SurfaceConfiguration) -> dict[int, list[tuple[LocalPiece, int]]]:
+    """Each tetrahedron that holds a placement, with its ``(piece, multiplicity)`` pairs."""
+    out: dict = {}
+    for pl in config.placements:
+        out.setdefault(pl.tet, []).append((piece(pl.kind), pl.multiplicity))
+    return out
 
 
-def _face_arc_vector(config: SurfaceConfiguration, tet: int, f: int) -> tuple[int, int, int]:
+def _face_arc_vector(by_tet, tet: int, f: int) -> list[int]:
     """Arc counts on one face by corner slot, summed over placed pieces."""
     totals = [0, 0, 0]
-    for p, mult in config.pieces_in(tet):
-        for slot in range(3):
-            totals[slot] += mult * p.face_arcs[f].corners[slot]
-    return tuple(totals)
+    for p, mult in by_tet.get(tet, ()):
+        for slot, count in enumerate(p.face_arcs[f].corners):
+            totals[slot] += mult * count
+    return totals
 
 
-def _edge_weight(config: SurfaceConfiguration, tet: int, edge: tuple[int, int]) -> int:
-    return sum(mult * p.edge_weight(edge) for p, mult in config.pieces_in(tet))
+def _edge_weight(by_tet, tet: int, edge: tuple[int, int]) -> int:
+    return sum(mult * p.edge_weight(edge) for p, mult in by_tet.get(tet, ()))
 
 
 class MatchingReport(_Value):
@@ -145,102 +189,59 @@ class MatchingReport(_Value):
 
 def check_matching(config: SurfaceConfiguration) -> MatchingReport:
     """Arc counts on glued faces must agree under each gluing's permutation."""
+    by_tet = _pieces_by_tet(config)
     residuals = []
     for g in config.skeleton.gluings:
-        va = _face_arc_vector(config, g.tet_a, g.face_a)
-        vb = _face_arc_vector(config, g.tet_b, g.face_b)
+        va = _face_arc_vector(by_tet, g.tet_a, g.face_a)
+        vb = _face_arc_vector(by_tet, g.tet_b, g.face_b)
         for slot in range(3):
             if va[slot] != vb[g.perm[slot]]:
                 residuals.append((g, slot, va[slot], vb[g.perm[slot]]))
     return MatchingReport(passed=not residuals, residuals=tuple(residuals))
 
 
-def _edge_identifications(skeleton: TetGluing, tets):
-    """Classes of the edges of ``tets`` induced by the face gluings.
-
-    An oriented union-find: each edge keeps the parity of its direction
-    against its parent's, so a gluing that identifies an edge with itself
-    reversed is found and rejected.
-    """
-    parent = {(t, e): ((t, e), 0) for t in tets for e in EDGES}
-
-    def find(x):
-        """Root of x's class and x's direction parity against the root."""
-        path = []
-        while parent[x][0] != x:
-            path.append(x)
-            x = parent[x][0]
-        for y in reversed(path):
-            up, flip = parent[y]
-            parent[y] = (x, flip ^ parent[up][1])
-        return x, parent[path[0]][1] if path else 0
-
-    for n, g in enumerate(skeleton.gluings):
-        ca, cb = FACES[g.face_a], FACES[g.face_b]
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            a, b = cb[g.perm[i]], cb[g.perm[j]]
-            ra, pa = find((g.tet_a, (ca[i], ca[j])))
-            rb, pb = find((g.tet_b, (min(a, b), max(a, b))))
-            flip = pa ^ pb ^ (a > b)
-            if ra != rb:
-                parent[max(ra, rb)] = (min(ra, rb), flip)
-            elif flip:
-                raise ValueError(
-                    f"gluings[{n}] identifies edge {ca[i]}{ca[j]} of tetrahedron {g.tet_a} "
-                    "with itself reversed"
-                )
-
-    classes: dict = {}
-    for key in parent:
-        classes.setdefault(find(key)[0], []).append(key)
-    return list(classes.values())
-
-
 def euler_characteristic(config: SurfaceConfiguration) -> int:
-    """Euler characteristic of the assembled surface.
+    """Euler characteristic V - E + F of the assembled surface; a
+    configuration that fails matching is refused.
 
-    Crossing points are identified around edge orbits, arcs in glued
-    faces are identified in pairs, and every piece contributes its own
-    Euler characteristic as its face value (1 for the disk pieces).
+    V is every placed crossing point less those on each glued edge that is
+    not its class's root, E every placed arc less those on each gluing's
+    face_a, and F each piece's Euler characteristic times its multiplicity.
     """
     report = check_matching(config)
     if not report.passed:
         raise ValueError("matching failed; residuals: " + "; ".join(report.render_lines()[1:]))
 
-    glued = config.skeleton.glued_faces()
-    # a tetrahedron no gluing or placement names adds no crossing, arc or piece
-    tets = sorted({t for t, _ in glued} | {pl.tet for pl in config.placements})
-
-    vertices = 0
-    for cls in _edge_identifications(config.skeleton, tets):
-        weights = {_edge_weight(config, t, e) for t, e in cls}
-        if len(weights) != 1:
-            raise ValueError(f"inconsistent crossing counts around edge class {sorted(cls)}")
-        vertices += weights.pop()
-
-    edges = 0
-    for t in tets:
-        for f in range(4):
-            arcs_here = sum(_face_arc_vector(config, t, f))
-            partner = glued.get((t, f))
-            if partner is None or (t, f) < partner:
-                edges += arcs_here
-
-    faces = sum(pl.multiplicity * piece(pl.kind).euler for pl in config.placements)
+    by_tet = _pieces_by_tet(config)
+    vertices = edges = faces = 0
+    for pl in config.placements:
+        p = piece(pl.kind)
+        vertices += pl.multiplicity * p.weight
+        edges += pl.multiplicity * sum(sum(arcs.corners) for arcs in p.face_arcs)
+        faces += pl.multiplicity * p.euler
+    for edge, root in config.skeleton._edge_roots.items():
+        weight = _edge_weight(by_tet, *edge)
+        if weight != _edge_weight(by_tet, *root):
+            raise ValueError(f"inconsistent crossing counts around the edge class of {root}")
+        vertices -= weight
+    for g in config.skeleton.gluings:
+        edges -= sum(_face_arc_vector(by_tet, g.tet_a, g.face_a))
     return vertices - edges + faces
 
 
 def global_complex(config: SurfaceConfiguration) -> SimplicialComplex:
     """Join of the placed pieces' model complexes, one namespaced copy per unit
-    of multiplicity.  Empty models act as join identities."""
+    of multiplicity, numbered across repeated entries.  Empty models act as
+    join identities."""
     parts = []
+    copies: dict = {}
     ordered = sorted(config.placements, key=lambda pl: (pl.tet, pl.kind))
     for pl in ordered:
         model = piece(pl.kind).model_complex
-        for copy in range(pl.multiplicity):
-            if model.is_empty:
-                continue
-            parts.append(relabel(model, f"t{pl.tet}.{pl.kind}.{copy}"))
+        first = copies.get((pl.tet, pl.kind), 0)
+        copies[pl.tet, pl.kind] = first + pl.multiplicity
+        if not model.is_empty:
+            parts += [relabel(model, f"t{pl.tet}.{pl.kind}.{c}") for c in range(first, first + pl.multiplicity)]
     label = " * ".join(f"t{pl.tet}:{pl.kind}x{pl.multiplicity}" for pl in ordered) or "empty"
     return join_all(parts, name=f"config[{label}]")
 
@@ -278,9 +279,8 @@ class IndexSumReport(_Value):
 
 def verify_index_sum(config: SurfaceConfiguration) -> IndexSumReport:
     """Compare the joined model complex's index with the local sum."""
-    locals_ = []
-    for pl in sorted(config.placements, key=lambda pl: (pl.tet, pl.kind)):
-        locals_.extend([piece(pl.kind).declared_index] * pl.multiplicity)
+    ordered = sorted(config.placements, key=lambda pl: (pl.tet, pl.kind))
+    locals_ = [piece(pl.kind).declared_index for pl in ordered for _ in range(pl.multiplicity)]
     summed = index_sum_law(locals_)
     direct = homology_index(global_complex(config))
     return IndexSumReport(global_index=direct, summed_index=summed, local_indices=tuple(locals_))
@@ -319,7 +319,7 @@ def config_from_json_dict(data: dict) -> SurfaceConfiguration:
             placements.append(Placement(tet, kind, _json_int(mult, "multiplicity")))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"pieces[{i}]: {exc}") from None
-    return SurfaceConfiguration(TetGluing(tets, tuple(gluings)), tuple(placements))
+    return SurfaceConfiguration(TetGluing(tets, gluings), placements)
 
 
 def _json_int(value, field: str) -> int:
@@ -330,8 +330,6 @@ def _json_int(value, field: str) -> int:
 
 
 def load_config(path) -> SurfaceConfiguration:
-    """Read a configuration file, rejecting a skeleton that glues an edge
-    to itself reversed before any piece is looked at."""
-    config = config_from_json_dict(read_json(path))
-    _edge_identifications(config.skeleton, sorted({t for t, _ in config.skeleton.glued_faces()}))
-    return config
+    """Read a configuration file; building its skeleton refuses a gluing
+    that identifies an edge with itself reversed."""
+    return config_from_json_dict(read_json(path))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 # Each handler imports the modules it runs inside its body, so a call
@@ -179,10 +180,10 @@ def _cmd_cube(args) -> int:
             shown = "apex z" if label == "z" else f"face {label}"
             lines.append(f"corner {corner}: {shown}")
     else:
-        try:
-            counts = [int(c) for c in args.subdivide.split(",")]
-        except ValueError:
-            raise ValueError(f"--subdivide takes comma-separated plane counts, got {args.subdivide!r}") from None
+        # plain decimal counts only: int() would also take "2_0", "+1" and " 3"
+        if not re.fullmatch(r"-?[0-9]+(,-?[0-9]+)*", args.subdivide):
+            raise ValueError(f"--subdivide takes comma-separated plane counts, got {args.subdivide!r}")
+        counts = [int(c) for c in args.subdivide.split(",")]
         grid = subdivide_cube(len(counts), counts)
         payload = {
             "dimension": grid.dim,

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from diskplex.additivity import (
 from diskplex.homology import finite_index, homology_index
 from diskplex.pieces import FACES, PIECE_KINDS, catalog, piece
 from diskplex import additivity, corpus
+from diskplex.cli import main
 
 
 def single(kind, tets=1, tet=0, mult=1):
@@ -94,6 +96,34 @@ def test_global_complex_joins_models():
     r = verify_index_sum(cfg)
     assert r.passed
     assert r.global_index == finite_index(2)
+
+
+def test_repeated_placement_entries_add_up():
+    """Entries for one piece in one tetrahedron are one multiset: their
+    joined copies are numbered across entries, so split and summed
+    multiplicities give the same complex, index and Euler characteristic."""
+    split = SurfaceConfiguration(TetGluing(1), (
+        Placement(0, "OCT_1", 1), Placement(0, "TUBE", 1), Placement(0, "OCT_1", 1), Placement(0, "OCT_1", 1),
+    ))
+    whole = SurfaceConfiguration(TetGluing(1), (Placement(0, "OCT_1", 3), Placement(0, "TUBE", 1)))
+    assert global_complex(split).facets == global_complex(whole).facets
+    assert verify_index_sum(split) == verify_index_sum(whole)
+    assert verify_index_sum(split).passed and verify_index_sum(split).global_index == finite_index(4)
+    assert euler_characteristic(split) == euler_characteristic(whole) == 3
+
+
+def test_additivity_command_builds_edge_classes_once(tmp_path, monkeypatch, capsys):
+    """One ``diskplex additivity`` call on a glued file runs the oriented
+    union-find once, when the skeleton is built."""
+    calls = []
+    union_find = additivity._edge_identifications
+    monkeypatch.setattr(additivity, "_edge_identifications", lambda g: calls.append(g) or union_find(g))
+    backbone = [[t, f"TRI_{v}", 1] for t in (0, 1) for v in range(4)]
+    path = tmp_path / "backbone.json"
+    path.write_text(json.dumps({"tets": 2, "gluings": [[0, 0, 1, 0, [0, 1, 2]]], "pieces": backbone}))
+    assert main(["additivity", str(path)]) == 0
+    assert "euler characteristic: 5" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_index_sum_with_normals_only():
@@ -225,62 +255,59 @@ def all_tri_config(skeleton: TetGluing) -> SurfaceConfiguration:
 
 def closed_two_tet_gluings():
     """All face pairings of two tetrahedra: face f of tet 0 to face
-    sigma(f) of tet 1, with one slot permutation per face."""
+    sigma(f) of tet 1, with one slot permutation per face.  Each is a
+    plain tuple of gluings, since a skeleton that reverses an edge cannot
+    be built."""
     for sigma in itertools.permutations(range(4)):
         for perms in itertools.product(itertools.permutations(range(3)), repeat=4):
-            yield TetGluing(
-                2,
-                tuple(
-                    Gluing(0, f, 1, sigma[f], perms[f]) for f in range(4)
-                ),
-            )
+            yield tuple(Gluing(0, f, 1, sigma[f], perms[f]) for f in range(4))
 
 
-def plain_gluings(skeleton: TetGluing) -> list[tuple]:
-    return [(g.tet_a, g.face_a, g.tet_b, g.face_b, g.perm) for g in skeleton.gluings]
+def plain_gluings(gluings) -> list[tuple]:
+    return [(g.tet_a, g.face_a, g.tet_b, g.face_b, g.perm) for g in gluings]
 
 
 def test_two_tet_closed_census():
     """Every closed two-tet gluing that reverses no edge satisfies
     chi = 2 * orbits - 4 for the configuration of all eight
-    vertex-linking triangles, every other one is rejected, and a gluing
-    with exactly three edge orbits yields a chi = 2 link surface."""
+    vertex-linking triangles, every other one is refused when its
+    skeleton is built, and a gluing with exactly three edge orbits yields
+    a chi = 2 link surface."""
     rng = random.Random(1)
     pool = list(closed_two_tet_gluings())
     assert len(pool) == 24 * 6 ** 4
     sample = rng.sample(pool, 200)
     found_three = None
-    for skeleton in pool:
-        orbits = edge_orbit_count(2, skeleton.gluings)
-        if orbits == 3 and not oracles.edge_reversed_by_gluings(plain_gluings(skeleton)):
-            found_three = skeleton
+    for gluings in pool:
+        orbits = edge_orbit_count(2, gluings)
+        if orbits == 3 and not oracles.edge_reversed_by_gluings(plain_gluings(gluings)):
+            found_three = gluings
             break
     assert found_three is not None
     rejected = 0
-    for skeleton in sample + [found_three]:
-        cfg = all_tri_config(skeleton)
-        assert check_matching(cfg).passed
-        if oracles.edge_reversed_by_gluings(plain_gluings(skeleton)):
+    for gluings in sample + [found_three]:
+        if oracles.edge_reversed_by_gluings(plain_gluings(gluings)):
             with pytest.raises(ValueError, match="with itself reversed"):
-                euler_characteristic(cfg)
+                TetGluing(2, gluings)
             rejected += 1
             continue
+        cfg = all_tri_config(TetGluing(2, gluings))
+        assert check_matching(cfg).passed
         chi = euler_characteristic(cfg)
-        orbits = edge_orbit_count(2, skeleton.gluings)
+        orbits = edge_orbit_count(2, gluings)
         # V = 2 per edge orbit, E = 3 arcs on each of 4 face classes,
         # F = 8 triangles
         assert chi == 2 * orbits - 4
     assert 0 < rejected < len(sample)
-    assert euler_characteristic(all_tri_config(found_three)) == 2
+    assert euler_characteristic(all_tri_config(TetGluing(2, found_three))) == 2
 
 
 def test_orientation_reversing_edge_self_identification_rejected():
     # face 0 (corners 1, 2, 3) onto face 1 (corners 0, 2, 3) of the same
     # tetrahedron, slots 1 and 2 swapped: edge 23 lands on itself reversed
-    cfg = config_from_json_dict({"tets": 1, "gluings": [[0, 0, 0, 1, [0, 2, 1]]], "pieces": []})
-    assert check_matching(cfg).passed
-    with pytest.raises(ValueError, match=r"gluings\[0\] identifies edge 23 of tetrahedron 0"):
-        euler_characteristic(cfg)
+    message = r"^gluings\[0\] identifies edge 23 of tetrahedron 0 with itself reversed$"
+    with pytest.raises(ValueError, match=message):
+        config_from_json_dict({"tets": 1, "gluings": [[0, 0, 0, 1, [0, 2, 1]]], "pieces": []})
     # the same faces glued without the swap keep every edge's direction
     cfg = config_from_json_dict({"tets": 1, "gluings": [[0, 0, 0, 1, [0, 1, 2]]], "pieces": []})
     assert euler_characteristic(cfg) == 0
@@ -288,9 +315,10 @@ def test_orientation_reversing_edge_self_identification_rejected():
 
 def test_edge_reversal_matches_search_oracle():
     """Random open skeletons on up to three tetrahedra, self-gluings and
-    cycles included: rejected exactly when a directed-edge search finds
+    cycles included: refused exactly when a directed-edge search finds
     an edge identified with its reverse, and otherwise as many edge
-    classes as the unoriented union-find finds."""
+    classes as the unoriented union-find finds, each glued edge but a
+    class's least mapped to that least edge."""
     rng = random.Random(6)
     verdicts = set()
     for _ in range(300):
@@ -301,15 +329,15 @@ def test_edge_reversal_matches_search_oracle():
             Gluing(*faces[2 * i], *faces[2 * i + 1], tuple(rng.sample(range(3), 3)))
             for i in range(rng.randint(1, len(faces) // 2))
         )
-        skeleton = TetGluing(tets, gluings)
-        reversed_ = oracles.edge_reversed_by_gluings(plain_gluings(skeleton))
+        reversed_ = oracles.edge_reversed_by_gluings(plain_gluings(gluings))
         verdicts.add(reversed_)
         if reversed_:
             with pytest.raises(ValueError, match="with itself reversed"):
-                additivity._edge_identifications(skeleton, range(tets))
+                TetGluing(tets, gluings)
         else:
-            classes = additivity._edge_identifications(skeleton, range(tets))
-            assert len(classes) == edge_orbit_count(tets, gluings)
+            roots = TetGluing(tets, gluings)._edge_roots
+            assert 6 * tets - len(roots) == edge_orbit_count(tets, gluings)
+            assert all(root < edge and root not in roots for edge, root in roots.items())
     assert verdicts == {True, False}
 
 

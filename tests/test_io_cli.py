@@ -151,6 +151,13 @@ def test_cli_additivity_pass_and_fail(tmp_path, capsys):
     )
     assert main(["additivity", bad]) == 1
     assert "FAIL" in capsys.readouterr().out
+    # repeated piece entries add up: two entries of one copy read as one of two
+    outputs = []
+    for pieces in ([[0, "OCT_1", 1], [0, "OCT_1", 1]], [[0, "OCT_1", 2]]):
+        repeated = write_fixture(tmp_path, "repeated.json", {"tets": 1, "pieces": pieces})
+        assert main(["additivity", repeated]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and "global join:  INDEX(2)" in outputs[0].out
     huge = write_fixture(tmp_path, "huge.json", {"tets": 10**9, "pieces": [[0, "OCT_1", 1]]})
     assert main(["additivity", huge]) == 0
     assert "euler characteristic: 1" in capsys.readouterr().out
@@ -218,6 +225,15 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: gluings[0] identifies edge 23")
+    # the skeleton is refused as it is built, before placements are checked
+    # against it, so the reversed edge is named over the missing tetrahedron
+    both = write_fixture(
+        tmp_path, "both.json", {"tets": 1, "gluings": [[0, 0, 0, 1, [0, 2, 1]]], "pieces": [[3, "TRI_0", 1]]}
+    )
+    assert main(["additivity", both]) == 2
+    assert capsys.readouterr() == (
+        "", "error: gluings[0] identifies edge 23 of tetrahedron 0 with itself reversed\n"
+    )
     # a configuration field must be a JSON integer: 0.5 is not truncated
     half_face = write_fixture(
         tmp_path, "half.json", {"tets": 2, "gluings": [[0, 0.5, 1, 0, [0, 1, 2]]], "pieces": []}
@@ -230,10 +246,18 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     assert "counts" in capsys.readouterr().err
     assert main(["width", "--steps", "-1"]) == 2
     assert capsys.readouterr() == ("", "error: steps must be nonnegative, got -1\n")
-    for value in ("1,x", "1,,2"):  # not a number, and an empty count
+    # not a number, an empty count, and what int() takes beyond plain digits
+    for value in ("1,x", "1,,2", "2_0", "+1", " 3", "3 ", "1, 2"):
         assert main(["cube", "--subdivide", value]) == 2
         message = f"error: --subdivide takes comma-separated plane counts, got {value!r}\n"
         assert capsys.readouterr() == ("", message)
+    # a negative count still reaches subdivide_cube's own refusal
+    assert main(["cube", "--subdivide", "1,-1"]) == 2
+    assert capsys.readouterr() == ("", "error: subdivision counts cannot be negative\n")
+    assert main(["cube", "--subdivide", "1,2"]) == 0
+    assert capsys.readouterr().out == (
+        "unit 2-cube cut by [1, 2] planes\ncells by dimension: [12, 17, 6]\ntop cells 6, vertices 12, euler 1\n"
+    )
     for depth in (500, 3000):  # past the vertex bound, and past what json can read
         deep = tmp_path / f"deep{depth}.json"
         deep.write_text('{"facets": [[' + "[" * depth + "1" + "]" * depth + ", 2]]}")

@@ -170,6 +170,29 @@ def test_smith_elimination_has_one_pivot_call():
     assert len(calls) == 1, calls
 
 
+def test_only_the_skeleton_builds_edge_classes():
+    """The oriented union-find ``_edge_identifications`` has one call site,
+    in ``TetGluing.__init__``, so a reversed edge is refused in one place,
+    once per skeleton."""
+    calls, init = [], None
+    package = os.path.join(SRC, "diskplex")
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "_edge_identifications" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls.append((name, node.lineno))
+            if isinstance(node, ast.ClassDef) and node.name == "TetGluing":
+                (body,) = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+                init = (name, body.lineno, body.end_lineno)
+    assert len(calls) == 1, calls
+    (name, line), = calls
+    assert name == init[0] and init[1] <= line <= init[2], (calls, init)
+
+
 def test_no_module_imports_dataclasses():
     package = os.path.join(SRC, "diskplex")
     for name in sorted(os.listdir(package)):

@@ -16,6 +16,7 @@ from diskplex.additivity import (
     Placement,
     SurfaceConfiguration,
     TetGluing,
+    euler_characteristic,
 )
 from diskplex.cubes import CubicalComplex, subdivide_cube
 from diskplex.dichotomy import DichotomyWitness
@@ -194,6 +195,29 @@ def test_sequence_fields_are_stored_as_tuples():
     assert HomologyProfile([Z]) == HomologyProfile((Z,)) and HomologyProfile([Z]).groups == (Z,)
     assert AbelianGroup(0, [2]) == AbelianGroup(0, (2,)) == Z2
     assert hash(AbelianGroup(0, [2])) == hash(Z2) and AbelianGroup(0, [2]).torsion == (2,)
+
+
+def test_surface_sequences_are_stored_as_tuples():
+    """A generator or list given for ``perm``, ``gluings`` or ``placements``
+    is stored as a tuple: the constructor's own checks do not use it up,
+    and the value hashes and equals the one built from a tuple."""
+    perm = (0, 1, 2)
+    gluings = (Gluing(0, 0, 1, 0, perm),)
+    placements = tuple(Placement(t, f"TRI_{v}", 1) for t in (0, 1) for v in range(4))
+
+    def generator(items):
+        yield from items
+
+    configs = [
+        SurfaceConfiguration(TetGluing(2, make(gluings)), make(placements))
+        for make in (tuple, list, generator)
+    ] + [SurfaceConfiguration(TetGluing(2, [Gluing(0, 0, 1, 0, make(perm))]), placements)
+         for make in (list, generator)]
+    for config in configs:
+        assert config == configs[0] and hash(config) == hash(configs[0])
+        assert config.placements == placements and config.skeleton.gluings == gluings
+        assert config.skeleton.gluings[0].perm == perm
+        assert euler_characteristic(config) == 5
 
 
 def test_profile_drops_trailing_trivial_groups():
