@@ -69,9 +69,10 @@ class _Value:
     A subclass names its fields in ``_fields``; ``repr`` shows them as
     ``Name(field=value, ...)``, and equality and hashing read them through
     ``_key``, which a subclass overrides to leave a field out.  Instances
-    compare equal only within one class.  Each ``__init__`` binds its
-    fields with ``object.__setattr__``; later assignment or deletion
-    raises AttributeError.
+    compare equal only within one class.  Each ``__init__`` runs its checks,
+    then binds every field in one ``self.__dict__.update(...)`` call, which
+    bypasses ``__setattr__``; later assignment or deletion raises
+    AttributeError.
     """
 
     _fields: tuple = ()

@@ -40,11 +40,7 @@ class Gluing(_Value):
             raise ValueError("face labels must be 0..3")
         if (tet_a, face_a) == (tet_b, face_b):
             raise ValueError("a face cannot be glued to itself")
-        object.__setattr__(self, "tet_a", tet_a)
-        object.__setattr__(self, "face_a", face_a)
-        object.__setattr__(self, "tet_b", tet_b)
-        object.__setattr__(self, "face_b", face_b)
-        object.__setattr__(self, "perm", perm)
+        self.__dict__.update(tet_a=tet_a, face_a=face_a, tet_b=tet_b, face_b=face_b, perm=perm)
 
 
 class TetGluing(_Value):
@@ -67,9 +63,7 @@ class TetGluing(_Value):
                 if side in used:
                     raise ValueError(f"face {side} glued more than once")
                 used.add(side)
-        object.__setattr__(self, "tets", tets)
-        object.__setattr__(self, "gluings", gluings)
-        object.__setattr__(self, "_edge_roots", _edge_identifications(gluings))
+        self.__dict__.update(tets=tets, gluings=gluings, _edge_roots=_edge_identifications(gluings))
 
 
 def _edge_identifications(gluings: tuple[Gluing, ...]) -> dict:
@@ -116,9 +110,7 @@ class Placement(_Value):
     def __init__(self, tet: int, kind: str, multiplicity: int):
         if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
-        object.__setattr__(self, "tet", tet)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "multiplicity", multiplicity)
+        self.__dict__.update(tet=tet, kind=kind, multiplicity=multiplicity)
 
 
 class SurfaceConfiguration(_Value):
@@ -130,8 +122,7 @@ class SurfaceConfiguration(_Value):
             if not (0 <= pl.tet < skeleton.tets):
                 raise ValueError(f"placement references missing tetrahedron {pl.tet}")
             piece(pl.kind)  # raises on unknown kinds
-        object.__setattr__(self, "skeleton", skeleton)
-        object.__setattr__(self, "placements", placements)
+        self.__dict__.update(skeleton=skeleton, placements=placements)
 
 
 def _pieces_by_tet(config: SurfaceConfiguration) -> dict[int, list[tuple[LocalPiece, int]]]:
@@ -159,8 +150,7 @@ class MatchingReport(_Value):
     _fields = ("passed", "residuals")
 
     def __init__(self, passed: bool, residuals: tuple[tuple, ...] = ()):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "residuals", residuals)  # (gluing, slot, count_a, count_b)
+        self.__dict__.update(passed=passed, residuals=tuple(residuals))  # (gluing, slot, count_a, count_b)
 
     def render_lines(self) -> list[str]:
         if self.passed:
@@ -197,7 +187,7 @@ def check_matching(config: SurfaceConfiguration) -> MatchingReport:
         for slot in range(3):
             if va[slot] != vb[g.perm[slot]]:
                 residuals.append((g, slot, va[slot], vb[g.perm[slot]]))
-    return MatchingReport(passed=not residuals, residuals=tuple(residuals))
+    return MatchingReport(passed=not residuals, residuals=residuals)
 
 
 def euler_characteristic(config: SurfaceConfiguration) -> int:
@@ -251,9 +241,8 @@ class IndexSumReport(_Value):
 
     def __init__(self, global_index: HomologyIndex, summed_index: HomologyIndex,
                  local_indices: tuple[HomologyIndex, ...]):
-        object.__setattr__(self, "global_index", global_index)
-        object.__setattr__(self, "summed_index", summed_index)
-        object.__setattr__(self, "local_indices", local_indices)
+        self.__dict__.update(global_index=global_index, summed_index=summed_index,
+                             local_indices=tuple(local_indices))
 
     @property
     def passed(self) -> bool:
@@ -283,7 +272,7 @@ def verify_index_sum(config: SurfaceConfiguration) -> IndexSumReport:
     locals_ = [piece(pl.kind).declared_index for pl in ordered for _ in range(pl.multiplicity)]
     summed = index_sum_law(locals_)
     direct = homology_index(global_complex(config))
-    return IndexSumReport(global_index=direct, summed_index=summed, local_indices=tuple(locals_))
+    return IndexSumReport(global_index=direct, summed_index=summed, local_indices=locals_)
 
 
 # ------------------------------------------------------------- file format

@@ -44,13 +44,9 @@ class CubicalComplex(_Value):
 
     def __init__(self, name: str, dim: int, cells: tuple, cell_dim: dict, covers: dict,
                  cell_vertices: dict | None = None, labels: dict | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "cell_dim", cell_dim)
-        object.__setattr__(self, "covers", covers)
-        object.__setattr__(self, "cell_vertices", {} if cell_vertices is None else cell_vertices)
-        object.__setattr__(self, "labels", {} if labels is None else labels)
+        self.__dict__.update(name=name, dim=dim, cells=cells, cell_dim=cell_dim, covers=covers,
+                             cell_vertices={} if cell_vertices is None else cell_vertices,
+                             labels={} if labels is None else labels)
 
     def cells_of_dim(self, d: int) -> list:
         return [c for c in self.cells if self.cell_dim[c] == d]
@@ -65,12 +61,12 @@ class CubicalComplex(_Value):
         return sum((-1) ** d * n for d, n in enumerate(self.counts_by_dim()))
 
     def parents(self) -> dict:
-        if not hasattr(self, "_parents"):
+        if "_parents" not in self.__dict__:
             par: dict = {c: [] for c in self.cells}
             for c in self.cells:
                 for f in self.covers[c]:
                     par[f].append(c)
-            object.__setattr__(self, "_parents", par)
+            self.__dict__["_parents"] = par
         return self._parents
 
     def boundary_cells(self) -> set:
@@ -162,6 +158,20 @@ def cone_base_complex(n: int) -> SimplicialComplex:
 
 # ----------------------------------------------------------------- duals
 
+def _below(c: tuple) -> list:
+    """The codimension-1 faces of a face given by its ranks."""
+    return [c[:j] + c[j + 1:] for j in range(len(c))]
+
+
+def _ridges(tops: list) -> dict:
+    """The facets, given by their ranks, of each codimension-1 face."""
+    ridges: dict = {}
+    for f in tops:
+        for r in _below(f):
+            ridges.setdefault(r, []).append(f)
+    return ridges
+
+
 def _ball_poset(ball) -> tuple:
     """Refuse what ``validate_ball`` refuses; else return the name, the
     dimension n, the interior cells in cell order with their parents, and
@@ -174,12 +184,9 @@ def _ball_poset(ball) -> tuple:
         if ball.is_empty:
             raise ValueError("empty complex is not a ball")
         name, n, verts = ball.name or "simplicial", ball.dim, ball.vertices()
-        below = lambda c: [c[:j] + c[j + 1:] for j in range(len(c))]  # codimension-1 faces
+        below = _below
         tops = [tuple(_ranks(f)) for f in ball._masks()]  # each facet's ranks, ascending
-        ridges: dict = {}
-        for f in tops:
-            for r in below(f):
-                ridges.setdefault(r, []).append(f)
+        ridges = _ridges(tops)
         held = [set() for _ in verts]  # rank -> the one-facet (boundary) ridges holding it
         for r in (r for r, ts in ridges.items() if len(ts) == 1):
             for i in r:
@@ -234,18 +241,86 @@ def _ball_poset(ball) -> tuple:
     if branching:
         r = first(branching)
         raise ValueError(f"{n - 1}-cell {label(r)!r} lies in {len(ridges[r])} top cells; not a pseudomanifold")
-    reached = {first(tops)}
-    todo = list(reached)
+    _check_strongly_connected(first(tops), len(tops), below, ridges, n)
+    if profile is not None and n >= 3:
+        _check_links(tops, verts, {i for i, h in enumerate(held) if h}, n, set())
+    return name, n, interior, dim, label
+
+
+def _check_strongly_connected(start, count: int, below, ridges: dict, n: int) -> None:
+    """Refuse unless all ``count`` top cells are reached from the top cell
+    ``start`` across shared (n-1)-cells."""
+    reached = {start}
+    todo = [start]
     while todo:
         for r in below(todo.pop()):
             for t in ridges[r]:
                 if t not in reached:
                     reached.add(t)
                     todo.append(t)
-    if len(reached) != len(tops):
-        raise ValueError(f"{len(tops) - len(reached)} of {len(tops)} top cells are not reached "
+    if len(reached) != count:
+        raise ValueError(f"{count - len(reached)} of {count} top cells are not reached "
                          f"across {n - 1}-cells; not strongly connected")
-    return name, n, interior, dim, label
+
+
+def _check_links(tops: list, verts: tuple, boundary: set, n: int, seen: set) -> None:
+    """Refuse unless each vertex link passes the (n-1)-dimensional test of
+    ``_check_link``: as a ball at a vertex of a one-facet (n-1)-face (in
+    ``boundary``), else as a sphere.  Faces are rank tuples into
+    ``verts``, and one pass over the facets gathers each vertex's star.  A
+    vertex in one facet has a simplex, a ball, for its link.  A cone is
+    tested at its apex alone: another vertex's link is the cone over its
+    link in the apex's, so it passes when that one does.  ``seen`` holds
+    the links that have passed, so the link of a face met through each of
+    its vertices in turn is tested once."""
+    stars: dict = {}
+    for f in tops:
+        for i in f:
+            stars.setdefault(i, []).append(f)
+    apexes = [i for i, star in stars.items() if len(star) == len(tops)]
+    for i in sorted(apexes)[:1] or sorted(stars):
+        if len(stars[i]) == 1:
+            continue
+        shape = "ball" if i in boundary else "sphere"
+        link = [tuple(j for j in f if j != i) for f in stars[i]]
+        key = (shape, frozenset(link))
+        if key in seen:
+            continue
+        try:
+            _check_link(link, verts, shape, seen)
+        except ValueError as e:
+            raise ValueError(f"link of vertex {verts[i]!r} is not a {n - 1}-{shape}: {e}") from None
+        seen.add(key)
+
+
+def _check_link(tops: list, verts: tuple, shape: str, seen: set) -> None:
+    """Refuse a vertex link, given by its facets' ranks into ``verts``,
+    that is not a homology m-ball or m-sphere (``shape``).  A link inherits
+    from the pseudomanifold it lies in that it is pure, with each (m-1)-face
+    in one or two facets, and in exactly two for a sphere: a vertex off
+    every one-facet face has none in its link.  Left to test: strongly
+    connected, the reduced homology of a point or of the m-sphere, and for
+    m >= 3 each vertex link in turn.  The Euler characteristics that
+    ``_ball_poset`` counts follow: an acyclic homology manifold has a
+    homology sphere for boundary, and for m = 2 an acyclic strongly
+    connected pseudomanifold is a disk."""
+    m, ridges, first = len(tops[0]) - 1, _ridges(tops), min(tops)
+    _check_strongly_connected(first, len(tops), _below, ridges, m)
+    # Each (m-1)-face of a sphere lies in two facets and they connect, so
+    # its H~ is the m-sphere's exactly when it is acyclic less one facet,
+    # which for a sphere is a ball: the collapse core shrinks it fast.
+    rest = tops if shape == "ball" else [f for f in tops if f != first]
+    if not reduced_homology(_complex(rest, verts)).is_acyclic:
+        profile = reduced_homology(_complex(tops, verts))
+        raise ValueError(f"reduced homology {', '.join(profile.render_lines())}; not a {shape}")
+    if m >= 3:
+        boundary = {i for r, ts in ridges.items() if len(ts) == 1 for i in r}
+        _check_links(tops, verts, boundary, m, seen)
+
+
+def _complex(tops: list, verts: tuple) -> SimplicialComplex:
+    """The complex whose facets are ``tops``, ascending rank tuples into ``verts``."""
+    return SimplicialComplex(frozenset(tuple(verts[i] for i in f) for f in tops))
 
 
 def validate_ball(complexe) -> None:
@@ -254,10 +329,17 @@ def validate_ball(complexe) -> None:
     (n-1)-sphere, for a simplicial complex zero reduced homology, and a
     strongly connected pseudomanifold: each (n-1)-cell lies in one or two
     top cells, and top cells sharing (n-1)-cells connect them all.  For
-    n <= 2 these identify balls exactly.  For n >= 3 no vertex link is
-    checked, so a complex that is not a manifold can pass: the cone over
-    a strip of six triangles whose two end vertices are identified does.
-    Cubical input has no homology test, and ``subdivide_cube`` grids are
+    n <= 2 these identify balls exactly.  For a simplicial complex with
+    n >= 3, each vertex link must then pass the (n-1)-dimensional test: a
+    homology ball at a vertex of a boundary (n-1)-cell, else a homology
+    sphere, that is, strongly connected, with the reduced homology of a
+    point or of the (n-1)-sphere, and from dimension 3 with each of its
+    own vertex links passing in turn.  For n = 3 the links are
+    2-dimensional and their test is exact, so what passes is an acyclic
+    3-manifold whose boundary is a 2-sphere; only fakes that are not
+    simply connected, such as a homology 3-sphere less a tetrahedron, are
+    not balls.  For n >= 4 this is a homology-manifold condition.  Cubical
+    input has no homology or link test, and ``subdivide_cube`` grids are
     balls by construction."""
     _ball_poset(complexe)
 

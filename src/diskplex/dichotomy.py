@@ -44,12 +44,8 @@ class DichotomyWitness(_Value):
     def __init__(self, verdict: str, index_x: HomologyIndex, index_y: HomologyIndex,
                  tau: tuple | None = None, index_vtau: HomologyIndex | None = None,
                  failure_archive: tuple = ()):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "index_x", index_x)
-        object.__setattr__(self, "index_y", index_y)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "index_vtau", index_vtau)
-        object.__setattr__(self, "failure_archive", failure_archive)
+        self.__dict__.update(verdict=verdict, index_x=index_x, index_y=index_y, tau=tau,
+                             index_vtau=index_vtau, failure_archive=tuple(failure_archive))
 
     @property
     def dim_tau(self) -> int | None:
@@ -140,5 +136,5 @@ def check_dichotomy(x: SimplicialComplex, y: SimplicialComplex) -> DichotomyWitn
         verdict=FAILURE,
         index_x=index_x,
         index_y=index_y,
-        failure_archive=tuple(archive),
+        failure_archive=archive,
     )

@@ -62,8 +62,7 @@ class AbelianGroup(_Value):
                 raise ValueError(f"torsion {torsion} is not a divisor chain")
         if any(d < 2 for d in torsion):
             raise ValueError("torsion orders must be at least 2")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "torsion", torsion)
+        self.__dict__.update(rank=rank, torsion=torsion)
 
     @classmethod
     def from_parts(cls, rank: int, factors: Iterable[int]) -> "AbelianGroup":
@@ -110,9 +109,7 @@ class IntegerMatrix(_Value):
                 if not v:
                     raise ValueError("stored zero entry")
                 last = j
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
 
 def smith_normal_form(
@@ -342,8 +339,7 @@ class HomologyProfile(_Value):
         groups = tuple(groups)
         while groups and groups[-1].is_trivial:
             groups = groups[:-1]
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "empty_complex", empty_complex)
+        self.__dict__.update(groups=groups, empty_complex=empty_complex)
 
     def group(self, k: int) -> AbelianGroup:
         if 0 <= k < len(self.groups):
@@ -527,8 +523,7 @@ class HomologyIndex(_Value):
                 raise ValueError("INDEX requires n >= 1")
         elif n is not None:
             raise ValueError(f"{tag} carries no value")
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "n", n)
+        self.__dict__.update(tag=tag, n=n)
 
     @property
     def is_zero(self) -> bool:

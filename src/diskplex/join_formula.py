@@ -101,11 +101,8 @@ class MilnorReport(_Value):
 
     def __init__(self, name: str, direct: HomologyProfile, formula: HomologyProfile | None,
                  identity_rule: bool, mismatches: tuple[int, ...]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "direct", direct)
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "identity_rule", identity_rule)
-        object.__setattr__(self, "mismatches", mismatches)
+        self.__dict__.update(name=name, direct=direct, formula=formula, identity_rule=identity_rule,
+                             mismatches=tuple(mismatches))
 
     @property
     def passed(self) -> bool:
@@ -143,5 +140,5 @@ def verify_milnor(a: SimplicialComplex, b: SimplicialComplex) -> MilnorReport:
         return MilnorReport(name=name, direct=direct, formula=None, identity_rule=True, mismatches=())
     formula = join_homology_via_formula(reduced_homology(a), reduced_homology(b))
     top = max(direct.top_degree, formula.top_degree)
-    mismatches = tuple(k for k in range(top + 1) if direct.group(k) != formula.group(k))
+    mismatches = [k for k in range(top + 1) if direct.group(k) != formula.group(k)]
     return MilnorReport(name=name, direct=direct, formula=formula, identity_rule=False, mismatches=mismatches)

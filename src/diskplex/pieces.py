@@ -79,17 +79,14 @@ class FaceArcs(_Value):
     _fields = ("corners", "loops", "non_normal")
 
     def __init__(self, corners: tuple[int, int, int] = (0, 0, 0), loops: int = 0, non_normal: int = 0):
-        object.__setattr__(self, "corners", corners)
-        object.__setattr__(self, "loops", loops)
-        object.__setattr__(self, "non_normal", non_normal)
+        self.__dict__.update(corners=tuple(corners), loops=loops, non_normal=non_normal)
 
 
 class ArcCheck(_Value):
     _fields = ("passed", "problems")
 
     def __init__(self, passed: bool, problems: tuple[str, ...] = ()):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "problems", problems)
+        self.__dict__.update(passed=passed, problems=tuple(problems))
 
 
 def check_normal_arcs(face_arcs: Iterable[FaceArcs]) -> ArcCheck:
@@ -102,7 +99,7 @@ def check_normal_arcs(face_arcs: Iterable[FaceArcs]) -> ArcCheck:
             problems.append(f"face {f}: loop count {arcs.loops}")
         if arcs.non_normal:
             problems.append(f"face {f}: non-normal arc count {arcs.non_normal}")
-    return ArcCheck(passed=not problems, problems=tuple(problems))
+    return ArcCheck(passed=not problems, problems=problems)
 
 
 class LocalPiece(_Value):
@@ -116,12 +113,8 @@ class LocalPiece(_Value):
     def __init__(self, kind: str, edge_weights: tuple[int, int, int, int, int, int],
                  face_arcs: tuple[FaceArcs, FaceArcs, FaceArcs, FaceArcs], euler: int,
                  declared_index: HomologyIndex, model_complex: SimplicialComplex):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "edge_weights", edge_weights)
-        object.__setattr__(self, "face_arcs", face_arcs)
-        object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "declared_index", declared_index)
-        object.__setattr__(self, "model_complex", model_complex)
+        self.__dict__.update(kind=kind, edge_weights=tuple(edge_weights), face_arcs=tuple(face_arcs),
+                             euler=euler, declared_index=declared_index, model_complex=model_complex)
 
     def _key(self) -> tuple:
         return (self.kind, self.edge_weights, self.face_arcs, self.euler, self.declared_index)
@@ -147,16 +140,16 @@ def _model_circle() -> SimplicialComplex:
     return from_facets(ring, name="move-cycle model")
 
 
-def _arcs_from_corner_counts(counts: Mapping[int, Mapping[int, int]]) -> tuple[FaceArcs, ...]:
+def _arcs_from_corner_counts(counts: Mapping[int, Mapping[int, int]]) -> list[FaceArcs]:
     out = []
     for f in range(4):
         per = counts.get(f, {})
-        out.append(FaceArcs(corners=tuple(per.get(c, 0) for c in FACES[f])))
-    return tuple(out)
+        out.append(FaceArcs(corners=[per.get(c, 0) for c in FACES[f]]))
+    return out
 
 
-def _weights(per_edge: Mapping[tuple[int, int], int]) -> tuple[int, ...]:
-    return tuple(per_edge.get(e, 0) for e in EDGES)
+def _weights(per_edge: Mapping[tuple[int, int], int]) -> list[int]:
+    return [per_edge.get(e, 0) for e in EDGES]
 
 
 def _tri_data(v: int):
@@ -190,18 +183,12 @@ def _oct_data(q: int):
 
 def _scale(data, factor: int):
     weights, arcs = data
-    scaled_arcs = tuple(
-        FaceArcs(corners=tuple(c * factor for c in fa.corners)) for fa in arcs
-    )
-    return tuple(w * factor for w in weights), scaled_arcs
+    return [w * factor for w in weights], [FaceArcs(corners=[c * factor for c in fa.corners]) for fa in arcs]
 
 
 def _add(d1, d2):
-    weights = tuple(a + b for a, b in zip(d1[0], d2[0]))
-    arcs = tuple(
-        FaceArcs(corners=tuple(a + b for a, b in zip(fa.corners, fb.corners)))
-        for fa, fb in zip(d1[1], d2[1])
-    )
+    weights = [a + b for a, b in zip(d1[0], d2[0])]
+    arcs = [FaceArcs(corners=[a + b for a, b in zip(fa.corners, fb.corners)]) for fa, fb in zip(d1[1], d2[1])]
     return weights, arcs
 
 

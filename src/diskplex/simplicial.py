@@ -65,9 +65,7 @@ class SimplicialComplex(_Value):
     _fields = ("facets",)
 
     def __init__(self, facets: frozenset, name: str = ""):
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_cache", {})
+        self.__dict__.update(facets=facets, name=name, _cache={})
 
     @property
     def is_empty(self) -> bool:

@@ -35,27 +35,21 @@ class RunConfig(_Value):
         # ``counts`` overrides per-property case counts
         if counts is not None and counts < 0:
             raise ValueError(f"counts must be nonnegative, got {counts}")
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "counts", counts)
+        self.__dict__.update(seed=seed, counts=counts)
 
 
 class PropertyResult(_Value):
     _fields = ("name", "passed", "cases", "details")
 
     def __init__(self, name: str, passed: bool, cases: int, details: tuple[str, ...] = ()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "details", details)
+        self.__dict__.update(name=name, passed=passed, cases=cases, details=tuple(details))
 
 
 class SuiteReport(_Value):
     _fields = ("seed", "counts", "results")
 
     def __init__(self, seed: int, counts: int | None, results: tuple[PropertyResult, ...]):
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "results", results)
+        self.__dict__.update(seed=seed, counts=counts, results=tuple(results))
 
     @property
     def passed(self) -> bool:
@@ -97,7 +91,7 @@ def prop_sphere_ladder(config: RunConfig) -> PropertyResult:
         want = finite_index(k + 1)
         ok = ok and ind == want
         details.append(f"boundary of {k + 1}-simplex: index {ind} (expect {want})")
-    return PropertyResult("sphere_ladder", ok, 4, tuple(details))
+    return PropertyResult("sphere_ladder", ok, 4, details)
 
 
 _MILNOR_FIXED = (
@@ -134,7 +128,7 @@ def prop_milnor_formula(config: RunConfig) -> PropertyResult:
             details.append(f"random pair FAIL: {report.name}")
     ok = ok and failures == 0
     details.append(f"random pairs: {n - failures}/{n} agree")
-    return PropertyResult("milnor_formula", ok, cases, tuple(details))
+    return PropertyResult("milnor_formula", ok, cases, details)
 
 
 def prop_index_additivity(config: RunConfig) -> PropertyResult:
@@ -192,7 +186,7 @@ def prop_local_census(config: RunConfig) -> PropertyResult:
             f"{label}: sum {report.summed_index}, global {report.global_index}"
             + ("" if good else f" (expect {expected})")
         )
-    return PropertyResult("local_census", ok, len(_CENSUS) + len(_EXPECTED_WEIGHTS), tuple(details))
+    return PropertyResult("local_census", ok, len(_CENSUS) + len(_EXPECTED_WEIGHTS), details)
 
 
 def prop_dichotomy(config: RunConfig) -> PropertyResult:
@@ -282,7 +276,7 @@ def prop_constructions(config: RunConfig) -> PropertyResult:
     details.append(f"grid cell counts: {n_grid - grid_bad}/{n_grid}")
     details.append(f"dual cell-count correspondence: {n_grid - dual_bad}/{n_grid}")
 
-    return PropertyResult("constructions", ok, n_chi + 4 + 2 * n_grid, tuple(details))
+    return PropertyResult("constructions", ok, n_chi + 4 + 2 * n_grid, details)
 
 
 def prop_catalog_integrity(config: RunConfig) -> PropertyResult:
@@ -296,7 +290,7 @@ def prop_catalog_integrity(config: RunConfig) -> PropertyResult:
         except ValueError as exc:
             ok = False
             details.append(f"FAIL {exc}")
-    return PropertyResult("catalog_integrity", ok, len(entries), tuple(details))
+    return PropertyResult("catalog_integrity", ok, len(entries), details)
 
 
 def prop_determinism(config: RunConfig) -> PropertyResult:
@@ -330,7 +324,7 @@ _MINI_PROPERTIES = tuple(
 
 def _run_properties(config: RunConfig, properties) -> SuiteReport:
     results = [fn(config) for _, fn in properties]
-    return SuiteReport(seed=config.seed, counts=config.counts, results=tuple(results))
+    return SuiteReport(seed=config.seed, counts=config.counts, results=results)
 
 
 def run_suite(config: RunConfig = RunConfig()) -> SuiteReport:

@@ -47,8 +47,7 @@ class SurfaceComponentModel(_Value):
     def __init__(self, euler: int, weight: int):
         if weight < 0:
             raise ValueError("component weight cannot be negative")
-        object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "weight", weight)
+        self.__dict__.update(euler=euler, weight=weight)
 
     @property
     def width_pair(self) -> tuple[int, int]:
@@ -64,7 +63,7 @@ class Width(_Value):
     _fields = ("pairs",)
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "pairs", pairs)
+        self.__dict__.update(pairs=tuple(pairs))
 
     def __str__(self):
         return "{" + ", ".join(f"({a}, {b})" for a, b in self.pairs) + "}"
@@ -73,7 +72,7 @@ class Width(_Value):
 def width(surface: Surface) -> Width:
     if not surface:
         return Width(pairs=((0, 0),))
-    return Width(pairs=tuple(sorted((c.width_pair for c in surface), reverse=True)))
+    return Width(pairs=sorted((c.width_pair for c in surface), reverse=True))
 
 
 class Ordering(Enum):
@@ -110,10 +109,7 @@ class SurgeryMove(_Value):
 
     def __init__(self, kind: MoveKind, target: int,
                  split: tuple[tuple[int, int], tuple[int, int]] | None = None, k: int | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "split", split)
-        object.__setattr__(self, "k", k)
+        self.__dict__.update(kind=kind, target=target, split=split, k=k)
 
     def describe(self) -> str:
         extra = ""
@@ -167,10 +163,7 @@ class DecreaseVerdict(_Value):
     _fields = ("passed", "before", "after", "move")
 
     def __init__(self, passed: bool, before: Width, after: Width, move: SurgeryMove):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "before", before)
-        object.__setattr__(self, "after", after)
-        object.__setattr__(self, "move", move)
+        self.__dict__.update(passed=passed, before=before, after=after, move=move)
 
     def render_lines(self) -> list[str]:
         return [

@@ -1,0 +1,134 @@
+"""Re-run the recorded mutants: ``python tests/mutants.py [name ...]``.
+
+Each row of ``MUTANTS`` is one mutant: its name, the file it edits, the
+exact text it replaces (its anchor, which occurs once in that file), the
+replacement, and the tests it must fail.  For each mutant in turn the
+runner copies ``src``, ``tests``, ``bench``, ``demos`` and
+``pyproject.toml`` to a temporary directory, makes that one edit there and
+runs only the named tests in a pytest subprocess whose ``PYTHONPATH`` is
+the copy's ``src``.  A mutant is killed when every named test fails.
+Nothing is written inside the repository.  The exit status is 1 when a
+mutant survives.
+
+``test_mutation_table.py`` checks in tier-1 that each anchor occurs once
+and each named test exists, so a change that moves a mutated line mends
+its row in the same change.  A change adds the mutants of its own gates.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    anchor: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant("bind a field under the wrong name", "src/diskplex/width.py",
+           "self.__dict__.update(euler=euler, weight=weight)",
+           "self.__dict__.update(euler=euler, weigth=weight)",
+           ("tests/test_startup.py::test_records_bind_their_fields_in_one_update",
+            "tests/test_values.py::test_value_semantics",
+            "tests/test_width.py::test_width_pairs_sorted_non_increasing")),
+    Mutant("keep a sequence field as given", "src/diskplex/width.py",
+           "self.__dict__.update(pairs=tuple(pairs))",
+           "self.__dict__.update(pairs=pairs)",
+           ("tests/test_values.py::test_sequence_fields_are_stored_as_tuples",)),
+    Mutant("skip the link test", "src/diskplex/cubes.py",
+           "    if profile is not None and n >= 3:\n        _check_links(",
+           "    if False:\n        _check_links(",
+           ("tests/test_cubes.py::test_link_test_matches_the_set_reference",
+            "tests/test_cubes.py::test_ball_checks_on_masks_match_the_face_poset_route",
+            "tests/test_io_cli.py::test_cli_error_paths",
+            "tests/test_cli_pins.py::test_every_cli_output_matches_its_pin")),
+    # An interior vertex's link is closed, so it can be no ball; what can
+    # go wrong is testing it as one.
+    Mutant("test an interior vertex's link as a ball", "src/diskplex/cubes.py",
+           "shape = \"ball\" if i in boundary else \"sphere\"",
+           "shape = \"ball\"",
+           ("tests/test_cubes.py::test_link_test_matches_the_set_reference",)),
+    Mutant("JSON keys in insertion order", "src/diskplex/cli.py",
+           "json.dumps(payload, indent=2, sort_keys=True)",
+           "json.dumps(payload, indent=2)",
+           ("tests/test_cli_pins.py::test_every_cli_output_matches_its_pin",)),
+    Mutant("accept an (n-1)-cell in three top cells", "src/diskplex/cubes.py",
+           "branching = [r for r, ts in ridges.items() if len(ts) > 2]",
+           "branching = [r for r, ts in ridges.items() if len(ts) > 3]",
+           ("tests/test_cubes.py::test_a_fin_on_an_interior_edge_is_not_a_pseudomanifold",)),
+    Mutant("skip the connectivity test", "src/diskplex/cubes.py",
+           "    if len(reached) != count:\n",
+           "    if False:\n",
+           ("tests/test_cubes.py::test_annulus_plus_disjoint_square_is_not_a_ball",
+            "tests/test_cubes.py::test_ball_checks_on_grids_with_top_cells_removed_match_set_references")),
+    Mutant("no trimming in the profile constructor", "src/diskplex/homology.py",
+           "while groups and groups[-1].is_trivial:",
+           "while False:",
+           ("tests/test_values.py::test_profile_drops_trailing_trivial_groups",
+            "tests/test_cubes.py::test_validate_ball_accepts_and_rejects")),
+    Mutant("drop the repeated-vertex check of a face argument", "src/diskplex/simplicial.py",
+           "    if len(set(face)) != len(face):\n        raise ValueError(f\"repeated vertex in simplex",
+           "    if False:\n        raise ValueError(f\"repeated vertex in simplex",
+           ("tests/test_simplicial.py::test_face_arguments_keep_their_messages",)),
+    Mutant("a second union-find call in load_config", "src/diskplex/additivity.py",
+           "    return config_from_json_dict(read_json(path))\n",
+           "    config = config_from_json_dict(read_json(path))\n"
+           "    _edge_identifications(config.skeleton.gluings)\n"
+           "    return config\n",
+           ("tests/test_startup.py::test_only_the_skeleton_builds_edge_classes",)),
+)
+
+
+def _copy_tree(dest: str) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests", "bench", "demos"):
+        shutil.copytree(os.path.join(ROOT, part), os.path.join(dest, part), ignore=skip)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+
+
+def survivors(mutant: Mutant) -> list[str]:
+    """The named tests that still pass with the mutant applied."""
+    with tempfile.TemporaryDirectory() as work:
+        _copy_tree(work)
+        path = os.path.join(work, mutant.path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        if text.count(mutant.anchor) != 1:
+            raise SystemExit(f"{mutant.name}: anchor occurs {text.count(mutant.anchor)} times in {mutant.path}")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(mutant.anchor, mutant.replacement))
+        env = dict(os.environ, PYTHONPATH=os.path.join(work, "src"), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+                               *mutant.tests], cwd=work, env=env, capture_output=True, text=True, timeout=1800)
+    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    return [t for t in mutant.tests
+            if not any(f == t or f.startswith(t + "[") or t.startswith(f + "::") for f in failed)]
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    start, alive = time.perf_counter(), 0
+    for mutant in chosen:
+        t0 = time.perf_counter()
+        passed = survivors(mutant)
+        alive += bool(passed)
+        verdict = f"SURVIVED, passing {', '.join(passed)}" if passed else "killed"
+        print(f"{mutant.name}: {verdict} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    print(f"{len(chosen) - alive} of {len(chosen)} mutants killed in {time.perf_counter() - start:.1f} s")
+    return 1 if alive else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -231,6 +231,34 @@ def link_sets(facets, s) -> set[frozenset]:
     return maximal_sets([c for c in faces if not c & s and (c | s) in faces])
 
 
+def manifold_shape(facets) -> str | None:
+    """``"ball"`` or ``"sphere"`` when the complex is a homology manifold
+    of that shape, else None, read off sets alone.  It must be pure; at
+    dimension 0 it is one point (a ball) or two (a sphere); above, every
+    vertex link has a shape in turn, and the reduced homology over GF(2)
+    and GF(3) is that of a point when some link is a ball, else that of
+    the sphere.  Betti numbers over Q are at most those over GF(2), and on
+    the few vertices the tests use no torsion escapes both fields."""
+    facets = maximal_sets(facets)
+    sizes = {len(f) for f in facets}
+    if len(sizes) != 1:
+        return None
+    d = sizes.pop() - 1
+    verts = set().union(*facets)
+    if d == 0:
+        return {1: "ball", 2: "sphere"}.get(len(verts))
+    links = set()
+    for v in verts:
+        links.add(manifold_shape(link_sets(facets, [v])))
+        if None in links:
+            return None
+    shape = "ball" if "ball" in links else "sphere"
+    want = (0,) * d + (int(shape == "sphere"),)
+    if any(tuple(reduced_betti_mod_p(facets, i, p) for i in range(d + 1)) != want for p in (2, 3)):
+        return None
+    return shape
+
+
 def star_sets(facets, s) -> set[frozenset]:
     """Facets of the closed star of face ``s``: the facets that contain it."""
     return maximal_sets([f for f in facets if set(s) <= set(f)])

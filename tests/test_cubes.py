@@ -3,6 +3,7 @@ import signal
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
@@ -18,6 +19,7 @@ from diskplex.homology import reduced_homology
 from diskplex.simplicial import (
     SimplicialComplex,
     barycentric_subdivision,
+    boundary_of_simplex,
     cone,
     from_facets,
     join,
@@ -364,9 +366,10 @@ def _random_pure(rng, d):
 def test_ball_checks_on_masks_match_the_face_poset_route():
     # the same complex handed in as a simplicial complex (facet masks) and
     # as a face poset (the cubical route) gets the same verdict, message
-    # and dual, except where H~ alone refuses it: only simplicial input is
-    # tested for homology, so those are exactly the cases that pass every
-    # count and are not acyclic
+    # and dual, except where H~ or, from dimension 3, a vertex link alone
+    # refuses it: only simplicial input is tested for those, so they are
+    # exactly the cases that pass every count and are not acyclic, or are
+    # acyclic and accepted as a poset
     rng = random.Random(21)
     seen = Counter()
     for _ in range(600):
@@ -375,11 +378,61 @@ def test_ball_checks_on_masks_match_the_face_poset_route():
             masks, poset = _dual_or_refusal(case), _dual_or_refusal(_face_poset(case))
             counted = not isinstance(poset, str) or poset.endswith(("pseudomanifold", "strongly connected"))
             profile = reduced_homology(case)
-            assert (masks != poset) == (counted and not profile.is_acyclic), (case.facets, masks, poset)
-            if masks != poset:
+            linked = isinstance(masks, str) and masks.startswith("link of vertex")
+            assert (masks != poset) == (counted and (not profile.is_acyclic or linked)), (case.facets, masks, poset)
+            if linked:
+                assert case.dim >= 3 and profile.is_acyclic and not isinstance(poset, str), case.facets
+            elif masks != poset:
                 assert masks == f"reduced homology {', '.join(profile.render_lines())}; not a ball"
-            kinds = ("boundary", "Euler", "homology", "pseudomanifold", "connected")
+            kinds = ("link", "boundary", "Euler", "homology", "pseudomanifold", "connected")
             seen[next(w for w in kinds if w in masks) if isinstance(masks, str) else "accepted"] += 1
     # accepted, and refused by chi, the boundary's chi, H~, a branching
-    # ridge and strong connectivity
-    assert len(seen) == 6 and min(seen.values()) >= 5, seen
+    # ridge and strong connectivity; and three refused by a vertex link
+    assert seen.pop("link") >= 3 and len(seen) == 6 and min(seen.values()) >= 5, seen
+
+
+# The cone, apex "a", over a strip of six triangles with its end vertices
+# identified: pure, acyclic, its boundary has chi 2, each triangle lies in
+# one or two tetrahedra and they connect; yet the link of "a" is the
+# pinched strip, with H~1 = Z.
+PINCHED_CONE = [[0, 1, 2, "a"], [0, 5, 6, "a"], [1, 2, 3, "a"], [2, 3, 4, "a"], [3, 4, 5, "a"], [4, 5, 6, "a"]]
+
+
+def _grown_pure(seed, d):
+    """A d-simplex with up to ten more glued on, each to a ridge that lies in
+    one facet, its new vertex drawn from d + 4: disks and balls, pinched
+    strips and branching ridges."""
+    rng = random.Random(seed)
+    facets = [tuple(range(d + 1))]
+    for _ in range(rng.randint(1, 10)):
+        count = Counter(f[:j] + f[j + 1:] for f in facets for j in range(d + 1))
+        free = sorted(r for r, n in count.items() if n == 1)
+        if not free:
+            break
+        ridge = rng.choice(free)
+        face = tuple(sorted(ridge + (rng.choice([v for v in range(d + 4) if v not in ridge]),)))
+        if face not in facets:
+            facets.append(face)
+    return from_facets(facets)
+
+
+seeds = st.integers(0, 2 ** 32)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(seeds.map(lambda s: cone(_grown_pure(s, 2), "z")), seeds.map(lambda s: _grown_pure(s, 3))))
+@example(from_facets(PINCHED_CONE))
+@example(cone(boundary_of_simplex(4), "z"))
+@example(barycentric_subdivision(simplex_complex(range(4))))
+def test_link_test_matches_the_set_reference(k):
+    # a 3-complex is accepted exactly when the set-based reference finds a
+    # homology 3-manifold, acyclic, with a ball for some vertex link; one
+    # refused only for a link names the vertex and what its link fails
+    try:
+        validate_ball(k)
+        verdict = "ball"
+    except ValueError as e:
+        verdict = str(e)
+    assert (verdict == "ball") == (oracles.manifold_shape(k.facets) == "ball"), (k.facets, verdict)
+    if k.facets == from_facets(PINCHED_CONE).facets:
+        assert verdict == "link of vertex 'a' is not a 2-ball: reduced homology H~0 = 0, H~1 = Z; not a ball"

@@ -213,6 +213,14 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: reduced homology H~0 = Z, H~1 = Z; not a ball\n"
+    # the cone over a strip of triangles whose end vertices are one: every
+    # count of a 3-ball holds, but the link of the apex is the pinched strip
+    pinched = write_fixture(tmp_path, "pinched.json", {"facets": [[0, 1, 2, "a"], [0, 5, 6, "a"], [1, 2, 3, "a"],
+                                                                  [2, 3, 4, "a"], [3, 4, 5, "a"], [4, 5, 6, "a"]]})
+    assert main(["dual", pinched]) == 2
+    assert capsys.readouterr() == (
+        "", "error: link of vertex 'a' is not a 2-ball: reduced homology H~0 = 0, H~1 = Z; not a ball\n"
+    )
     not_a_list = write_fixture(tmp_path, "cfg.json", {"tets": 1, "gluings": 5})
     assert main(["additivity", not_a_list]) == 2
     assert "gluings" in capsys.readouterr().err

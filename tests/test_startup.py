@@ -193,6 +193,37 @@ def test_only_the_skeleton_builds_edge_classes():
     assert name == init[0] and init[1] <= line <= init[2], (calls, init)
 
 
+def test_records_bind_their_fields_in_one_update():
+    """No module reaches past ``_Value.__setattr__`` with
+    ``object.__setattr__``: each record's ``__init__`` binds every one of
+    its parameters, under its own name, in one ``self.__dict__.update``
+    call, and ``_fields`` names only parameters."""
+    package = os.path.join(SRC, "diskplex")
+    records = 0
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__":
+                assert getattr(node.value, "id", None) != "object", (name, node.lineno)
+            if not isinstance(node, ast.ClassDef) or "_Value" not in [ast.unparse(b) for b in node.bases]:
+                continue
+            (init,) = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+            updates = [call for call in ast.walk(init) if isinstance(call, ast.Call)
+                       and ast.unparse(call.func) == "self.__dict__.update"]
+            assert len(updates) == 1, (name, node.name)
+            params = {a.arg for a in init.args.args[1:]}
+            bound = {k.arg for k in updates[0].keywords if not k.arg.startswith("_")}
+            assert bound == params and not updates[0].args, (name, node.name, bound ^ params)
+            fields = [ast.literal_eval(f.value) for f in node.body if isinstance(f, ast.Assign)
+                      and [ast.unparse(t) for t in f.targets] == ["_fields"]]
+            assert set(*fields) <= params, (name, node.name)
+            records += 1
+    assert records == 24
+
+
 def test_no_module_imports_dataclasses():
     package = os.path.join(SRC, "diskplex")
     for name in sorted(os.listdir(package)):

@@ -188,6 +188,16 @@ def test_positional_order_and_defaults():
     assert LocalPiece("K", (0,) * 6, (ARCS,) * 4, 1, INDEX2, EDGE).model_complex is EDGE
 
 
+# The fields typed ``tuple[...]`` that the cases above give as tuples.
+# ``IntegerMatrix.entries`` is left out: only ``boundary_matrices`` builds one.
+SEQUENCE_FIELDS = {
+    Width: ("pairs",), FaceArcs: ("corners",), ArcCheck: ("problems",),
+    LocalPiece: ("edge_weights", "face_arcs"), MatchingReport: ("residuals",),
+    IndexSumReport: ("local_indices",), MilnorReport: ("mismatches",),
+    DichotomyWitness: ("failure_archive",), PropertyResult: ("details",), SuiteReport: ("results",),
+}
+
+
 def test_sequence_fields_are_stored_as_tuples():
     """A list given for a sequence field is stored as a tuple, so the
     value hashes and equals the one built from a tuple."""
@@ -195,6 +205,19 @@ def test_sequence_fields_are_stored_as_tuples():
     assert HomologyProfile([Z]) == HomologyProfile((Z,)) and HomologyProfile([Z]).groups == (Z,)
     assert AbelianGroup(0, [2]) == AbelianGroup(0, (2,)) == Z2
     assert hash(AbelianGroup(0, [2])) == hash(Z2) and AbelianGroup(0, [2]).torsion == (2,)
+
+    def generator(items):
+        yield from items
+
+    checked = set()
+    for cls, fields, *_ in CASES:
+        for make in (list, generator) if cls in SEQUENCE_FIELDS else ():
+            value = cls(**{**fields, **{name: make(fields[name]) for name in SEQUENCE_FIELDS[cls]}})
+            assert value == cls(**fields) and hash(value) == hash(cls(**fields)), (cls, make)
+            for name in SEQUENCE_FIELDS[cls]:
+                assert type(getattr(value, name)) is tuple and getattr(value, name) == fields[name]
+            checked.add(cls)
+    assert checked == set(SEQUENCE_FIELDS)
 
 
 def test_surface_sequences_are_stored_as_tuples():
