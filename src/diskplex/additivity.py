@@ -20,7 +20,7 @@ from .homology import HomologyIndex, homology_index
 from .io import read_json
 from .join_formula import index_sum_law
 from .pieces import FACES, LocalPiece, piece
-from .simplicial import SimplicialComplex, join_all, relabel
+from .simplicial import _FACE_BUDGET, SimplicialComplex, join_all, relabel
 
 
 class Gluing(_Value):
@@ -108,6 +108,7 @@ class Placement(_Value):
     _fields = ("tet", "kind", "multiplicity")
 
     def __init__(self, tet: int, kind: str, multiplicity: int):
+        piece(kind)  # raises on unknown kinds
         if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
         self.__dict__.update(tet=tet, kind=kind, multiplicity=multiplicity)
@@ -121,7 +122,6 @@ class SurfaceConfiguration(_Value):
         for pl in placements:
             if not (0 <= pl.tet < skeleton.tets):
                 raise ValueError(f"placement references missing tetrahedron {pl.tet}")
-            piece(pl.kind)  # raises on unknown kinds
         self.__dict__.update(skeleton=skeleton, placements=placements)
 
 
@@ -219,19 +219,35 @@ def euler_characteristic(config: SurfaceConfiguration) -> int:
     return vertices - edges + faces
 
 
+def _ordered(config: SurfaceConfiguration) -> list[Placement]:
+    """The placements by tetrahedron and kind; a ValueError refuses more
+    piece copies than the face budget, before any copy is listed."""
+    total = sum(pl.multiplicity for pl in config.placements)
+    if total > _FACE_BUDGET:
+        raise ValueError(f"configuration has {total} piece copies, over the copy limit of {_FACE_BUDGET}")
+    return sorted(config.placements, key=lambda pl: (pl.tet, pl.kind))
+
+
 def global_complex(config: SurfaceConfiguration) -> SimplicialComplex:
     """Join of the placed pieces' model complexes, one namespaced copy per unit
     of multiplicity, numbered across repeated entries.  Empty models act as
-    join identities."""
+    join identities.  Copies stop at the first whose facets take the join
+    over the face budget, which ``join_all`` then refuses."""
     parts = []
     copies: dict = {}
-    ordered = sorted(config.placements, key=lambda pl: (pl.tet, pl.kind))
+    facets = 1  # of the join of the copies so far
+    ordered = _ordered(config)
     for pl in ordered:
         model = piece(pl.kind).model_complex
         first = copies.get((pl.tet, pl.kind), 0)
         copies[pl.tet, pl.kind] = first + pl.multiplicity
-        if not model.is_empty:
-            parts += [relabel(model, f"t{pl.tet}.{pl.kind}.{c}") for c in range(first, first + pl.multiplicity)]
+        if model.is_empty:
+            continue
+        for c in range(first, first + pl.multiplicity):
+            if facets > _FACE_BUDGET:
+                break
+            facets *= len(model.facets)
+            parts.append(relabel(model, f"t{pl.tet}.{pl.kind}.{c}"))
     label = " * ".join(f"t{pl.tet}:{pl.kind}x{pl.multiplicity}" for pl in ordered) or "empty"
     return join_all(parts, name=f"config[{label}]")
 
@@ -268,8 +284,7 @@ class IndexSumReport(_Value):
 
 def verify_index_sum(config: SurfaceConfiguration) -> IndexSumReport:
     """Compare the joined model complex's index with the local sum."""
-    ordered = sorted(config.placements, key=lambda pl: (pl.tet, pl.kind))
-    locals_ = [piece(pl.kind).declared_index for pl in ordered for _ in range(pl.multiplicity)]
+    locals_ = [piece(pl.kind).declared_index for pl in _ordered(config) for _ in range(pl.multiplicity)]
     summed = index_sum_law(locals_)
     direct = homology_index(global_complex(config))
     return IndexSumReport(global_index=direct, summed_index=summed, local_indices=locals_)
@@ -304,7 +319,6 @@ def config_from_json_dict(data: dict) -> SurfaceConfiguration:
             tet = _json_int(tet, "tet")
             if not isinstance(kind, str):
                 raise ValueError(f"kind must be a string, not {kind!r}")
-            piece(kind)  # raises on unknown kinds
             placements.append(Placement(tet, kind, _json_int(mult, "multiplicity")))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"pieces[{i}]: {exc}") from None

@@ -163,13 +163,15 @@ def _below(c: tuple) -> list:
     return [c[:j] + c[j + 1:] for j in range(len(c))]
 
 
-def _ridges(tops: list) -> dict:
-    """The facets, given by their ranks, of each codimension-1 face."""
-    ridges: dict = {}
+def _ridges(tops: list) -> tuple[dict, dict]:
+    """The facets, given by their ranks, of each codimension-1 face, and
+    each vertex's link: the codimension-1 faces that leave it out."""
+    ridges, links = {}, {}
     for f in tops:
-        for r in _below(f):
+        for i, r in zip(f, _below(f)):
             ridges.setdefault(r, []).append(f)
-    return ridges
+            links.setdefault(i, []).append(r)
+    return ridges, links
 
 
 def _ball_poset(ball) -> tuple:
@@ -186,7 +188,7 @@ def _ball_poset(ball) -> tuple:
         name, n, verts = ball.name or "simplicial", ball.dim, ball.vertices()
         below = _below
         tops = [tuple(_ranks(f)) for f in ball._masks()]  # each facet's ranks, ascending
-        ridges = _ridges(tops)
+        ridges, links = _ridges(tops)
         held = [set() for _ in verts]  # rank -> the one-facet (boundary) ridges holding it
         for r in (r for r, ts in ridges.items() if len(ts) == 1):
             for i in r:
@@ -243,7 +245,7 @@ def _ball_poset(ball) -> tuple:
         raise ValueError(f"{n - 1}-cell {label(r)!r} lies in {len(ridges[r])} top cells; not a pseudomanifold")
     _check_strongly_connected(first(tops), len(tops), below, ridges, n)
     if profile is not None and n >= 3:
-        _check_links(tops, verts, {i for i, h in enumerate(held) if h}, n, set())
+        _check_links(len(tops), ridges, links, verts, n, set())
     return name, n, interior, dim, label
 
 
@@ -263,59 +265,47 @@ def _check_strongly_connected(start, count: int, below, ridges: dict, n: int) ->
                          f"across {n - 1}-cells; not strongly connected")
 
 
-def _check_links(tops: list, verts: tuple, boundary: set, n: int, seen: set) -> None:
-    """Refuse unless each vertex link passes the (n-1)-dimensional test of
-    ``_check_link``: as a ball at a vertex of a one-facet (n-1)-face (in
-    ``boundary``), else as a sphere.  Faces are rank tuples into
-    ``verts``, and one pass over the facets gathers each vertex's star.  A
-    vertex in one facet has a simplex, a ball, for its link.  A cone is
-    tested at its apex alone: another vertex's link is the cone over its
-    link in the apex's, so it passes when that one does.  ``seen`` holds
-    the links that have passed, so the link of a face met through each of
-    its vertices in turn is tested once."""
-    stars: dict = {}
-    for f in tops:
-        for i in f:
-            stars.setdefault(i, []).append(f)
-    apexes = [i for i, star in stars.items() if len(star) == len(tops)]
-    for i in sorted(apexes)[:1] or sorted(stars):
-        if len(stars[i]) == 1:
+def _check_links(count: int, ridges: dict, links: dict, verts: tuple, n: int, seen: set) -> None:
+    """Refuse unless each vertex link of a pure n-complex, given by its
+    facet count, ridge map and vertex links (rank tuples into ``verts``),
+    is a homology (n-1)-ball at a vertex of a one-facet ridge, else a
+    homology (n-1)-sphere: strongly connected, with the reduced homology of
+    a point or of the sphere, and for n >= 4 with its own vertex links
+    passing in turn.  A link inherits from the pseudomanifold it lies in
+    that it is pure, with each ridge in one or two facets, and in two for a
+    sphere; the Euler characteristics that ``_ball_poset`` counts follow,
+    as an acyclic homology manifold has a homology sphere for boundary and
+    an acyclic strongly connected 2-pseudomanifold is a disk.  A vertex in
+    one facet has a simplex for its link.  A cone is tested at its apex
+    alone: another vertex's link is the cone over its link in the apex's.
+    ``seen`` holds the links that have passed, so the link of a face met
+    through each of its vertices in turn is tested once."""
+    boundary = {i for r, ts in ridges.items() if len(ts) == 1 for i in r}
+    apexes = [i for i, link in links.items() if len(link) == count]
+    for i in sorted(apexes)[:1] or sorted(links):
+        link = links[i]
+        if len(link) == 1:
             continue
         shape = "ball" if i in boundary else "sphere"
-        link = [tuple(j for j in f if j != i) for f in stars[i]]
         key = (shape, frozenset(link))
         if key in seen:
             continue
         try:
-            _check_link(link, verts, shape, seen)
+            sub_ridges, sub_links = _ridges(link)
+            first = min(link)
+            _check_strongly_connected(first, len(link), _below, sub_ridges, n - 1)
+            # A sphere's ridges lie in two facets that connect, so its H~ is
+            # the sphere's exactly when it is acyclic less one facet, which
+            # for a sphere is a ball: the collapse core shrinks it fast.
+            rest = link if shape == "ball" else [f for f in link if f != first]
+            if not reduced_homology(_complex(rest, verts)).is_acyclic:
+                profile = reduced_homology(_complex(link, verts))
+                raise ValueError(f"reduced homology {', '.join(profile.render_lines())}; not a {shape}")
+            if n > 3:
+                _check_links(len(link), sub_ridges, sub_links, verts, n - 1, seen)
         except ValueError as e:
             raise ValueError(f"link of vertex {verts[i]!r} is not a {n - 1}-{shape}: {e}") from None
         seen.add(key)
-
-
-def _check_link(tops: list, verts: tuple, shape: str, seen: set) -> None:
-    """Refuse a vertex link, given by its facets' ranks into ``verts``,
-    that is not a homology m-ball or m-sphere (``shape``).  A link inherits
-    from the pseudomanifold it lies in that it is pure, with each (m-1)-face
-    in one or two facets, and in exactly two for a sphere: a vertex off
-    every one-facet face has none in its link.  Left to test: strongly
-    connected, the reduced homology of a point or of the m-sphere, and for
-    m >= 3 each vertex link in turn.  The Euler characteristics that
-    ``_ball_poset`` counts follow: an acyclic homology manifold has a
-    homology sphere for boundary, and for m = 2 an acyclic strongly
-    connected pseudomanifold is a disk."""
-    m, ridges, first = len(tops[0]) - 1, _ridges(tops), min(tops)
-    _check_strongly_connected(first, len(tops), _below, ridges, m)
-    # Each (m-1)-face of a sphere lies in two facets and they connect, so
-    # its H~ is the m-sphere's exactly when it is acyclic less one facet,
-    # which for a sphere is a ball: the collapse core shrinks it fast.
-    rest = tops if shape == "ball" else [f for f in tops if f != first]
-    if not reduced_homology(_complex(rest, verts)).is_acyclic:
-        profile = reduced_homology(_complex(tops, verts))
-        raise ValueError(f"reduced homology {', '.join(profile.render_lines())}; not a {shape}")
-    if m >= 3:
-        boundary = {i for r, ts in ridges.items() if len(ts) == 1 for i in r}
-        _check_links(tops, verts, boundary, m, seen)
 
 
 def _complex(tops: list, verts: tuple) -> SimplicialComplex:

@@ -60,6 +60,10 @@ MUTANTS = (
            "shape = \"ball\" if i in boundary else \"sphere\"",
            "shape = \"ball\"",
            ("tests/test_cubes.py::test_link_test_matches_the_set_reference",)),
+    Mutant("recurse one level shallower", "src/diskplex/cubes.py",
+           "            if n > 3:\n",
+           "            if n > 4:\n",
+           ("tests/test_cubes.py::test_link_test_recurses_below_its_first_level",)),
     Mutant("JSON keys in insertion order", "src/diskplex/cli.py",
            "json.dumps(payload, indent=2, sort_keys=True)",
            "json.dumps(payload, indent=2)",
@@ -82,6 +86,10 @@ MUTANTS = (
            "    if len(set(face)) != len(face):\n        raise ValueError(f\"repeated vertex in simplex",
            "    if False:\n        raise ValueError(f\"repeated vertex in simplex",
            ("tests/test_simplicial.py::test_face_arguments_keep_their_messages",)),
+    Mutant("drop the copy-count refusal", "src/diskplex/additivity.py",
+           "    if total > _FACE_BUDGET:\n",
+           "    if False:\n",
+           ("tests/test_additivity.py::test_oversized_configurations_are_refused_before_they_are_built",)),
     Mutant("a second union-find call in load_config", "src/diskplex/additivity.py",
            "    return config_from_json_dict(read_json(path))\n",
            "    config = config_from_json_dict(read_json(path))\n"

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import signal
 
 import pytest
 
@@ -20,6 +21,7 @@ from diskplex.additivity import (
 )
 from diskplex.homology import finite_index, homology_index
 from diskplex.pieces import FACES, PIECE_KINDS, catalog, piece
+from diskplex.simplicial import relabel
 from diskplex import additivity, corpus
 from diskplex.cli import main
 
@@ -110,6 +112,40 @@ def test_repeated_placement_entries_add_up():
     assert verify_index_sum(split) == verify_index_sum(whole)
     assert verify_index_sum(split).passed and verify_index_sum(split).global_index == finite_index(4)
     assert euler_characteristic(split) == euler_characteristic(whole) == 3
+
+
+def _within(seconds, check):
+    """``check()``, failing when it takes longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return check()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_oversized_configurations_are_refused_before_they_are_built(monkeypatch):
+    """More piece copies than the face budget are refused before any copy
+    is listed, and a join over the budget relabels no copy past the one
+    that takes it there, so both refusals come at once."""
+    calls = []
+    monkeypatch.setattr(additivity, "relabel", lambda k, prefix: calls.append(prefix) or relabel(k, prefix))
+    for kind, mult, message in (
+        ("TRI_0", 10**12, "configuration has 1000000000000 piece copies, over the copy limit of 262144"),
+        ("OCT_1", 100000, "join would have 524288 facets, over the face budget of 262144"),
+    ):
+        with pytest.raises(ValueError) as info:
+            _within(1, lambda: verify_index_sum(single(kind, mult=mult)))
+        assert str(info.value) == message
+    assert len(calls) == 19
+    # the limit itself is allowed
+    assert global_complex(single("TRI_0", mult=2**18)).is_empty
+    with pytest.raises(ValueError, match="262145 piece copies"):
+        global_complex(single("TRI_0", mult=2**18 + 1))
 
 
 def test_additivity_command_builds_edge_classes_once(tmp_path, monkeypatch, capsys):

@@ -34,6 +34,9 @@ SEEDS = (5, 913)
 
 # Two tetrahedra glued along a face, a triangle on the first only: matching fails.
 UNMATCHED = {"tets": 2, "gluings": [[0, 0, 1, 0, [0, 1, 2]]], "pieces": [[0, "TRI_1", 1]]}
+# More piece copies than the face budget, and a join past it: both refused at once.
+MANY_COPIES = {"tets": 1, "pieces": [[0, "TRI_0", 10**12]]}
+BIG_JOIN = {"tets": 1, "pieces": [[0, "OCT_1", 100000]]}
 # The cone over a strip of six triangles whose end vertices are one: every
 # count of a 3-ball holds, but the link of the apex "a" is a pinched strip.
 PINCHED_CONE = {"name": "pinched-cone", "facets": [[0, 1, 2, "a"], [0, 5, 6, "a"], [1, 2, 3, "a"],
@@ -66,7 +69,9 @@ def replay(root: str) -> list[list]:
         calls += [argv for argv, _ in wl.invocations] + [["dual", p] for p in complexes]
     calls += [["cube", "--cone", "3"], ["cube", "--subdivide", "1,0,2"],
               ["additivity", _write(os.path.join(root, "unmatched.json"), UNMATCHED)],
-              ["dual", _write(os.path.join(root, "pinched.json"), PINCHED_CONE)]]
+              ["dual", _write(os.path.join(root, "pinched.json"), PINCHED_CONE)],
+              ["additivity", _write(os.path.join(root, "copies.json"), MANY_COPIES)],
+              ["additivity", _write(os.path.join(root, "join.json"), BIG_JOIN)]]
     rows = []
     for argv in calls:
         rows += [_run(argv, root), _run([*argv, "--json"], root)]

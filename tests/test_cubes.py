@@ -398,6 +398,21 @@ def test_ball_checks_on_masks_match_the_face_poset_route():
 PINCHED_CONE = [[0, 1, 2, "a"], [0, 5, 6, "a"], [1, 2, 3, "a"], [2, 3, 4, "a"], [3, 4, 5, "a"], [4, 5, 6, "a"]]
 
 
+def test_link_test_recurses_below_its_first_level():
+    # coned once and twice more, the pinched cone is refused for the same
+    # pinched strip, found two and three link levels down
+    twice = cone(from_facets(PINCHED_CONE), "b")
+    for k, message in (
+        (twice, "link of vertex 'a' is not a 3-ball: "
+                "link of vertex 'b' is not a 2-ball: reduced homology H~0 = 0, H~1 = Z; not a ball"),
+        (cone(twice, "c"), "link of vertex 'a' is not a 4-ball: link of vertex 'b' is not a 3-ball: "
+                           "link of vertex 'c' is not a 2-ball: reduced homology H~0 = 0, H~1 = Z; not a ball"),
+    ):
+        with pytest.raises(ValueError) as err:
+            validate_ball(k)
+        assert str(err.value) == message
+
+
 def _grown_pure(seed, d):
     """A d-simplex with up to ten more glued on, each to a ridge that lies in
     one facet, its new vertex drawn from d + 4: disks and balls, pinched

@@ -294,6 +294,7 @@ BAD = [
     (lambda: TetGluing(1, (GLUE,)), "gluing references missing tetrahedron 1"),
     (lambda: TetGluing(3, (GLUE, Gluing(2, 0, 0, 1, (0, 1, 2)))), "face (0, 1) glued more than once"),
     (lambda: Placement(0, "TUBE", 0), "multiplicity must be positive"),
+    (lambda: Placement(0, "NOPE", 1), "unknown piece kind 'NOPE'"),
     (lambda: SurfaceConfiguration(TetGluing(1), (Placement(1, "TUBE", 1),)),
      "placement references missing tetrahedron 1"),
     (lambda: SurfaceComponentModel(0, -1), "component weight cannot be negative"),
