@@ -59,7 +59,11 @@ class SimplicialComplex(_Value):
     operation works on ``_masks()``, the facets as int bitmasks over the
     ranks, and maps masks back through ascending ranks, so its facets are
     canonical; comparing faces by their vertex ranks orders them exactly
-    as comparing their ``vertex_key`` tuples would.
+    as comparing their ``vertex_key`` tuples would.  A complex that
+    ``_maximal`` makes from masks over every rank (each ``from_facets``
+    result) holds only its vertices and masks and makes its facet tuples
+    on first read; ``is_empty``, ``dim`` and the face bound read the
+    masks, so the homology path makes no facet tuple.
     """
 
     _fields = ("facets",)
@@ -67,9 +71,16 @@ class SimplicialComplex(_Value):
     def __init__(self, facets: frozenset, name: str = ""):
         self.__dict__.update(facets=facets, name=name, _cache={})
 
+    @functools.cached_property
+    def facets(self) -> frozenset:
+        """The facets of a complex made from masks, made on first read;
+        ``__init__`` binds ``facets`` itself, which hides this."""
+        cache = self._cache
+        return _tuples(cache["masks"], cache["vertices"])
+
     @property
     def is_empty(self) -> bool:
-        return not self.facets
+        return not self._masks()
 
     def facet_list(self) -> list[tuple]:
         """Facets in canonical (lexicographic) order."""
@@ -103,13 +114,11 @@ class SimplicialComplex(_Value):
 
     @property
     def dim(self) -> int:
-        if self.is_empty:
-            return -1
-        return max(len(f) for f in self.facets) - 1
+        return max(map(int.bit_count, self._masks()), default=0) - 1
 
     def _check_face_budget(self) -> None:
         """Raise ValueError when the complex may have more faces than the budget."""
-        bound = sum((1 << len(f)) - 1 for f in self.facets)
+        bound = sum((1 << m.bit_count()) - 1 for m in self._masks())
         if bound > _FACE_BUDGET:
             raise ValueError(f"complex may have {bound} faces, over the face budget of {_FACE_BUDGET}")
 
@@ -148,6 +157,11 @@ class SimplicialComplex(_Value):
         return f"<{label}: {len(self.facets)} facets, dim {self.dim}>"
 
 
+def _tuples(masks: Iterable[int], verts: tuple) -> frozenset:
+    """The faces that ``masks`` stand for, ranks into ``verts``, as tuples in rank order."""
+    return frozenset(tuple(verts[i] for i in _ranks(m)) for m in masks)
+
+
 def _maximal(masks: Iterable[int], verts: tuple, name: str) -> SimplicialComplex:
     """The complex whose facets are the maximal ``masks``, ranks into ``verts``.
 
@@ -155,7 +169,9 @@ def _maximal(masks: Iterable[int], verts: tuple, name: str) -> SimplicialComplex
     which has more bits, so each mask is tested only against the longer
     masks already kept.  ``verts`` is in ``vertex_key`` order, so each kept
     mask maps back to a canonical tuple.  When the kept masks use every
-    rank, ``verts`` is the result's ``vertices()`` and they are its ``_masks()``.
+    rank, ``verts`` is the result's ``vertices()`` and they are its
+    ``_masks()``: the result holds only those and makes its facet tuples
+    on first read.  Otherwise they are made here.
     """
     by_size: dict[int, set[int]] = {}
     for m in masks:
@@ -163,9 +179,10 @@ def _maximal(masks: Iterable[int], verts: tuple, name: str) -> SimplicialComplex
     keep: list[int] = []
     for n in sorted(by_size, reverse=True):
         keep += [m for m in by_size[n] if not any(g & m == m for g in keep)]
-    out = SimplicialComplex(frozenset(tuple(verts[i] for i in _ranks(m)) for m in keep), name)
-    if functools.reduce(int.__or__, keep, 0).bit_count() == len(verts):
-        out._cache.update(vertices=verts, masks=keep)
+    if functools.reduce(int.__or__, keep, 0).bit_count() != len(verts):
+        return SimplicialComplex(_tuples(keep, verts), name)
+    out = SimplicialComplex.__new__(SimplicialComplex)
+    out.__dict__.update(name=name, _cache={"vertices": verts, "masks": keep})
     return out
 
 
@@ -173,18 +190,20 @@ def from_facets(candidate_faces: Iterable[Iterable[Vertex]], name: str = "") -> 
     """Build a complex from candidate maximal faces.
 
     Dominated faces and duplicates are dropped; an empty list gives the
-    empty complex.  Faces with a repeated vertex are rejected.  Each
-    distinct vertex is ordered by ``vertex_key`` once.
+    empty complex.  An empty face, or one with a repeated vertex, is
+    rejected, the first such face in input order.  Each distinct vertex is
+    ordered by ``vertex_key`` once.
     """
     faces = [tuple(face) for face in candidate_faces]
-    for face in faces:
-        if not face:
-            raise ValueError("faces must be nonempty")
-        if len(set(face)) != len(face):
-            raise ValueError(f"repeated vertex in face {face!r}")
     verts = tuple(sorted({v for f in faces for v in f}, key=vertex_key))
     bit = {v: 1 << i for i, v in enumerate(verts)}
-    return _maximal([sum(map(bit.__getitem__, f)) for f in faces], verts, name)
+    masks = [sum(map(bit.__getitem__, f)) for f in faces]
+    for face, m in zip(faces, masks):
+        if not face:
+            raise ValueError("faces must be nonempty")
+        if m.bit_count() != len(face):  # a repeated bit carries, so the sum has fewer bits
+            raise ValueError(f"repeated vertex in face {face!r}")
+    return _maximal(masks, verts, name)
 
 
 def empty_complex(name: str = "empty") -> SimplicialComplex:

@@ -86,6 +86,17 @@ MUTANTS = (
            "    if len(set(face)) != len(face):\n        raise ValueError(f\"repeated vertex in simplex",
            "    if False:\n        raise ValueError(f\"repeated vertex in simplex",
            ("tests/test_simplicial.py::test_face_arguments_keep_their_messages",)),
+    Mutant("drop the bit-count repeat check", "src/diskplex/simplicial.py",
+           "        if m.bit_count() != len(face):",
+           "        if False:",
+           ("tests/test_simplicial.py::test_from_facets_antichain",
+            "tests/test_io_cli.py::test_rejects_malformed_documents")),
+    Mutant("make lazy facets from the wrong ranks", "src/diskplex/simplicial.py",
+           "return _tuples(cache[\"masks\"], cache[\"vertices\"])",
+           "return _tuples(cache[\"masks\"], cache[\"vertices\"][::-1])",
+           ("tests/test_simplicial.py::test_homology_makes_no_facet_tuple_of_a_from_facets_result",
+            "tests/test_simplicial.py::test_mask_operations_match_set_references",
+            "tests/test_simplicial.py::test_from_facets_antichain")),
     Mutant("drop the copy-count refusal", "src/diskplex/additivity.py",
            "    if total > _FACE_BUDGET:\n",
            "    if False:\n",

@@ -91,8 +91,10 @@ def test_rejects_malformed_documents():
         complex_from_json_dict({"facets": [[]]})
     with pytest.raises(ValueError):
         complex_from_json_dict({"facets": [[1]], "name": 7})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^input: repeated vertex in face \(1, 1\)$"):
         complex_from_json_dict({"facets": [[1, 1]]})
+    with pytest.raises(ValueError, match=r"^a\.json: repeated vertex in face \(0, \('x', \(1,\)\), \('x', \(1,\)\)\)$"):
+        complex_from_json_dict({"facets": [[0, ["x", [1]], ["x", [1]]]]}, "a.json")
 
 
 def test_parse_reports_line_numbers(tmp_path):

@@ -1,7 +1,9 @@
 import functools
+import itertools
 import random
 import signal
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 
 from diskplex import simplicial
+from diskplex.homology import reduced_homology
 from diskplex.simplicial import (
+    SimplicialComplex,
     adjacency_subcomplex,
     barycentric_subdivision,
     boundary_of_simplex,
@@ -54,13 +58,22 @@ def test_face_arguments_keep_their_messages(call, where, face, message):
         assert str(err.value) == message.format(where)
 
 
+REFUSED_FACES = [
+    ([[1, 2], [], [3, 3]], "faces must be nonempty"),
+    ([[1, 2], [3, 3], []], "repeated vertex in face (3, 3)"),
+    ([[1, ("x", (0, "b")), 2, ("x", (0, "b"))]], "repeated vertex in face (1, ('x', (0, 'b')), 2, ('x', (0, 'b')))"),
+    ([[0, 1, 2], [2, 1, 0, 1]], "repeated vertex in face (2, 1, 0, 1)"),
+    ([[]], "faces must be nonempty"),
+]
+
+
 def test_from_facets_antichain():
     k = from_facets([[1, 2], [2, 1], [1], [3]])
     assert sorted(k.facet_list()) == [(1, 2), (3,)]
-    with pytest.raises(ValueError):
-        from_facets([[1, 1]])
-    with pytest.raises(ValueError):
-        from_facets([[]])
+    for faces, message in REFUSED_FACES:  # the first bad face in input order, as given
+        with pytest.raises(ValueError) as err:
+            from_facets(faces)
+        assert str(err.value) == message
     rng = random.Random(43)
     for _ in range(300):
         faces = []
@@ -88,6 +101,13 @@ mixed_faces = st.lists(st.lists(mixed_vertices, min_size=1, max_size=4, unique=T
 
 
 def _assert_matches(k, expected):
+    # read before the facets, so a complex made from masks answers from them
+    assert k.is_empty == (not expected)
+    assert k.dim == max(map(len, expected), default=0) - 1
+    bound = sum(2 ** len(f) - 1 for f in expected)
+    with mock.patch.object(simplicial, "_FACE_BUDGET", bound - 1):
+        with pytest.raises(ValueError, match=f"^complex may have {bound} faces,"):
+            k._check_face_budget()
     assert {frozenset(f) for f in k.facets} == expected
     for f in k.facets:
         assert list(f) == sorted(f, key=vertex_key)
@@ -121,11 +141,27 @@ def test_mask_operations_match_set_references(faces, data):
         assert got.name == f"adjacency({x.name}; {shown!r})"
 
 
+RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+       (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
+
+
+def test_homology_makes_no_facet_tuple_of_a_from_facets_result():
+    """A ``from_facets`` result holds its masks and makes its facet tuples
+    on first read, as the same frozenset an eager complex holds."""
+    for faces, k in ((RP2, from_facets(RP2, "rp2")),
+                     (list(itertools.combinations(range(7), 6)), boundary_of_simplex(7))):
+        reduced_homology(k)
+        assert "facets" not in k.__dict__, k.name
+        assert k.facets == oracles.maximal_faces(faces)
+        eager = SimplicialComplex(frozenset(faces), "eager")
+        assert k == eager and hash(k) == hash(eager)
+        assert k.facet_list() == eager.facet_list() and k.faces_by_dim() == eager.faces_by_dim()
+
+
 def test_from_facets_orders_each_vertex_once(monkeypatch):
     """sd(RP^2) joined with S^0, all vertices tuples: ``vertex_key`` sees
     each vertex of the complex once, whatever it recurses into."""
-    rp2 = from_facets([[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
-                       [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]])
+    rp2 = from_facets(RP2)
     s0 = from_facets([[("s", 0)], [("s", 1)]])
     facets = [fa + fb for fa in barycentric_subdivision(rp2).facets for fb in s0.facets]
     calls = Counter()
