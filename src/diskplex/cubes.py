@@ -26,7 +26,7 @@ from typing import Sequence
 
 from . import _Value
 from .homology import reduced_homology
-from .simplicial import _FACE_BUDGET, SimplicialComplex, _ranks, simplex_complex
+from .simplicial import _FACE_BUDGET, SimplicialComplex, _maximal, _ranks, simplex_complex
 
 
 class CubicalComplex(_Value):
@@ -310,7 +310,7 @@ def _check_links(count: int, ridges: dict, links: dict, verts: tuple, n: int, se
 
 def _complex(tops: list, verts: tuple) -> SimplicialComplex:
     """The complex whose facets are ``tops``, ascending rank tuples into ``verts``."""
-    return SimplicialComplex(frozenset(tuple(verts[i] for i in f) for f in tops))
+    return _maximal([sum(map((1).__lshift__, f)) for f in tops], verts, "")
 
 
 def validate_ball(complexe) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Any, Iterable, Sequence
+from typing import Any, Collection, Iterable, Sequence
 
 from . import _Value
 
@@ -54,29 +54,32 @@ class SimplicialComplex(_Value):
     Face enumeration is computed on demand and memoized.
 
     Invariant: every facet is a tuple sorted by ``vertex_key`` without
-    repeats, and so is ``vertices()``.  A vertex's rank is its position
-    there, so rank order is ``vertex_key`` order.  Every facet-set
-    operation works on ``_masks()``, the facets as int bitmasks over the
-    ranks, and maps masks back through ascending ranks, so its facets are
-    canonical; comparing faces by their vertex ranks orders them exactly
-    as comparing their ``vertex_key`` tuples would.  A complex that
-    ``_maximal`` makes from masks over every rank (each ``from_facets``
-    result) holds only its vertices and masks and makes its facet tuples
-    on first read; ``is_empty``, ``dim`` and the face bound read the
-    masks, so the homology path makes no facet tuple.
+    repeats, and so is ``vertices()``, the frame.  A vertex's rank is its
+    position there, so rank order is ``vertex_key`` order.  Every complex
+    holds its frame and ``_masks()``, the facets as int bitmasks over the
+    ranks, from birth.  ``__init__`` makes both from the facet tuples it
+    is given and binds those; every complex derived from masks (each
+    ``from_facets`` result, link, star, subcomplex, collapse core and
+    relabelling) is made by ``_maximal``, re-ranked rather than rebuilt,
+    and makes its facet tuples on first read.  Facet-set operations work
+    on the masks and map them back through ascending ranks, so facets are
+    canonical and faces compare by their ranks as by their ``vertex_key``
+    tuples.  ``is_empty``, ``dim`` and the face bound read the masks, so
+    the homology path makes no facet tuple.
     """
 
     _fields = ("facets",)
 
     def __init__(self, facets: frozenset, name: str = ""):
-        self.__dict__.update(facets=facets, name=name, _cache={})
+        verts, masks = _frame(facets)
+        self.__dict__.update(facets=facets, name=name, _cache={"vertices": verts, "masks": masks})
 
     @functools.cached_property
     def facets(self) -> frozenset:
         """The facets of a complex made from masks, made on first read;
         ``__init__`` binds ``facets`` itself, which hides this."""
-        cache = self._cache
-        return _tuples(cache["masks"], cache["vertices"])
+        verts = self.vertices()
+        return frozenset(tuple(verts[i] for i in _ranks(m)) for m in self._masks())
 
     @property
     def is_empty(self) -> bool:
@@ -87,11 +90,6 @@ class SimplicialComplex(_Value):
         return sorted(self.facets, key=self._face_order())
 
     def vertices(self) -> tuple:
-        if "vertices" not in self._cache:
-            seen = set()
-            for f in self.facets:
-                seen.update(f)
-            self._cache["vertices"] = tuple(sorted(seen, key=vertex_key))
         return self._cache["vertices"]
 
     def _vertex_ranks(self) -> dict:
@@ -101,10 +99,7 @@ class SimplicialComplex(_Value):
         return self._cache["ranks"]
 
     def _masks(self) -> list[int]:
-        """Facet bitmasks over the ranks of ``vertices()``, in no set order; memoised."""
-        if "masks" not in self._cache:
-            rank = self._vertex_ranks().__getitem__
-            self._cache["masks"] = [sum(map((1).__lshift__, map(rank, f))) for f in self.facets]
+        """Facet bitmasks over the ranks of ``vertices()``, in no set order."""
         return self._cache["masks"]
 
     def _face_order(self):
@@ -157,9 +152,12 @@ class SimplicialComplex(_Value):
         return f"<{label}: {len(self.facets)} facets, dim {self.dim}>"
 
 
-def _tuples(masks: Iterable[int], verts: tuple) -> frozenset:
-    """The faces that ``masks`` stand for, ranks into ``verts``, as tuples in rank order."""
-    return frozenset(tuple(verts[i] for i in _ranks(m)) for m in masks)
+def _frame(faces: Collection[tuple]) -> tuple[tuple, list[int]]:
+    """The vertices of ``faces`` in ``vertex_key`` order, each ordered once,
+    and each face's bitmask over their ranks (a repeated vertex carries)."""
+    verts = tuple(sorted({v for f in faces for v in f}, key=vertex_key))
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    return verts, [sum(map(bit.__getitem__, f)) for f in faces]
 
 
 def _maximal(masks: Iterable[int], verts: tuple, name: str) -> SimplicialComplex:
@@ -167,11 +165,10 @@ def _maximal(masks: Iterable[int], verts: tuple, name: str) -> SimplicialComplex
 
     Duplicates are dropped.  A dominated mask lies inside a maximal mask,
     which has more bits, so each mask is tested only against the longer
-    masks already kept.  ``verts`` is in ``vertex_key`` order, so each kept
-    mask maps back to a canonical tuple.  When the kept masks use every
-    rank, ``verts`` is the result's ``vertices()`` and they are its
-    ``_masks()``: the result holds only those and makes its facet tuples
-    on first read.  Otherwise they are made here.
+    masks already kept.  When the kept masks leave ranks unused, they are
+    re-ranked onto the used vertices, whose ascending ranks keep
+    ``vertex_key`` order; so the result's frame is exactly its vertices,
+    as for every complex, and it makes its facet tuples on first read.
     """
     by_size: dict[int, set[int]] = {}
     for m in masks:
@@ -179,8 +176,11 @@ def _maximal(masks: Iterable[int], verts: tuple, name: str) -> SimplicialComplex
     keep: list[int] = []
     for n in sorted(by_size, reverse=True):
         keep += [m for m in by_size[n] if not any(g & m == m for g in keep)]
-    if functools.reduce(int.__or__, keep, 0).bit_count() != len(verts):
-        return SimplicialComplex(_tuples(keep, verts), name)
+    used = _ranks(functools.reduce(int.__or__, keep, 0))
+    if len(used) != len(verts):
+        rerank = {i: 1 << j for j, i in enumerate(used)}
+        keep = [sum(map(rerank.__getitem__, _ranks(m))) for m in keep]
+        verts = tuple(map(verts.__getitem__, used))
     out = SimplicialComplex.__new__(SimplicialComplex)
     out.__dict__.update(name=name, _cache={"vertices": verts, "masks": keep})
     return out
@@ -195,9 +195,7 @@ def from_facets(candidate_faces: Iterable[Iterable[Vertex]], name: str = "") -> 
     ordered by ``vertex_key`` once.
     """
     faces = [tuple(face) for face in candidate_faces]
-    verts = tuple(sorted({v for f in faces for v in f}, key=vertex_key))
-    bit = {v: 1 << i for i, v in enumerate(verts)}
-    masks = [sum(map(bit.__getitem__, f)) for f in faces]
+    verts, masks = _frame(faces)
     for face, m in zip(faces, masks):
         if not face:
             raise ValueError("faces must be nonempty")
@@ -230,9 +228,10 @@ def boundary_of_simplex(n_vertices: int, name: str = "") -> SimplicialComplex:
 
 
 def relabel(k: SimplicialComplex, prefix: str) -> SimplicialComplex:
-    """Namespace every vertex of ``k`` as ``(prefix, v)``."""
-    facets = [tuple((prefix, v) for v in f) for f in k.facets]
-    return from_facets(facets, name=f"{prefix}:{k.name}" if k.name else prefix)
+    """Namespace every vertex of ``k`` as ``(prefix, v)``.  Those sort by
+    ``vertex_key`` as the ``v`` do, so the result keeps ``k``'s masks."""
+    verts = tuple((prefix, v) for v in k.vertices())
+    return _maximal(k._masks(), verts, f"{prefix}:{k.name}" if k.name else prefix)
 
 
 def join(a: SimplicialComplex, b: SimplicialComplex, *, relabel_on_collision: bool = False) -> SimplicialComplex:
@@ -263,7 +262,7 @@ def join_all(complexes: Sequence[SimplicialComplex], name: str = "") -> Simplici
     parts = [k for k in complexes if not k.is_empty] or list(complexes[-1:]) or [empty_complex()]
     first = parts[0]
     if len(parts) == 1:
-        return SimplicialComplex(first.facets, name) if name else first
+        return _maximal(first._masks(), first.vertices(), name) if name else first
     n, seen, label = len(first.facets), set(first.vertices()), first.name
     for k in parts[1:]:
         n *= len(k.facets)

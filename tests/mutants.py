@@ -92,11 +92,23 @@ MUTANTS = (
            ("tests/test_simplicial.py::test_from_facets_antichain",
             "tests/test_io_cli.py::test_rejects_malformed_documents")),
     Mutant("make lazy facets from the wrong ranks", "src/diskplex/simplicial.py",
-           "return _tuples(cache[\"masks\"], cache[\"vertices\"])",
-           "return _tuples(cache[\"masks\"], cache[\"vertices\"][::-1])",
+           "return frozenset(tuple(verts[i] for i in _ranks(m)) for m in self._masks())",
+           "return frozenset(tuple(verts[::-1][i] for i in _ranks(m)) for m in self._masks())",
            ("tests/test_simplicial.py::test_homology_makes_no_facet_tuple_of_a_from_facets_result",
             "tests/test_simplicial.py::test_mask_operations_match_set_references",
             "tests/test_simplicial.py::test_from_facets_antichain")),
+    Mutant("skip the re-rank", "src/diskplex/simplicial.py",
+           "    if len(used) != len(verts):\n",
+           "    if False:\n",
+           ("tests/test_simplicial.py::test_homology_makes_no_facet_tuple_of_a_from_facets_result",
+            "tests/test_simplicial.py::test_mask_operations_match_set_references",
+            "tests/test_simplicial.py::test_full_subcomplex",
+            "tests/test_cubes.py::test_link_test_matches_the_set_reference")),
+    Mutant("relabel reverses the frame", "src/diskplex/simplicial.py",
+           "verts = tuple((prefix, v) for v in k.vertices())",
+           "verts = tuple((prefix, v) for v in k.vertices())[::-1]",
+           ("tests/test_simplicial.py::test_homology_makes_no_facet_tuple_of_a_from_facets_result",
+            "tests/test_simplicial.py::test_join_matches_oracle_product")),
     Mutant("drop the copy-count refusal", "src/diskplex/additivity.py",
            "    if total > _FACE_BUDGET:\n",
            "    if False:\n",

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 
 from diskplex import simplicial
-from diskplex.homology import reduced_homology
+from diskplex.homology import _collapse_core, reduced_homology
 from diskplex.simplicial import (
     SimplicialComplex,
     adjacency_subcomplex,
@@ -102,6 +102,7 @@ mixed_faces = st.lists(st.lists(mixed_vertices, min_size=1, max_size=4, unique=T
 
 def _assert_matches(k, expected):
     # read before the facets, so a complex made from masks answers from them
+    assert "facets" not in k.__dict__ and all(m < 1 << len(k.vertices()) for m in k._masks())
     assert k.is_empty == (not expected)
     assert k.dim == max(map(len, expected), default=0) - 1
     bound = sum(2 ** len(f) - 1 for f in expected)
@@ -146,12 +147,19 @@ RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
 
 
 def test_homology_makes_no_facet_tuple_of_a_from_facets_result():
-    """A ``from_facets`` result holds its masks and makes its facet tuples
-    on first read, as the same frozenset an eager complex holds."""
+    """A complex derived from masks (a ``from_facets`` result, a
+    relabelling, a proper collapse core) holds its masks and makes its
+    facet tuples on first read, as the same frozenset an eager complex
+    holds."""
+    pendant = [(-1, 0, 1)] + RP2  # its core drops -1 and 0, the two lowest ranks
+    core = _collapse_core(from_facets(pendant, "pendant"))
     for faces, k in ((RP2, from_facets(RP2, "rp2")),
-                     (list(itertools.combinations(range(7), 6)), boundary_of_simplex(7))):
+                     (list(itertools.combinations(range(7), 6)), boundary_of_simplex(7)),
+                     ([tuple(("t", v) for v in f) for f in RP2], relabel(from_facets(RP2), "t")),
+                     (RP2, core)):
         reduced_homology(k)
         assert "facets" not in k.__dict__, k.name
+        assert list(k.vertices()) == sorted({v for f in faces for v in f}, key=vertex_key)
         assert k.facets == oracles.maximal_faces(faces)
         eager = SimplicialComplex(frozenset(faces), "eager")
         assert k == eager and hash(k) == hash(eager)

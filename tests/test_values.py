@@ -272,7 +272,9 @@ def test_cubical_complex_compares_by_identity():
 def test_cache_is_per_instance():
     a, b = SimplicialComplex(frozenset({(1,)})), SimplicialComplex(frozenset({(1,)}))
     assert a.vertices() == (1,)
-    assert a._cache is not b._cache and b._cache == {}
+    a.faces_by_dim()
+    assert a._cache is not b._cache and "faces" in a._cache
+    assert b._cache == {"vertices": (1,), "masks": [1]}  # its own frame, and no face memo
 
 
 BAD = [
