@@ -57,22 +57,23 @@ class SimplicialComplex(_Value):
     repeats, and so is ``vertices()``, the frame.  A vertex's rank is its
     position there, so rank order is ``vertex_key`` order.  Every complex
     holds its frame and ``_masks()``, the facets as int bitmasks over the
-    ranks, from birth.  ``__init__`` makes both from the facet tuples it
-    is given and binds those; every complex derived from masks (each
-    ``from_facets`` result, link, star, subcomplex, collapse core and
-    relabelling) is made by ``_maximal``, re-ranked rather than rebuilt,
-    and makes its facet tuples on first read.  Facet-set operations work
-    on the masks and map them back through ascending ranks, so facets are
-    canonical and faces compare by their ranks as by their ``vertex_key``
-    tuples.  ``is_empty``, ``dim`` and the face bound read the masks, so
-    the homology path makes no facet tuple.
+    ranks, from birth, and ``_maximal`` makes every complex.
+    ``SimplicialComplex(...)`` normalises and refuses what it is given as
+    ``from_facets`` does, through ``_frame`` and ``_maximal``, and binds
+    the canonical facet tuples; every other complex (each ``from_facets``
+    result, link, star, subcomplex, collapse core and relabelling) is
+    re-ranked rather than rebuilt, and makes its facet tuples on first
+    read.  Facet-set operations work on the masks and map them back
+    through ascending ranks, so facets are canonical and faces sort by
+    their ranks.  ``is_empty``, ``dim`` and the face bound read the
+    masks, so the homology path makes no facet tuple.
     """
 
     _fields = ("facets",)
 
     def __init__(self, facets: frozenset, name: str = ""):
-        verts, masks = _frame(facets)
-        self.__dict__.update(facets=facets, name=name, _cache={"vertices": verts, "masks": masks})
+        k = _maximal(*_frame(facets), name)
+        self.__dict__.update(facets=k.facets, name=name, _cache=k._cache)
 
     @functools.cached_property
     def facets(self) -> frozenset:
@@ -87,7 +88,8 @@ class SimplicialComplex(_Value):
 
     def facet_list(self) -> list[tuple]:
         """Facets in canonical (lexicographic) order."""
-        return sorted(self.facets, key=self._face_order())
+        verts = self.vertices()
+        return [tuple(map(verts.__getitem__, r)) for r in sorted(map(_ranks, self._masks()))]
 
     def vertices(self) -> tuple:
         return self._cache["vertices"]
@@ -101,11 +103,6 @@ class SimplicialComplex(_Value):
     def _masks(self) -> list[int]:
         """Facet bitmasks over the ranks of ``vertices()``, in no set order."""
         return self._cache["masks"]
-
-    def _face_order(self):
-        """Sort key for faces of this complex: the tuple of vertex ranks."""
-        rank = self._vertex_ranks()
-        return lambda face: tuple(map(rank.__getitem__, face))
 
     @property
     def dim(self) -> int:
@@ -125,9 +122,10 @@ class SimplicialComplex(_Value):
         faces than the budget.
         """
         self._check_face_budget()
-        key = self._face_order()
+        verts, ranks = self.vertices(), [_ranks(m) for m in self._masks()]
         for r in range(1, self.dim + 2):
-            yield sorted({c for f in self.facets for c in itertools.combinations(f, r)}, key=key)
+            faces = sorted({c for f in ranks for c in itertools.combinations(f, r)})
+            yield [tuple(map(verts.__getitem__, c)) for c in faces]
 
     def faces_by_dim(self) -> dict[int, list[tuple]]:
         """All faces grouped by dimension, each group in canonical order.
@@ -152,12 +150,20 @@ class SimplicialComplex(_Value):
         return f"<{label}: {len(self.facets)} facets, dim {self.dim}>"
 
 
-def _frame(faces: Collection[tuple]) -> tuple[tuple, list[int]]:
-    """The vertices of ``faces`` in ``vertex_key`` order, each ordered once,
-    and each face's bitmask over their ranks (a repeated vertex carries)."""
+def _frame(faces: Collection[tuple]) -> tuple[list[int], tuple]:
+    """Each face's bitmask over the ranks of the vertices of ``faces``, and
+    those vertices in ``vertex_key`` order, each ordered once.  An empty
+    face, or one with a repeated vertex, is rejected, the first such face
+    in input order."""
     verts = tuple(sorted({v for f in faces for v in f}, key=vertex_key))
     bit = {v: 1 << i for i, v in enumerate(verts)}
-    return verts, [sum(map(bit.__getitem__, f)) for f in faces]
+    masks = [sum(map(bit.__getitem__, f)) for f in faces]
+    for face, m in zip(faces, masks):
+        if not face:
+            raise ValueError("faces must be nonempty")
+        if m.bit_count() != len(face):  # a repeated bit carries, so the sum has fewer bits
+            raise ValueError(f"repeated vertex in face {face!r}")
+    return masks, verts
 
 
 def _maximal(masks: Iterable[int], verts: tuple, name: str) -> SimplicialComplex:
@@ -190,18 +196,10 @@ def from_facets(candidate_faces: Iterable[Iterable[Vertex]], name: str = "") -> 
     """Build a complex from candidate maximal faces.
 
     Dominated faces and duplicates are dropped; an empty list gives the
-    empty complex.  An empty face, or one with a repeated vertex, is
-    rejected, the first such face in input order.  Each distinct vertex is
-    ordered by ``vertex_key`` once.
+    empty complex, and ``_frame`` refuses a bad face.
+    ``SimplicialComplex(frozenset(faces))`` normalises and refuses alike.
     """
-    faces = [tuple(face) for face in candidate_faces]
-    verts, masks = _frame(faces)
-    for face, m in zip(faces, masks):
-        if not face:
-            raise ValueError("faces must be nonempty")
-        if m.bit_count() != len(face):  # a repeated bit carries, so the sum has fewer bits
-            raise ValueError(f"repeated vertex in face {face!r}")
-    return _maximal(masks, verts, name)
+    return _maximal(*_frame([tuple(face) for face in candidate_faces]), name)
 
 
 def empty_complex(name: str = "empty") -> SimplicialComplex:

@@ -34,7 +34,7 @@ move validator does not enforce it.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import _Value
 
@@ -58,12 +58,12 @@ Surface = Sequence[SurfaceComponentModel]
 
 
 class Width(_Value):
-    """Multiset of (-euler, weight) pairs, stored sorted non-increasing."""
+    """Multiset of (-euler, weight) pairs, given in any order and stored sorted non-increasing."""
 
     _fields = ("pairs",)
 
-    def __init__(self, pairs: tuple[tuple[int, int], ...]):
-        self.__dict__.update(pairs=tuple(pairs))
+    def __init__(self, pairs: Iterable[tuple[int, int]]):
+        self.__dict__.update(pairs=tuple(sorted(pairs, reverse=True)))
 
     def __str__(self):
         return "{" + ", ".join(f"({a}, {b})" for a, b in self.pairs) + "}"
@@ -72,7 +72,7 @@ class Width(_Value):
 def width(surface: Surface) -> Width:
     if not surface:
         return Width(pairs=((0, 0),))
-    return Width(pairs=sorted((c.width_pair for c in surface), reverse=True))
+    return Width(pairs=(c.width_pair for c in surface))
 
 
 class Ordering(Enum):

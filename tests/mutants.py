@@ -44,9 +44,19 @@ MUTANTS = (
             "tests/test_values.py::test_value_semantics",
             "tests/test_width.py::test_width_pairs_sorted_non_increasing")),
     Mutant("keep a sequence field as given", "src/diskplex/width.py",
-           "self.__dict__.update(pairs=tuple(pairs))",
-           "self.__dict__.update(pairs=pairs)",
+           "self.__dict__.update(pairs=tuple(sorted(pairs, reverse=True)))",
+           "self.__dict__.update(pairs=sorted(pairs, reverse=True))",
            ("tests/test_values.py::test_sequence_fields_are_stored_as_tuples",)),
+    Mutant("Width keeps the caller's order", "src/diskplex/width.py",
+           "self.__dict__.update(pairs=tuple(sorted(pairs, reverse=True)))",
+           "self.__dict__.update(pairs=tuple(pairs))",
+           ("tests/test_width.py::test_width_pairs_sorted_non_increasing",
+            "tests/test_width.py::test_compare_width_lex_and_prefix",
+            "tests/test_width.py::test_compare_width_reads_pairs_in_any_order")),
+    Mutant("bind the caller's facets in SimplicialComplex.__init__", "src/diskplex/simplicial.py",
+           "self.__dict__.update(facets=k.facets, name=name, _cache=k._cache)",
+           "self.__dict__.update(facets=facets, name=name, _cache=k._cache)",
+           ("tests/test_simplicial.py::test_from_facets_antichain",)),
     Mutant("skip the link test", "src/diskplex/cubes.py",
            "    if profile is not None and n >= 3:\n        _check_links(",
            "    if False:\n        _check_links(",
@@ -90,6 +100,7 @@ MUTANTS = (
            "        if m.bit_count() != len(face):",
            "        if False:",
            ("tests/test_simplicial.py::test_from_facets_antichain",
+            "tests/test_values.py::test_construction_checks_keep_their_messages",
             "tests/test_io_cli.py::test_rejects_malformed_documents")),
     Mutant("make lazy facets from the wrong ranks", "src/diskplex/simplicial.py",
            "return frozenset(tuple(verts[i] for i in _ranks(m)) for m in self._masks())",

@@ -74,7 +74,12 @@ def test_from_facets_antichain():
         with pytest.raises(ValueError) as err:
             from_facets(faces)
         assert str(err.value) == message
-    rng = random.Random(43)
+    # a complex built by hand is normalised as from_facets normalises it:
+    # kept, the dominated edge (1, 2) of RP^2 would add a Z to H~1
+    by_hand = SimplicialComplex(frozenset(RP2 + [(1, 2)]))
+    assert by_hand == from_facets(RP2) and by_hand.facets == frozenset(RP2)
+    assert reduced_homology(by_hand).render_lines() == ["H~0 = 0", "H~1 = Z/2"]
+    rng, shuffle = random.Random(43), random.Random(44)
     for _ in range(300):
         faces = []
         for _ in range(rng.randint(1, 30)):
@@ -85,6 +90,10 @@ def test_from_facets_antichain():
                 faces.append(tuple(sorted(rng.sample(range(9), rng.randint(1, 6)))))
         k = from_facets(faces)
         assert k.facets == oracles.maximal_faces(faces), faces
+        by_hand = SimplicialComplex(frozenset(tuple(shuffle.sample(f, len(f))) for f in faces))
+        assert by_hand == k and hash(by_hand) == hash(k) and by_hand.facets == k.facets, faces
+        assert by_hand.facet_list() == k.facet_list() and by_hand.faces_by_dim() == k.faces_by_dim()
+        assert reduced_homology(by_hand) == reduced_homology(k)
         verts = sorted({v for f in faces for v in f})  # the oracle labels vertices by rank
         edges = set()
         for w in verts:  # w's neighbours: the vertices adjacent in k to tau = (w,) outside x

@@ -193,6 +193,28 @@ def test_only_the_skeleton_builds_edge_classes():
     assert name == init[0] and init[1] <= line <= init[2], (calls, init)
 
 
+def test_only_maximal_makes_a_complex_object():
+    """``SimplicialComplex.__new__`` is called only inside
+    ``simplicial._maximal``, so ``SimplicialComplex(...)`` and every
+    derived complex get their normal form from that one maker."""
+    calls, maximal = [], None
+    package = os.path.join(SRC, "diskplex")
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__" \
+                    and "SimplicialComplex" in ast.unparse(node):
+                calls.append((name, node.lineno))
+            if isinstance(node, ast.FunctionDef) and node.name == "_maximal":
+                maximal = (name, node.lineno, node.end_lineno)
+    assert maximal[0] == "simplicial.py" and calls, (calls, maximal)
+    for name, line in calls:
+        assert name == maximal[0] and maximal[1] <= line <= maximal[2], (calls, maximal)
+
+
 def test_records_bind_their_fields_in_one_update():
     """No module reaches past ``_Value.__setattr__`` with
     ``object.__setattr__``: each record's ``__init__`` binds every one of

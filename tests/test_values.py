@@ -300,6 +300,8 @@ BAD = [
     (lambda: SurfaceConfiguration(TetGluing(1), (Placement(1, "TUBE", 1),)),
      "placement references missing tetrahedron 1"),
     (lambda: SurfaceComponentModel(0, -1), "component weight cannot be negative"),
+    (lambda: SimplicialComplex(frozenset({(1, 1, 2)})), "repeated vertex in face (1, 1, 2)"),
+    (lambda: SimplicialComplex(frozenset({()})), "faces must be nonempty"),
     (lambda: RunConfig(counts=-1), "counts must be nonnegative, got -1"),
 ]
 

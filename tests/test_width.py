@@ -46,6 +46,26 @@ def test_compare_width_lex_and_prefix():
     assert compare_width(c, a) == Ordering.LESS
     d = Width(((3, 0),))
     assert compare_width(d, a) == Ordering.GREATER
+    # pairs given in any order are sorted, so a multiset has one Width
+    unsorted = Width(((0, 1), (5, 0)))
+    assert unsorted == Width(((5, 0), (0, 1))) and unsorted.pairs == ((5, 0), (0, 1))
+    assert compare_width(unsorted, Width(((5, 0),))) == Ordering.GREATER
+
+
+def test_compare_width_reads_pairs_in_any_order():
+    """``compare_width`` of Widths built from shuffled pairs agrees with
+    ``width()`` of the same components."""
+    rng = random.Random(30)
+    outcomes = set()
+    for _ in range(500):
+        a, b = ([comp(rng.randint(-2, 1), rng.randint(0, 2)) for _ in range(rng.randint(1, 4))]
+                for _ in range(2))
+        shuffled = [Width(rng.sample([c.width_pair for c in s], len(s))) for s in (a, b)]
+        assert shuffled == [width(a), width(b)], (a, b)
+        outcome = compare_width(*shuffled)
+        assert outcome == compare_width(width(a), width(b)), (a, b)
+        outcomes.add(outcome)
+    assert outcomes == set(Ordering)
 
 
 def test_negative_weight_rejected():
