@@ -130,6 +130,46 @@ MUTANTS = (
            "    _edge_identifications(config.skeleton.gluings)\n"
            "    return config\n",
            ("tests/test_startup.py::test_only_the_skeleton_builds_edge_classes",)),
+    Mutant("leave the link's faces in the rows", "src/diskplex/homology.py",
+           "        for face in below:\n            rows.pop(face, None)\n",
+           "        for face in ():\n            rows.pop(face, None)\n",
+           ("tests/test_homology.py::test_relative_complex_leaves_out_the_closed_star",
+            "tests/test_homology.py::test_reduced_homology_takes_the_busiest_vertex_as_apex",
+            "tests/test_homology.py::test_strong_collapse_keeps_every_profile")),
+    Mutant("keep the empty-face row beside an apex", "src/diskplex/homology.py",
+           "            rows.pop(face, None)\n",
+           "            face and rows.pop(face, None)\n",
+           ("tests/test_homology.py::test_relative_complex_leaves_out_the_closed_star",
+            "tests/test_homology.py::test_strong_collapse_keeps_every_profile")),
+    Mutant("choose the least busy vertex", "src/diskplex/homology.py",
+           "    most = max(counts)\n",
+           "    most = min(counts)\n",
+           ("tests/test_homology.py::test_reduced_homology_takes_the_busiest_vertex_as_apex",)),
+    Mutant("drop the link-vertex tie-break", "src/diskplex/homology.py",
+           "key=lambda i: join(i).bit_count())",
+           "key=lambda i: 0)",
+           ("tests/test_homology.py::test_reduced_homology_takes_the_busiest_vertex_as_apex",
+            "tests/test_homology.py::test_relative_complex_size_does_not_depend_on_the_labels")),
+    Mutant("start the core's worklist one vertex lower", "src/diskplex/homology.py",
+           "range(len(verts) - 1, -1, -1)",
+           "range(len(verts) - 2, -1, -1)",
+           ("tests/test_homology.py::test_collapse_cores_have_no_dominated_vertex",)),
+    Mutant("no refusal of the empty complex's maps", "src/diskplex/homology.py",
+           "    if k.is_empty:\n        raise ValueError(\"empty complex has no boundary",
+           "    if False:\n        raise ValueError(\"empty complex has no boundary",
+           ("tests/test_homology.py::test_empty_complex_has_no_boundary_matrices",)),
+    Mutant("refuse S^0", "src/diskplex/simplicial.py",
+           "    if n_vertices < 2:\n",
+           "    if n_vertices < 3:\n",
+           ("tests/test_homology.py::test_reduced_homology_frozen_profiles",)),
+    Mutant("build the boundary of one vertex", "src/diskplex/simplicial.py",
+           "    if n_vertices < 2:\n",
+           "    if n_vertices < 1:\n",
+           ("tests/test_homology.py::test_reduced_homology_frozen_profiles",)),
+    Mutant("accept face_b = 4", "src/diskplex/additivity.py",
+           "0 <= face_b <= 3)",
+           "0 <= face_b <= 4)",
+           ("tests/test_additivity.py::test_gluing_validation",)),
 )
 
 

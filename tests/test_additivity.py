@@ -36,6 +36,8 @@ def test_gluing_validation():
         Gluing(0, 0, 0, 0, (0, 1, 2))  # same face to itself
     with pytest.raises(ValueError):
         Gluing(0, 4, 1, 0, (0, 1, 2))
+    with pytest.raises(ValueError, match="face labels must be 0..3"):
+        Gluing(0, 0, 1, 4, (0, 1, 2))
     with pytest.raises(ValueError):
         Gluing(0, 0, 1, 0, (0, 0, 1))
     with pytest.raises(ValueError):

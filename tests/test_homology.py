@@ -397,7 +397,7 @@ def _assert_profile_matches_whole_maps_and_oracles(k):
 def test_strong_collapse_keeps_every_profile():
     reduced = kept = 0
     for k in _collapse_cases():
-        core = _collapse_core(k)
+        core, _ = _collapse_core(k)
         if core is k:
             kept += 1
         else:
@@ -405,6 +405,16 @@ def test_strong_collapse_keeps_every_profile():
             assert core.facets and set(core.vertices()) < set(k.vertices()), k
         _assert_profile_matches_whole_maps_and_oracles(k)
     assert reduced >= 120 and kept >= 40, (reduced, kept)
+
+
+def test_collapse_cores_have_no_dominated_vertex():
+    # the core is minimal: every vertex w != v misses some facet holding v
+    for k in _collapse_cases():
+        core, _ = _collapse_core(k)
+        facets = [set(f) for f in core.facet_list()]
+        for v in core.vertices():
+            holding = [f for f in facets if v in f]
+            assert set.intersection(*holding) == {v}, (k, v)
 
 
 def _product_is_zero(lower: IntegerMatrix, upper: IntegerMatrix) -> bool:
@@ -433,6 +443,95 @@ def test_boundary_assembly_is_a_chain_complex_of_the_right_shape():
         for lower, upper in zip(mats, mats[1:]):
             assert lower.cols == upper.rows
             assert _product_is_zero(lower, upper), k
+
+
+def _relative_shape(k, apex):
+    """Each dimension's count of faces of k outside the closed star of apex."""
+    facets = [list(f) for f in k.facet_list()]
+    star = [list(f) for f in oracles.star_sets(facets, (apex,))]
+    faces = [len(f) for f in oracles.all_faces(facets)]
+    in_star = [len(f) for f in oracles.all_faces(star)]
+    return [faces.count(d + 1) - in_star.count(d + 1) for d in range(k.dim + 1)]
+
+
+def _assert_relative_complex(k, apex):
+    """boundary_matrices(k, apex) is a chain complex on the faces outside
+    the closed star of apex, with no augmentation row; returns the maps."""
+    mats = boundary_matrices(k, apex)
+    assert [m.cols for m in mats] == _relative_shape(k, apex), (k, apex)
+    assert mats[0].rows == 0, (k, apex)
+    for lower, upper in zip(mats, mats[1:]):
+        assert lower.cols == upper.rows and _product_is_zero(lower, upper), (k, apex)
+    return mats
+
+
+def test_relative_complex_leaves_out_the_closed_star():
+    # with the apex that reduced_homology takes, on every core, and with
+    # every vertex of the small complexes: a link face left in the rows
+    # adds a row and, one degree down, a column; the empty face gives d_0
+    # a row
+    every = 0
+    for k in _collapse_cases():
+        core, apex = _collapse_core(k)
+        _assert_relative_complex(core, apex)
+        if len(k.vertices()) <= 7 and k.dim >= 1:
+            every += 1
+            for v in k.vertices():
+                _assert_relative_complex(k, v)
+    for facets in (RP2, TORUS):
+        k = from_facets(facets)
+        for v in k.vertices():
+            _assert_relative_complex(k, v)
+    assert every >= 30, every
+
+
+def test_empty_complex_has_no_boundary_matrices():
+    with pytest.raises(ValueError, match="empty complex has no boundary matrices"):
+        boundary_matrices(empty_complex())
+
+
+def _apex_and_cells(k):
+    """The apex that reduced_homology(k) passes to boundary_matrices, and
+    the relative cells of each degree."""
+    import diskplex.homology as homology
+
+    calls = []
+    build = homology.boundary_matrices
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "boundary_matrices",
+                   lambda k, apex=None: calls.append((apex, build(k, apex))) or calls[-1][1])
+        reduced_homology(k)
+    (apex, mats), = calls
+    return apex, [m.cols for m in mats]
+
+
+def test_reduced_homology_takes_the_busiest_vertex_as_apex():
+    # RP^2 joined with two points that sort first: an RP^2 vertex lies in
+    # 10 facets with 7 link vertices, each suspension point in 10 with 6
+    k = join(from_facets(RP2), from_facets([[-1], [0]]))
+    assert _collapse_core(k) == (k, 1)
+    assert _apex_and_cells(k) == (1, [0, 5, 15, 10])
+    # a suspension point of sd(RP^2) lies in 60 of its 120 facets, any
+    # other vertex in at most 20: the apex is one of the two
+    k = join(barycentric_subdivision(from_facets(RP2)), from_facets([["n"], ["s"]]))
+    assert _apex_and_cells(k) == ("n", [1, 31, 90, 60])
+    # the boundary of a simplex leaves one cell, the facet opposite its apex
+    assert _apex_and_cells(boundary_of_simplex(11)) == (0, [0] * 9 + [1])
+
+
+def test_relative_complex_size_does_not_depend_on_the_labels():
+    # a 4-cycle vertex and an RP^2 vertex of C4 * C4 * RP^2 both lie in 80
+    # of its 160 facets, with 12 and 13 link vertices: as labelled (the
+    # 4-cycles first) and shuffled, the apex is an RP^2 vertex, with 810
+    # of the 2,591 faces; a 4-cycle vertex would leave 864
+    c4 = [[0, 1], [1, 2], [2, 3], [3, 0]]
+    k = join_all([from_facets(c4), from_facets([[v + 4 for v in e] for e in c4]),
+                  from_facets([[v + 7 for v in f] for f in RP2])])
+    assert len(k.all_faces()) == 2591
+    rng = random.Random(5)
+    for labels in [list(range(14))] + [rng.sample(range(100), 14) for _ in range(6)]:
+        apex, cells = _apex_and_cells(from_facets([[labels[v] for v in f] for f in k.facet_list()]))
+        assert labels.index(apex) >= 8 and sum(cells) == 810, (labels, apex)
 
 
 ASSEMBLE_STRINGS = """
@@ -468,7 +567,7 @@ def test_assembly_does_not_depend_on_the_hash_seed():
 
 def test_homology_path_enumerates_no_face_tuples():
     for k in (from_facets(RP2), from_facets(TORUS), boundary_of_simplex(7)):
-        assert _collapse_core(k) is k
+        assert _collapse_core(k)[0] is k
         reduced_homology(k)
         assert "faces" not in k._cache, k
 
@@ -525,7 +624,7 @@ def test_cones_and_graph_cores_are_answered_without_matrices(facets):
         mp.setattr(homology, "_collapse_core", lambda k: collapsed.append(k) or collapse(k))
         prof = _assert_profile_matches_whole_maps_and_oracles(k)
     is_cone = bool(reduce(and_, k._masks()))
-    assert is_cone or k.dim <= 1 or _collapse_core(k).dim <= 1, k
+    assert is_cone or k.dim <= 1 or _collapse_core(k)[0].dim <= 1, k
     if is_cone or k.dim <= 1:
         assert not collapsed, k
     assert prof.group(0).rank == oracles.component_count(facets) - 1
@@ -539,11 +638,11 @@ def test_matrices_are_built_only_for_cores_of_dimension_two_or_more(monkeypatch)
 
     built = []
     build = homology.boundary_matrices
-    monkeypatch.setattr(homology, "boundary_matrices", lambda k: built.append(k) or build(k))
+    monkeypatch.setattr(homology, "boundary_matrices", lambda k, apex=None: built.append(k) or build(k, apex))
     run_suite(RunConfig(seed=1036, counts=4))
     assert built
     for k in built:
-        assert _collapse_core(k) is k, k
+        assert _collapse_core(k)[0] is k, k
         assert not reduce(and_, k._masks()), k
         assert k.dim >= 2, k
 
@@ -594,21 +693,22 @@ def test_graphs_are_answered_over_the_face_budget():
 def test_core_and_face_budget_on_simplices_and_their_boundaries():
     # a simplex collapses to one vertex, however large
     for n in (1, 2, 12, 40):
-        core = _collapse_core(simplex_complex(range(n)))
+        core, _ = _collapse_core(simplex_complex(range(n)))
         assert len(core.facets) == 1 and len(core.vertices()) == 1
     assert homology_index(simplex_complex(range(40))) == ACYCLIC_INDEX
     # the boundary of a simplex has no dominated vertex: 2^n - 2 faces
     sphere = boundary_of_simplex(6)
-    assert _collapse_core(sphere) is sphere
+    assert _collapse_core(sphere)[0] is sphere
     with pytest.raises(ValueError, match=r"\b46137322\b.*\b262144\b"):
         reduced_homology(boundary_of_simplex(22))
 
 
 def test_boundaries_of_simplices_are_peeled_whole(monkeypatch):
-    # with clearing, every pivot of a sphere's boundary maps is a ±1 alone
-    # in its column at some point of the peel, so the loop takes no step;
-    # a peel that stopped early would hand the rest to the loop, whose
-    # fill-in makes the larger spheres of other tests take minutes
+    # with clearing, every pivot of a sphere's whole boundary maps is a ±1
+    # alone in its column at some point of the peel, so the loop takes no
+    # step; a peel that stopped early would hand the rest to the loop,
+    # whose fill-in makes large spheres take minutes.  reduced_homology
+    # itself eliminates one cell, the facet opposite its apex
     import diskplex.homology as homology
 
     steps = []
@@ -635,6 +735,12 @@ def test_boundaries_of_simplices_are_peeled_whole(monkeypatch):
         for k in spheres:
             m = len(k.vertices())
             assert reduced_homology(k).render_lines()[-1] == f"H~{m - 2} = Z"
+            assert _apex_and_cells(k)[1] == [0] * (m - 2) + [1]
+            mats, split, ranks = boundary_matrices(k), set(), []
+            for mat in mats:
+                skip, split = split, set()
+                ranks.append(len(smith_normal_form(mat, skip=skip, split=split)))
+            assert mats[-1].cols - ranks[-1] == 1, m  # H~(m-2) = Z
             assert steps == [], (m, len(steps))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -648,7 +754,7 @@ def test_long_paths_and_trees_collapse_to_a_point_at_once():
     path = from_facets([[i, i + 1] for i in range(4000)])
     tree = from_facets([[i, rng.randrange(i)] for i in range(1, 3000)])
     start = time.perf_counter()
-    cores = [_collapse_core(k) for k in (path, tree)]
+    cores = [_collapse_core(k)[0] for k in (path, tree)]
     assert time.perf_counter() - start < 2.0
     for k, core in zip((path, tree), cores):
         assert len(core.facets) == 1 and len(core.vertices()) == 1
@@ -681,7 +787,9 @@ def test_reduced_homology_frozen_profiles():
     two = from_facets([["p"], ["q"]])
     prof = reduced_homology(two)
     assert prof.group(0) == AbelianGroup(1, ())
-    for k in range(1, 5):
+    with pytest.raises(ValueError, match="need at least 2 vertices for a boundary sphere"):
+        boundary_of_simplex(1)
+    for k in range(0, 5):
         sphere = boundary_of_simplex(k + 2)
         prof = reduced_homology(sphere)
         assert prof.group(k) == AbelianGroup(1, ())
