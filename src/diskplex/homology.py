@@ -291,14 +291,14 @@ def boundary_matrices(k: SimplicialComplex, apex: Vertex | None = None) -> list[
 
     Relative to the star, the cells are the faces that neither hold
     ``apex`` nor lie in its link, and a boundary drops its terms in the
-    link: only the facets that miss ``apex`` are walked, and each level's
-    link faces, listed top down from the facets that hold ``apex``, are
-    popped from the rows.  The empty face is in the star, so d_0 has no
-    row.  The star is a cone, so the exact sequence of the pair gives
-    H~_n(k) = H_n(k, st(apex)) in every degree.
-
-    Rows and columns are therefore ordered by first encounter, not by
-    canonical face order; the invariant factors do not depend on it.
+    link: only the facets that miss ``apex`` are walked, and before each
+    level the link's faces one size down are listed, top down from the
+    facets that hold ``apex``; a link face gets no row, and the listing
+    stops once no cell is left to meet it.  The empty face is in the
+    star, so d_0 has no row.  The star is a cone, so the exact sequence
+    of the pair gives H~_n(k) = H_n(k, st(apex)) in every degree.  Rows
+    and columns are ordered by first encounter, not by canonical face
+    order; the invariant factors do not depend on it.
     """
     if k.is_empty:
         raise ValueError("empty complex has no boundary matrices")
@@ -311,10 +311,20 @@ def boundary_matrices(k: SimplicialComplex, apex: Vertex | None = None) -> list[
         else:
             by_size.setdefault(f.bit_count(), []).append(f)
     top = k.dim + 1
+    lowest = min(by_size, default=top)  # no cell lies below this size
     level = sorted(by_size.get(top, ()))
-    link: set[int] = set()  # the link's faces of the level's size
+    link: set[int] = set()  # the link's faces one size below the level
     out = []
     for size in range(top, 0, -1):
+        if level or size > lowest:
+            below = set(in_link.get(size - 1, ()))
+            for f in link:
+                rest = f
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    below.add(f ^ low)
+            link = below
         rows: dict[int, list[tuple[int, int]]] = {}  # (size-1)-face -> its row
         get = rows.get
         for j, f in enumerate(level):
@@ -324,21 +334,11 @@ def boundary_matrices(k: SimplicialComplex, apex: Vertex | None = None) -> list[
                 rest ^= low
                 face = f ^ low
                 row = get(face)
-                if row is None:
-                    rows[face] = [pos]
-                else:
+                if row is not None:
                     row.append(pos)
+                elif face not in link:
+                    rows[face] = [pos]
                 pos, neg = neg, pos
-        below = set(in_link.get(size - 1, ()))
-        for f in link:
-            rest = f
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                below.add(f ^ low)
-        for face in below:
-            rows.pop(face, None)
-        link = below
         facets = sorted(by_size.get(size - 1, ()))
         entries = tuple(map(tuple, rows.values())) + ((),) * len(facets)
         out.append(IntegerMatrix(len(entries), len(level), entries))

@@ -131,16 +131,28 @@ MUTANTS = (
            "    return config\n",
            ("tests/test_startup.py::test_only_the_skeleton_builds_edge_classes",)),
     Mutant("leave the link's faces in the rows", "src/diskplex/homology.py",
-           "        for face in below:\n            rows.pop(face, None)\n",
-           "        for face in ():\n            rows.pop(face, None)\n",
+           "                elif face not in link:\n",
+           "                else:\n",
            ("tests/test_homology.py::test_relative_complex_leaves_out_the_closed_star",
             "tests/test_homology.py::test_reduced_homology_takes_the_busiest_vertex_as_apex",
             "tests/test_homology.py::test_strong_collapse_keeps_every_profile")),
     Mutant("keep the empty-face row beside an apex", "src/diskplex/homology.py",
-           "            rows.pop(face, None)\n",
-           "            face and rows.pop(face, None)\n",
+           "                elif face not in link:\n",
+           "                elif face not in link or not face:\n",
            ("tests/test_homology.py::test_relative_complex_leaves_out_the_closed_star",
             "tests/test_homology.py::test_strong_collapse_keeps_every_profile")),
+    Mutant("list the link only while the level has cells", "src/diskplex/homology.py",
+           "        if level or size > lowest:\n",
+           "        if level:\n",
+           ("tests/test_homology.py::test_relative_complex_lists_the_link_past_empty_levels",
+            "tests/test_homology.py::test_strong_collapse_keeps_every_profile",
+            "tests/test_homology.py::test_relative_complex_leaves_out_the_closed_star",
+            "tests/test_homology.py::test_collapse_and_clearing_keep_every_profile")),
+    # only the cost changes: every map comes out as before
+    Mutant("always list the link", "src/diskplex/homology.py",
+           "        if level or size > lowest:\n",
+           "        if True:\n",
+           ("tests/test_homology.py::test_relative_assembly_stops_listing_the_link_with_the_cells",)),
     Mutant("choose the least busy vertex", "src/diskplex/homology.py",
            "    most = max(counts)\n",
            "    most = min(counts)\n",
@@ -149,7 +161,8 @@ MUTANTS = (
            "key=lambda i: join(i).bit_count())",
            "key=lambda i: 0)",
            ("tests/test_homology.py::test_reduced_homology_takes_the_busiest_vertex_as_apex",
-            "tests/test_homology.py::test_relative_complex_size_does_not_depend_on_the_labels")),
+            "tests/test_homology.py::test_relative_complex_size_does_not_depend_on_the_labels",
+            "tests/test_benchmark_passes.py::test_workload_operations_pass_and_traced_counts_repeat")),
     Mutant("start the core's worklist one vertex lower", "src/diskplex/homology.py",
            "range(len(verts) - 1, -1, -1)",
            "range(len(verts) - 2, -1, -1)",
@@ -170,6 +183,30 @@ MUTANTS = (
            "0 <= face_b <= 3)",
            "0 <= face_b <= 4)",
            ("tests/test_additivity.py::test_gluing_validation",)),
+    Mutant("accept a non-list facets field", "src/diskplex/io.py",
+           "    if not isinstance(facets, list):\n",
+           "    if False:\n",
+           ("tests/test_io_cli.py::test_rejects_malformed_documents",)),
+    Mutant("accept a separating compression without its split", "src/diskplex/width.py",
+           "        if move.split is None:\n",
+           "        if False:\n",
+           ("tests/test_width.py::test_apply_surgery_refuses_incomplete_moves",)),
+    Mutant("accept a dishonest move with k < 1", "src/diskplex/width.py",
+           "        if move.k is None or move.k < 1:\n",
+           "        if False:\n",
+           ("tests/test_width.py::test_apply_surgery_refuses_incomplete_moves",)),
+    Mutant("fall through an unknown move kind", "src/diskplex/width.py",
+           "    else:\n        raise ValueError(f\"unknown move kind",
+           "    elif False:\n        raise ValueError(f\"unknown move kind",
+           ("tests/test_width.py::test_apply_surgery_refuses_incomplete_moves",)),
+    Mutant("accept a cube of dimension 0", "src/diskplex/cubes.py",
+           "    if n < 1:\n        raise ValueError(\"need dimension at least 1\")",
+           "    if False:\n        raise ValueError(\"need dimension at least 1\")",
+           ("tests/test_cubes.py::test_grid_rejects_bad_input",)),
+    Mutant("test the empty complex as a ball", "src/diskplex/cubes.py",
+           "        if ball.is_empty:\n",
+           "        if False:\n",
+           ("tests/test_cubes.py::test_validate_ball_accepts_and_rejects",)),
 )
 
 

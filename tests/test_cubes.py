@@ -21,6 +21,7 @@ from diskplex.simplicial import (
     barycentric_subdivision,
     boundary_of_simplex,
     cone,
+    empty_complex,
     from_facets,
     join,
     simplex_complex,
@@ -51,6 +52,8 @@ def test_grid_counts_match_formula():
 
 
 def test_grid_rejects_bad_input():
+    with pytest.raises(ValueError, match=r"^need dimension at least 1$"):
+        subdivide_cube(0, [])
     with pytest.raises(ValueError):
         subdivide_cube(2, [1])
     with pytest.raises(ValueError):
@@ -102,6 +105,8 @@ def test_boundary_cells_of_square():
 
 def test_validate_ball_accepts_and_rejects():
     validate_ball(simplex_complex([1, 2, 3, 4]))
+    with pytest.raises(ValueError, match=r"^empty complex is not a ball$"):
+        validate_ball(empty_complex())
     validate_ball(subdivide_cube(3, [1, 0, 2]))
     circle = from_facets([[1, 2], [2, 3], [3, 1]])
     with pytest.raises(ValueError):

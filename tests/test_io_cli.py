@@ -91,6 +91,9 @@ def test_rejects_malformed_documents():
         complex_from_json_dict({"facets": [[]]})
     with pytest.raises(ValueError):
         complex_from_json_dict({"facets": [[1]], "name": 7})
+    for data in ({"name": "x"}, {"facets": "12"}):
+        with pytest.raises(ValueError, match=r"^input: 'facets' must be a list of vertex lists$"):
+            complex_from_json_dict(data)
     with pytest.raises(ValueError, match=r"^input: repeated vertex in face \(1, 1\)$"):
         complex_from_json_dict({"facets": [[1, 1]]})
     with pytest.raises(ValueError, match=r"^a\.json: repeated vertex in face \(0, \('x', \(1,\)\), \('x', \(1,\)\)\)$"):

@@ -114,6 +114,17 @@ def test_dishonest_weight_drop_and_sphere_discard():
     assert width(out2).pairs == ((-2, 0),)
 
 
+def test_apply_surgery_refuses_incomplete_moves():
+    s = (comp(-2, 6),)
+    with pytest.raises(ValueError, match=r"^separating compression needs a declared split$"):
+        apply_surgery(s, SurgeryMove(MoveKind.HONEST_COMPRESS_SEP, 0))
+    for k in (None, 0, -1):
+        with pytest.raises(ValueError, match=r"^dishonest move needs k >= 1$"):
+            apply_surgery(s, SurgeryMove(MoveKind.DISHONEST, 0, k=k))
+    with pytest.raises(ValueError, match=r"^unknown move kind 'FLIP'$"):
+        apply_surgery(s, SurgeryMove("FLIP", 0))
+
+
 def test_compressions_require_nonpositive_euler():
     s = (comp(1, 3),)
     kinds = {m.kind for m in available_moves(s)}
