@@ -211,6 +211,9 @@ def euler_characteristic(config: SurfaceConfiguration) -> int:
         faces += pl.multiplicity * p.euler
     for edge, root in config.skeleton._edge_roots.items():
         weight = _edge_weight(by_tet, *edge)
+        # Unreachable once matching passes: a gluing's two edges weigh the
+        # arcs at their matched corners (``validate_piece`` ties each edge's
+        # weight to its face's corner counts), and classes join such pairs.
         if weight != _edge_weight(by_tet, *root):
             raise ValueError(f"inconsistent crossing counts around the edge class of {root}")
         vertices -= weight

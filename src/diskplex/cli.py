@@ -105,8 +105,7 @@ def _cmd_dichotomy(args) -> int:
 def _cmd_width(args) -> int:
     import random
 
-    from .corpus import random_move, random_surface
-    from .width import apply_surgery, verify_width_decrease, width
+    from .width import apply_surgery, random_move, random_surface, verify_width_decrease, width
 
     if args.steps < 0:
         raise ValueError(f"steps must be nonnegative, got {args.steps}")

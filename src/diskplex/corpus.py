@@ -1,9 +1,9 @@
 """Deterministic random corpora for the verification suite and tests.
 
-Every generator takes an explicit ``random.Random``; nothing reads global
-state, so a fixed seed reproduces every case byte for byte.  Set
-iteration never feeds the generators (hash randomization must not leak
-into the corpora).
+Every generator here, and the surface and move draws taken from
+``width``, take an explicit ``random.Random``; nothing reads global state,
+so a fixed seed reproduces every case byte for byte.  Set iteration never
+feeds a draw (hash randomization must not leak into the corpora).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .additivity import Gluing, Placement, SurfaceConfiguration, TetGluing, chec
 from .homology import homology_index
 from .pieces import piece
 from .simplicial import SimplicialComplex, from_facets, full_subcomplex
-from .width import SurfaceComponentModel, SurgeryMove, _component_move, move_count
+from .width import random_move, random_surface
 
 
 def random_complex(
@@ -60,29 +60,6 @@ def full_subcomplex_pairs(rng: random.Random, count: int):
             continue
         made += 1
         yield x, y
-
-
-def random_surface(rng: random.Random) -> tuple[SurfaceComponentModel, ...]:
-    comps = []
-    for _ in range(rng.randint(1, 6)):
-        comps.append(SurfaceComponentModel(euler=rng.randint(-10, 2), weight=rng.randint(0, 20)))
-        rng.random()  # a draw nothing reads, kept so seeded corpora stay the same
-    return tuple(comps)
-
-
-def random_move(rng: random.Random, surface) -> SurgeryMove | None:
-    """A uniform draw from ``available_moves(surface)``, building only the
-    drawn move.  Each component's moves are counted once, and one
-    ``rng.randrange`` over their total is decoded against those counts;
-    no draw is made when there is no move."""
-    counts = [move_count(comp) for comp in surface]
-    if not any(counts):
-        return None
-    j = rng.randrange(sum(counts))
-    for target, count in enumerate(counts):
-        if j < count:
-            return _component_move(target, surface[target], j)
-        j -= count
 
 
 def surfaces_with_moves(rng: random.Random, count: int):

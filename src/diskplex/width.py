@@ -22,7 +22,9 @@ Surgery moves:
   points: the target's weight drops by k and the sphere split off lies in
   a ball, so it is discarded.
 
-Every legal move strictly decreases width.
+Every legal move strictly decreases width.  The two draws,
+``random_surface`` and ``random_move``, take an explicit ``random.Random``
+and build no set, so a fixed seed reproduces them.
 
 A bookkeeping caveat not modeled here: when the relevant boundary is a
 torus, boundary compressions pair up (the two sides of the compressing
@@ -33,6 +35,7 @@ move validator does not enforce it.
 
 from __future__ import annotations
 
+import random
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -40,14 +43,19 @@ from . import _Value
 
 
 class SurfaceComponentModel(_Value):
-    """One surface component: Euler characteristic and crossing weight."""
+    """One surface component: Euler characteristic and crossing weight.
+
+    ``_moves`` counts its moves at birth: NONSEP, BOUNDARY and weight + 1
+    SEP moves for each of 1 - euler Euler splits when euler <= 0 (a sphere
+    or disk has no essential curve or arc), then a DISHONEST per crossing."""
 
     _fields = ("euler", "weight")
 
     def __init__(self, euler: int, weight: int):
         if weight < 0:
             raise ValueError("component weight cannot be negative")
-        self.__dict__.update(euler=euler, weight=weight)
+        moves = weight if euler > 0 else 2 + (weight + 1) * (1 - euler) + weight
+        self.__dict__.update(euler=euler, weight=weight, _moves=moves)
 
     @property
     def width_pair(self) -> tuple[int, int]:
@@ -182,21 +190,11 @@ def verify_width_decrease(surface: Surface, move: SurgeryMove) -> DecreaseVerdic
     return DecreaseVerdict(passed=passed, before=before, after=after, move=move)
 
 
-def move_count(comp: SurfaceComponentModel) -> int:
-    """Moves offered on one component: NONSEP, BOUNDARY and weight + 1
-    SEP moves for each of its 1 - euler Euler splits when euler <= 0 (a
-    sphere or disk has no essential curve or arc), plus one DISHONEST
-    move per crossing point."""
-    if comp.euler > 0:
-        return comp.weight
-    return 2 + (comp.weight + 1) * (1 - comp.euler) + comp.weight
-
-
 def _component_move(target: int, comp: SurfaceComponentModel, j: int) -> SurgeryMove:
-    """The j-th move on ``comp = surface[target]``, in ``move_count``'s
-    order.  SEP runs over the Euler splits euler < e1 <= e2 <= 2, the
-    (euler + 2) // 2 - euler summing to euler + 2 first, then those
-    summing to euler + 1, e1 ascending; within a split, w1 = 0..weight."""
+    """The j-th of ``comp._moves`` moves on ``comp = surface[target]``, the
+    last ``weight`` DISHONEST.  SEP runs over the Euler splits
+    euler < e1 <= e2 <= 2: the (euler + 2) // 2 - euler summing to euler + 2,
+    then those summing to euler + 1, e1 ascending; w1 = 0..weight in each."""
     if comp.euler <= 0:
         if j == 0:
             return SurgeryMove(MoveKind.HONEST_COMPRESS_NONSEP, target)
@@ -209,11 +207,32 @@ def _component_move(target: int, comp: SurfaceComponentModel, j: int) -> Surgery
             e1 = comp.euler + 1 + (s if s < disk else s - disk)
             return SurgeryMove(MoveKind.HONEST_COMPRESS_SEP, target,
                                split=((e1, w1), (total - e1, comp.weight - w1)))
-        j -= 2 + (1 - comp.euler) * (comp.weight + 1)
-    return SurgeryMove(MoveKind.DISHONEST, target, k=j + 1)
+    return SurgeryMove(MoveKind.DISHONEST, target, k=j + 1 + comp.weight - comp._moves)
 
 
 def available_moves(surface: Surface) -> list[SurgeryMove]:
     """Every structurally valid move from a surface, component by component."""
     return [_component_move(target, comp, j)
-            for target, comp in enumerate(surface) for j in range(move_count(comp))]
+            for target, comp in enumerate(surface) for j in range(comp._moves)]
+
+
+def random_surface(rng: random.Random) -> tuple[SurfaceComponentModel, ...]:
+    comps = []
+    for _ in range(rng.randint(1, 6)):
+        comps.append(SurfaceComponentModel(euler=rng.randint(-10, 2), weight=rng.randint(0, 20)))
+        rng.random()  # a draw nothing reads, kept so seeded corpora stay the same
+    return tuple(comps)
+
+
+def random_move(rng: random.Random, surface: Surface) -> SurgeryMove | None:
+    """A uniform draw from ``available_moves(surface)``, building only the
+    drawn move: one ``rng.randrange`` over the components' move total,
+    decoded against their counts; no draw is made when there is no move."""
+    total = sum(comp._moves for comp in surface)
+    if not total:
+        return None
+    j = rng.randrange(total)
+    for target, comp in enumerate(surface):
+        if j < comp._moves:
+            return _component_move(target, comp, j)
+        j -= comp._moves

@@ -38,8 +38,8 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("bind a field under the wrong name", "src/diskplex/width.py",
-           "self.__dict__.update(euler=euler, weight=weight)",
-           "self.__dict__.update(euler=euler, weigth=weight)",
+           "self.__dict__.update(euler=euler, weight=weight, _moves=moves)",
+           "self.__dict__.update(euler=euler, weigth=weight, _moves=moves)",
            ("tests/test_startup.py::test_records_bind_their_fields_in_one_update",
             "tests/test_values.py::test_value_semantics",
             "tests/test_width.py::test_width_pairs_sorted_non_increasing")),
@@ -207,6 +207,31 @@ MUTANTS = (
            "        if ball.is_empty:\n",
            "        if False:\n",
            ("tests/test_cubes.py::test_validate_ball_accepts_and_rejects",)),
+    Mutant("count one Euler split too many at birth", "src/diskplex/width.py",
+           "(weight + 1) * (1 - euler)",
+           "(weight + 1) * (2 - euler)",
+           ("tests/test_width.py::test_move_table_and_rng_stream_match_reference",
+            "tests/test_width.py::test_move_count_and_decoder_match_enumeration")),
+    Mutant("decode a draw one past its component", "src/diskplex/width.py",
+           "        if j < comp._moves:\n",
+           "        if j <= comp._moves:\n",
+           ("tests/test_width.py::test_move_table_and_rng_stream_match_reference",)),
+    Mutant("accept non-normal arcs in a piece", "src/diskplex/pieces.py",
+           "    if not verdict.passed:\n        raise ValueError(f\"piece {p.kind}: {verdict.problems[0]}\")",
+           "    if False:\n        raise ValueError(f\"piece {p.kind}: {verdict.problems[0]}\")",
+           ("tests/test_pieces.py::test_tampered_piece_detected",)),
+    Mutant("accept a negative edge weight", "src/diskplex/pieces.py",
+           "    if any(w < 0 for w in p.edge_weights):\n",
+           "    if False:\n",
+           ("tests/test_pieces.py::test_tampered_piece_detected",)),
+    Mutant("show five shared join vertices", "src/diskplex/simplicial.py",
+           "sorted(overlap, key=vertex_key)[:4]",
+           "sorted(overlap, key=vertex_key)[:5]",
+           ("tests/test_simplicial.py::test_join_all_is_one_product_matching_a_fold_of_binary_joins",)),
+    Mutant("forget passed links", "src/diskplex/cubes.py",
+           "        seen.add(key)\n",
+           "",
+           ("tests/test_cubes.py::test_link_test_tests_each_face_link_once",)),
 )
 
 

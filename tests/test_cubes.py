@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
+from diskplex import cubes
 from diskplex.cubes import (
     CubicalComplex,
     cone_base_complex,
@@ -416,6 +417,21 @@ def test_link_test_recurses_below_its_first_level():
         with pytest.raises(ValueError) as err:
             validate_ball(k)
         assert str(err.value) == message
+
+
+def test_link_test_tests_each_face_link_once(monkeypatch):
+    # the 3-edge path joined to a 2-sphere is a 4-ball and no cone, so
+    # every vertex link is tested; the link of an edge is met through both
+    # of its endpoints, and its homology is computed only the first time
+    computed = []
+
+    def counting(k):
+        computed.append(k.facets)
+        return reduced_homology(k)
+
+    monkeypatch.setattr(cubes, "reduced_homology", counting)
+    validate_ball(join(from_facets([["a", "b"], ["b", "c"], ["c", "d"]]), boundary_of_simplex(4)))
+    assert len(computed) == len(set(computed)) > 1
 
 
 def _grown_pure(seed, d):

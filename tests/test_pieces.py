@@ -99,6 +99,17 @@ def test_tampered_piece_detected():
                        good.declared_index, good.model_complex)
     with pytest.raises(ValueError, match="edge weight is 9"):
         validate_piece(heavy)
+    # the refusals that come before the weight check: a non-normal arc and a
+    # negative edge weight
+    arcs = good.face_arcs[:3] + (FaceArcs(good.face_arcs[3].corners, non_normal=1),)
+    stray = LocalPiece(good.kind, good.edge_weights, arcs, good.euler, good.declared_index,
+                       good.model_complex)
+    with pytest.raises(ValueError, match=r"^piece OCT_2: face 3: non-normal arc count 1$"):
+        validate_piece(stray)
+    negative = LocalPiece(good.kind, (-1,) + good.edge_weights[1:], good.face_arcs, good.euler,
+                          good.declared_index, good.model_complex)
+    with pytest.raises(ValueError, match=r"^piece OCT_2: negative edge weight$"):
+        validate_piece(negative)
     with pytest.raises(ValueError, match="duplicate kind"):
         validate_catalog([good, good])
 

@@ -304,6 +304,9 @@ def test_join_all_is_one_product_matching_a_fold_of_binary_joins(monkeypatch):
     a, b, c = from_facets([[1], [2]]), from_facets([["x"]]), from_facets([[2, "x"], [5]])
     with pytest.raises(ValueError, match=r"^join operands share vertices \[2, 'x'\]$"):
         join_all([a, b, c])
+    # only the first four shared vertices are shown
+    with pytest.raises(ValueError, match=r"^join operands share vertices \[1, 2, 3, 4\]$"):
+        join_all([simplex_complex(range(1, 6)), simplex_complex(range(1, 7))])
     e1, e2 = empty_complex("e1"), empty_complex("e2")
     assert join_all([e1, e2]) is e2 is functools.reduce(join, [e1, e2], empty_complex())
 

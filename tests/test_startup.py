@@ -102,6 +102,7 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert loaded_by_command("homology", str(rp2)) <= core
     assert loaded_by_command("index", str(rp2)) <= core
     assert not loaded_by_command("catalog") & {"diskplex.suite", "diskplex.corpus"}
+    assert loaded_by_command("width", "--seed", "3") == {"diskplex.cli", "diskplex.width"}
     assert "diskplex.additivity" not in loaded_by_command("dichotomy", str(x), str(y))
 
 
@@ -135,8 +136,9 @@ def test_only_simplicial_turns_vertex_ranks_into_masks():
 
 
 def test_no_module_imports_private_names_from_homology():
-    """Normal forms live behind ``homology``'s public names: no module
-    imports an underscore name from it."""
+    """Normal forms live behind ``homology``'s public names, and surgery
+    moves behind ``width``'s: no module imports an underscore name from
+    either."""
     package = os.path.join(SRC, "diskplex")
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
@@ -144,20 +146,21 @@ def test_no_module_imports_private_names_from_homology():
         with open(os.path.join(package, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), name)
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "homology":
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in ("homology", "width"):
                 private = [alias.name for alias in node.names if alias.name.startswith("_")]
                 assert not private, (name, node.lineno, private)
 
 
 def test_corpus_builds_no_set():
-    """``corpus`` promises that set iteration never feeds a draw; it holds
-    by construction when the module builds no set at all."""
-    with open(os.path.join(SRC, "diskplex", "corpus.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), "corpus.py")
-    sets = [node.lineno for node in ast.walk(tree)
-            if isinstance(node, (ast.Set, ast.SetComp))
-            or isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("set", "frozenset")]
-    assert not sets, sets
+    """``corpus`` and ``width`` promise that set iteration never feeds a
+    draw; it holds by construction when neither module builds a set."""
+    for name in ("corpus.py", "width.py"):
+        with open(os.path.join(SRC, "diskplex", name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        sets = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, (ast.Set, ast.SetComp))
+                or isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("set", "frozenset")]
+        assert not sets, (name, sets)
 
 
 def test_smith_elimination_has_one_pivot_call():

@@ -15,7 +15,6 @@ from diskplex.width import (
     apply_surgery,
     available_moves,
     compare_width,
-    move_count,
     verify_width_decrease,
     width,
 )
@@ -205,28 +204,11 @@ def test_random_move_builds_only_the_drawn_move(monkeypatch):
         assert len(built) - before == (move is not None)
 
 
-def test_random_move_counts_each_component_once(monkeypatch):
-    counted = []
-
-    def counting(c):
-        counted.append(c)
-        return move_count(c)
-
-    # patched in both modules, so a recount inside ``width`` is seen too
-    monkeypatch.setattr(corpus, "move_count", counting)
-    monkeypatch.setattr(width_module, "move_count", counting)
-    rng = random.Random(9)
-    for s in [(comp(1, 0), comp(2, 0))] + [corpus.random_surface(rng) for _ in range(200)]:
-        del counted[:]
-        corpus.random_move(rng, s)
-        assert counted == list(s)
-
-
 @settings(deadline=None)
 @given(euler=st.integers(-200, 2), weight=st.integers(0, 30))
 def test_move_count_and_decoder_match_enumeration(euler, weight):
     # wider than random_surface's euler range -10..2
     c = comp(euler, weight)
     ref = oracles.surgery_moves([(euler, weight)])
-    assert move_count(c) == len(ref)
+    assert c._moves == len(ref)
     assert [_plain(m) for m in available_moves((c,))] == ref
