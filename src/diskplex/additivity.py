@@ -5,12 +5,15 @@ gluing carries a permutation of the three arc types (equivalently, the
 corner correspondence of the identified triangles).  A configuration
 places catalog pieces with multiplicities in the tetrahedra.  Matching
 requires arc counts on glued faces to agree under the permutation; the
-Euler characteristic is then V - E + F: V counts every placed crossing
-point less those on each glued edge that gluing merges into another (the
-skeleton finds its edge classes once, when it is built), E every placed
-arc less those on each gluing's face_a, and F each piece's own Euler
-characteristic times its multiplicity.  The index of the configuration's
-joined model complex must equal the sum of the local declared indices.
+Euler characteristic is then V - E + F over crossing points, arcs and
+pieces.  Each piece's boundary is closed curves, so its own points and
+arcs cancel: every arc has two ends, and every crossing point ends one
+arc in each of its edge's two faces.  What is left is each piece's Euler
+characteristic times its multiplicity, less the points that gluing
+merges on glued edges (the skeleton finds its edge classes once, when it
+is built), plus the arcs it merges on glued faces.  The index of the
+configuration's joined model complex must equal the sum of the local
+declared indices.
 """
 
 from __future__ import annotations
@@ -194,21 +197,18 @@ def euler_characteristic(config: SurfaceConfiguration) -> int:
     """Euler characteristic V - E + F of the assembled surface; a
     configuration that fails matching is refused.
 
-    V is every placed crossing point less those on each glued edge that is
-    not its class's root, E every placed arc less those on each gluing's
-    face_a, and F each piece's Euler characteristic times its multiplicity.
-    """
+    Each piece's own points and arcs cancel (summing ``validate_piece``'s
+    endpoint equality over its faces gives sum of edge weights = sum of
+    arcs), leaving F, each piece's Euler characteristic times its
+    multiplicity, less the points that gluing merges (those on each glued
+    edge that is not its class's root) plus the arcs it merges (those on
+    each gluing's face_a)."""
     report = check_matching(config)
     if not report.passed:
         raise ValueError("matching failed; residuals: " + "; ".join(report.render_lines()[1:]))
 
     by_tet = _pieces_by_tet(config)
-    vertices = edges = faces = 0
-    for pl in config.placements:
-        p = piece(pl.kind)
-        vertices += pl.multiplicity * p.weight
-        edges += pl.multiplicity * sum(sum(arcs.corners) for arcs in p.face_arcs)
-        faces += pl.multiplicity * p.euler
+    chi = sum(pl.multiplicity * piece(pl.kind).euler for pl in config.placements)
     for edge, root in config.skeleton._edge_roots.items():
         weight = _edge_weight(by_tet, *edge)
         # Unreachable once matching passes: a gluing's two edges weigh the
@@ -216,10 +216,10 @@ def euler_characteristic(config: SurfaceConfiguration) -> int:
         # weight to its face's corner counts), and classes join such pairs.
         if weight != _edge_weight(by_tet, *root):
             raise ValueError(f"inconsistent crossing counts around the edge class of {root}")
-        vertices -= weight
+        chi -= weight  # merged crossing points
     for g in config.skeleton.gluings:
-        edges -= sum(_face_arc_vector(by_tet, g.tet_a, g.face_a))
-    return vertices - edges + faces
+        chi += sum(_face_arc_vector(by_tet, g.tet_a, g.face_a))  # merged arcs
+    return chi
 
 
 def _ordered(config: SurfaceConfiguration) -> list[Placement]:

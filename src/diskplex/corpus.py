@@ -75,8 +75,8 @@ def surfaces_with_moves(rng: random.Random, count: int):
 
 # ----------------------------------------------------- configurations
 
-_INDEXED_OPEN = ("OCT_1", "OCT_2", "OCT_3", "HELICAL_12GON", "OCT_TUBE_DISK", "OCT_TUBE_SELF")
-_INDEXED_VERTEX = ("TUBE", "TRIPLE_TUBE")  # arcs only on the three faces at vertex 0
+_INDEXED = ("OCT_1", "OCT_2", "OCT_3", "HELICAL_12GON", "OCT_TUBE_DISK", "OCT_TUBE_SELF",
+            "TUBE", "TRIPLE_TUBE")
 
 
 def _mirror_quad(kind: str, gluing: Gluing, outgoing: bool) -> str:
@@ -155,9 +155,9 @@ def random_configuration(rng: random.Random) -> SurfaceConfiguration:
     for _ in range(12):
         if placed >= budget:
             break
-        kind = rng.choice(_INDEXED_OPEN + _INDEXED_VERTEX)
-        # vertex-0 pieces keep face 0 arc-free, so need only faces 1-3 free
-        needed = [1, 2, 3] if kind in _INDEXED_VERTEX else [0, 1, 2, 3]
+        kind = rng.choice(_INDEXED)
+        needed = [f for f, arcs in enumerate(piece(kind).face_arcs) if any(arcs.corners)]
+        # free lists ascend and each kind's arcs touch faces k..3, so a tail is a subset
         candidates = [t for t in range(tets) if free[t][-len(needed):] == needed]
         if candidates:
             mult = 1 if rng.random() < 0.8 else min(2, budget - placed)

@@ -3,37 +3,40 @@
 Tetrahedron model: vertices 0..3; face f is the triangle omitting vertex
 f; the six edges are the vertex pairs.  A normal arc in a face cuts off
 exactly one corner, so arc types in a face are keyed by its three corner
-vertices.  Every catalog entry records, per face, how many arcs of each
-type its boundary leaves there, plus how many times it crosses each edge.
+vertices.  Every catalog entry states, per face, how many arcs of each
+type its boundary leaves there; how many times it crosses each edge is
+read off those arcs.
 
-Arc/weight derivations frozen here:
+Arc derivations frozen here, with the edge weights they give:
 
 * Vertex triangle at v: one arc cutting corner v in each face at v;
   crosses the three edges at v once.  Weight 3, disk.
-* Quad of partition {a,b}|{c,d}: crosses the four edges joining the two
-  sides once each (weight 4, disk); in face f its single arc cuts off the
-  partner of f inside f's partition side.
-* Octagon of the same partition: weight 8, since the two partition-interior
-  edges are crossed twice and the four crossing edges once; each face holds
-  two arcs, one at each corner of the partition side avoiding that face.
+* Quad of partition {a,b}|{c,d}: in face f its single arc cuts off the
+  partner of f inside f's partition side, so it crosses the four edges
+  joining the two sides once each (weight 4, disk).
+* Octagon of the same partition: each face holds two arcs, one at each
+  corner of the partition side avoiding that face; the two
+  partition-interior edges are crossed twice and the four crossing edges
+  once (weight 8).
 * Tube piece: two parallel vertex triangles joined by an unknotted tube.
-  Boundary data is twice the triangle's (weight 6); the tube drops the
+  Its arcs are twice the triangle's (weight 6); the tube drops the
   Euler characteristic to 0.
-* Helical 12-gon: a disk whose boundary walks every face three times.
-  With every edge crossed twice (total weight 12), endpoint consistency
-  forces one arc of each type in every face; that is the unique solution
-  at this weight.
+* Helical 12-gon: a disk whose boundary walks every face three times,
+  one arc of each type in every face, so every edge is crossed twice
+  (total weight 12); it is the unique solution at this weight.
 * Triple tube: three parallel vertex triangles and two tubes (weight 9,
   Euler characteristic -1).
 * Octagon tubed to a disk: octagon + vertex triangle + tube (weight 11,
-  Euler characteristic 0).  Octagon tubed to itself: octagon boundary
-  data with a handle attached (weight 8, Euler characteristic -1).
+  Euler characteristic 0).  Octagon tubed to itself: octagon arcs with a
+  handle attached (weight 8, Euler characteristic -1).
 
-Arc counts and edge weights are tied together: for each face f and each
-edge e of f, the arcs in f with an endpoint on e are exactly those cutting
-off one of e's two corners, so their counts sum to the crossing weight of
-e.  Catalog validation enforces this, and checks each entry's model
-complex against its declared index.
+Arc counts fix edge weights: for each face f and each edge e of f, the
+arcs in f with an endpoint on e are exactly those cutting off one of e's
+two corners, so their counts sum to the crossing weight of e.  The
+catalog reads each weight in the lowest face holding its edge, and
+validation checks the other face, so the boundary closes up across every
+edge; it also checks each entry's model complex against its declared
+index.
 """
 
 from __future__ import annotations
@@ -52,17 +55,6 @@ EDGES: tuple[tuple[int, int], ...] = (
     (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
 )
 EDGE_INDEX = {e: i for i, e in enumerate(EDGES)}
-
-PIECE_KINDS: tuple[str, ...] = (
-    "TRI_0", "TRI_1", "TRI_2", "TRI_3",
-    "QUAD_1", "QUAD_2", "QUAD_3",
-    "OCT_1", "OCT_2", "OCT_3",
-    "TUBE",
-    "HELICAL_12GON",
-    "TRIPLE_TUBE",
-    "OCT_TUBE_DISK",
-    "OCT_TUBE_SELF",
-)
 
 # quad/oct type q pairs vertex 0 with vertex q
 _PARTITIONS = {q: ((0, q), tuple(v for v in (1, 2, 3) if v != q)) for q in (1, 2, 3)}
@@ -148,73 +140,64 @@ def _arcs_from_corner_counts(counts: Mapping[int, Mapping[int, int]]) -> list[Fa
     return out
 
 
-def _weights(per_edge: Mapping[tuple[int, int], int]) -> list[int]:
-    return [per_edge.get(e, 0) for e in EDGES]
+def _crossings(face_arcs, edge: tuple[int, int]) -> int:
+    """Crossings of ``edge``: the arcs at its two corners in the lowest face that holds it."""
+    face = min(f for f in range(4) if f not in edge)
+    corners, arcs = FACES[face], face_arcs[face].corners
+    return arcs[corners.index(edge[0])] + arcs[corners.index(edge[1])]
 
 
-def _tri_data(v: int):
-    arcs = {f: {v: 1} for f in range(4) if f != v}
-    weights = {e: 1 for e in EDGES if v in e}
-    return _weights(weights), _arcs_from_corner_counts(arcs)
+def _tri_arcs(v: int):
+    return _arcs_from_corner_counts({f: {v: 1} for f in range(4) if f != v})
 
 
-def _quad_data(q: int):
+def _quad_arcs(q: int):
     side_a, side_b = _PARTITIONS[q]
     arcs = {}
     for f in range(4):
         side = side_a if f in side_a else side_b
         partner = next(v for v in side if v != f)
         arcs[f] = {partner: 1}
-    weights = {tuple(sorted((a, b))): 1 for a in side_a for b in side_b}
-    return _weights(weights), _arcs_from_corner_counts(arcs)
+    return _arcs_from_corner_counts(arcs)
 
 
-def _oct_data(q: int):
+def _oct_arcs(q: int):
     side_a, side_b = _PARTITIONS[q]
     arcs = {}
     for f in range(4):
         far_side = side_b if f in side_a else side_a
         arcs[f] = {v: 1 for v in far_side}
-    weights = {tuple(sorted((a, b))): 1 for a in side_a for b in side_b}
-    weights[tuple(sorted(side_a))] = 2
-    weights[tuple(sorted(side_b))] = 2
-    return _weights(weights), _arcs_from_corner_counts(arcs)
+    return _arcs_from_corner_counts(arcs)
 
 
-def _scale(data, factor: int):
-    weights, arcs = data
-    return [w * factor for w in weights], [FaceArcs(corners=[c * factor for c in fa.corners]) for fa in arcs]
+def _scale(arcs, factor: int):
+    return [FaceArcs(corners=[c * factor for c in fa.corners]) for fa in arcs]
 
 
-def _add(d1, d2):
-    weights = [a + b for a, b in zip(d1[0], d2[0])]
-    arcs = [FaceArcs(corners=[a + b for a, b in zip(fa.corners, fb.corners)]) for fa, fb in zip(d1[1], d2[1])]
-    return weights, arcs
+def _add(arcs_1, arcs_2):
+    return [FaceArcs(corners=[a + b for a, b in zip(fa.corners, fb.corners)]) for fa, fb in zip(arcs_1, arcs_2)]
 
 
-def _helical_data():
-    arcs = {f: {c: 1 for c in FACES[f]} for f in range(4)}
-    weights = {e: 2 for e in EDGES}
-    return _weights(weights), _arcs_from_corner_counts(arcs)
+def _helical_arcs():
+    return _arcs_from_corner_counts({f: {c: 1 for c in FACES[f]} for f in range(4)})
 
 
 @functools.lru_cache(maxsize=1)
 def catalog() -> tuple[LocalPiece, ...]:
-    """The validated catalog, one entry per piece kind.
-
-    Each data helper returns ``(edge_weights, face_arcs)``, in
-    ``LocalPiece``'s field order.
-    """
-    pieces = (
-        *(LocalPiece(f"TRI_{v}", *_tri_data(v), 1, ZERO_INDEX, _model_empty()) for v in range(4)),
-        *(LocalPiece(f"QUAD_{q}", *_quad_data(q), 1, ZERO_INDEX, _model_empty()) for q in (1, 2, 3)),
-        *(LocalPiece(f"OCT_{q}", *_oct_data(q), 1, finite_index(1), _model_two_points()) for q in (1, 2, 3)),
-        LocalPiece("TUBE", *_scale(_tri_data(0), 2), 0, finite_index(1), _model_two_points()),
-        LocalPiece("HELICAL_12GON", *_helical_data(), 1, finite_index(2), _model_circle()),
-        LocalPiece("TRIPLE_TUBE", *_scale(_tri_data(0), 3), -1, finite_index(2), _model_circle()),
-        LocalPiece("OCT_TUBE_DISK", *_add(_oct_data(1), _tri_data(0)), 0, finite_index(2), _model_circle()),
-        LocalPiece("OCT_TUBE_SELF", *_oct_data(1), -1, finite_index(2), _model_circle()),
+    """The validated catalog, one entry per piece kind, its edge weights
+    read off its arcs."""
+    entries = (  # kind, arcs, euler, declared index, model
+        *((f"TRI_{v}", _tri_arcs(v), 1, ZERO_INDEX, _model_empty()) for v in range(4)),
+        *((f"QUAD_{q}", _quad_arcs(q), 1, ZERO_INDEX, _model_empty()) for q in (1, 2, 3)),
+        *((f"OCT_{q}", _oct_arcs(q), 1, finite_index(1), _model_two_points()) for q in (1, 2, 3)),
+        ("TUBE", _scale(_tri_arcs(0), 2), 0, finite_index(1), _model_two_points()),
+        ("HELICAL_12GON", _helical_arcs(), 1, finite_index(2), _model_circle()),
+        ("TRIPLE_TUBE", _scale(_tri_arcs(0), 3), -1, finite_index(2), _model_circle()),
+        ("OCT_TUBE_DISK", _add(_oct_arcs(1), _tri_arcs(0)), 0, finite_index(2), _model_circle()),
+        ("OCT_TUBE_SELF", _oct_arcs(1), -1, finite_index(2), _model_circle()),
     )
+    pieces = tuple(LocalPiece(kind, [_crossings(arcs, e) for e in EDGES], arcs, *rest)
+                   for kind, arcs, *rest in entries)
     validate_catalog(pieces)
     return pieces
 
@@ -244,7 +227,9 @@ def validate_piece(p: LocalPiece) -> None:
         raise ValueError(f"piece {p.kind}: {verdict.problems[0]}")
     if any(w < 0 for w in p.edge_weights):
         raise ValueError(f"piece {p.kind}: negative edge weight")
-    # arcs landing on an edge from within a face must match the crossing count
+    # a face's arcs ending on an edge must match its crossing count; a catalog
+    # weight was read in the edge's lower face, so this checks the boundary
+    # closes up across the edge in the other
     for f in range(4):
         corners, arcs = FACES[f], p.face_arcs[f].corners
         for a in range(3):

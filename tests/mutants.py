@@ -224,6 +224,55 @@ MUTANTS = (
            "    if any(w < 0 for w in p.edge_weights):\n",
            "    if False:\n",
            ("tests/test_pieces.py::test_tampered_piece_detected",)),
+    Mutant("read a crossing count off one corner", "src/diskplex/pieces.py",
+           "    return arcs[corners.index(edge[0])] + arcs[corners.index(edge[1])]\n",
+           "    return arcs[corners.index(edge[0])]\n",
+           ("tests/test_pieces.py::test_catalog_covers_all_kinds_with_frozen_data",
+            "tests/test_pieces.py::test_edge_weight_equals_corner_arc_sums")),
+    Mutant("a module-level name that only tests read", "src/diskplex/pieces.py",
+           "EDGE_INDEX = {e: i for i, e in enumerate(EDGES)}\n",
+           "EDGE_INDEX = {e: i for i, e in enumerate(EDGES)}\nPIECE_COUNT = 15\n",
+           ("tests/test_startup.py::test_every_module_level_name_has_a_reader_outside_tests",)),
+    Mutant("forget the points that gluing merges", "src/diskplex/additivity.py",
+           "        chi -= weight  # merged crossing points\n",
+           "",
+           ("tests/test_additivity.py::test_euler_characteristic_matches_a_cell_count",
+            "tests/test_additivity.py::test_two_tet_closed_census",
+            "tests/test_additivity.py::test_additivity_command_builds_edge_classes_once")),
+    Mutant("count merged arcs against χ", "src/diskplex/additivity.py",
+           "        chi += sum(_face_arc_vector(by_tet, g.tet_a, g.face_a))",
+           "        chi -= sum(_face_arc_vector(by_tet, g.tet_a, g.face_a))",
+           ("tests/test_additivity.py::test_euler_characteristic_matches_a_cell_count",
+            "tests/test_additivity.py::test_two_tet_closed_census",
+            "tests/test_additivity.py::test_additivity_command_builds_edge_classes_once")),
+    Mutant("need every face free", "src/diskplex/corpus.py",
+           "        needed = [f for f, arcs in enumerate(piece(kind).face_arcs) if any(arcs.corners)]\n",
+           "        needed = [0, 1, 2, 3]\n",
+           ("tests/test_additivity.py::test_configuration_corpus_and_catalog_are_pinned",)),
+    Mutant("word the empty complex's homology differently", "src/diskplex/homology.py",
+           "            return [\"empty complex (reduced H~(-1) = Z)\"]",
+           "            return [\"empty complex\"]",
+           ("tests/test_io_cli.py::test_cli_homology_and_index_of_the_empty_complex",)),
+    Mutant("write the empty complex as not empty in JSON", "src/diskplex/homology.py",
+           "            return {\"empty_complex\": True, \"groups\": []}",
+           "            return {\"empty_complex\": False, \"groups\": []}",
+           ("tests/test_io_cli.py::test_cli_homology_and_index_of_the_empty_complex",)),
+    Mutant("leave the identity rule unsaid", "src/diskplex/join_formula.py",
+           "            out.append(\"  empty factor: join is the other complex (identity rule)\")\n",
+           "            pass\n",
+           ("tests/test_io_cli.py::test_cli_milnor_with_an_empty_factor",)),
+    Mutant("read a configuration out of a JSON list", "src/diskplex/additivity.py",
+           "    if not isinstance(data, dict):\n        raise ValueError(\"configuration file must hold",
+           "    if False:\n        raise ValueError(\"configuration file must hold",
+           ("tests/test_io_cli.py::test_cli_additivity_refuses_a_json_list",)),
+    Mutant("stop the width cascade without saying why", "src/diskplex/cli.py",
+           "            lines.append(\"no moves remain\")\n",
+           "",
+           ("tests/test_io_cli.py::test_cli_width_stops_when_no_moves_remain",)),
+    Mutant("answer None for an unknown package attribute", "src/diskplex/__init__.py",
+           "    raise AttributeError(f\"module {__name__!r} has no attribute {name!r}\")",
+           "    return None",
+           ("tests/test_startup.py::test_an_unknown_package_attribute_raises",)),
     Mutant("show five shared join vertices", "src/diskplex/simplicial.py",
            "sorted(overlap, key=vertex_key)[:4]",
            "sorted(overlap, key=vertex_key)[:5]",

@@ -16,6 +16,19 @@ from fractions import Fraction
 from math import comb, gcd
 
 
+# the catalog's piece kinds, in catalog order
+PIECE_KINDS: tuple[str, ...] = (
+    "TRI_0", "TRI_1", "TRI_2", "TRI_3",
+    "QUAD_1", "QUAD_2", "QUAD_3",
+    "OCT_1", "OCT_2", "OCT_3",
+    "TUBE",
+    "HELICAL_12GON",
+    "TRIPLE_TUBE",
+    "OCT_TUBE_DISK",
+    "OCT_TUBE_SELF",
+)
+
+
 # ------------------------------------------------------------ linear algebra
 
 def matrix_fields(rows, cols: int | None = None) -> tuple[int, int, tuple]:

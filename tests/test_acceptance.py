@@ -9,6 +9,8 @@ import hashlib
 import random
 import time
 
+import oracles
+
 from diskplex.additivity import (
     Placement,
     SurfaceConfiguration,
@@ -19,7 +21,7 @@ from diskplex.cubes import cone_base_complex, cube_from_cone, dual_cells, subdiv
 from diskplex.dichotomy import check_dichotomy
 from diskplex.homology import AbelianGroup, finite_index, homology_index
 from diskplex.join_formula import verify_milnor
-from diskplex.pieces import PIECE_KINDS, LocalPiece, catalog, check_normal_arcs, local_index
+from diskplex.pieces import LocalPiece, catalog, check_normal_arcs, local_index
 from diskplex.simplicial import barycentric_subdivision, boundary_of_simplex, from_facets
 from diskplex.suite import RunConfig, prop_catalog_integrity, render_text, run_suite
 from diskplex.width import apply_surgery, available_moves, verify_width_decrease
@@ -196,7 +198,7 @@ def test_criterion_8_catalog_integrity(monkeypatch):
     for p in catalog():
         ok = ok and local_index(p) == p.declared_index
         ok = ok and check_normal_arcs(p.face_arcs).passed
-    ok = ok and len(catalog()) == len(PIECE_KINDS)
+    ok = ok and len(catalog()) == len(oracles.PIECE_KINDS)
 
     # negative control: a tampered catalog must fail the suite's check
     tampered = list(catalog())
@@ -207,7 +209,7 @@ def test_criterion_8_catalog_integrity(monkeypatch):
     bad = prop_catalog_integrity(RunConfig(counts=2))
     ok = ok and not bad.passed
     record(8, "catalog indices recompute and tampering is caught", ok,
-           f"{len(PIECE_KINDS)} kinds + negative control")
+           f"{len(oracles.PIECE_KINDS)} kinds + negative control")
 
 
 # SHA-256 of the suite report text: the default seed's as recorded by the

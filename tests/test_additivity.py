@@ -20,7 +20,7 @@ from diskplex.additivity import (
     verify_index_sum,
 )
 from diskplex.homology import finite_index, homology_index
-from diskplex.pieces import FACES, PIECE_KINDS, catalog, piece
+from diskplex.pieces import FACES, catalog, piece
 from diskplex.simplicial import relabel
 from diskplex import additivity, corpus
 from diskplex.cli import main
@@ -59,7 +59,7 @@ def test_single_piece_euler_matches_piece():
     # an unglued piece keeps its own Euler characteristic:
     # weight points minus one arc per point, plus the piece itself
     # tetrahedra that nothing names add nothing, however many there are
-    for kind in PIECE_KINDS:
+    for kind in oracles.PIECE_KINDS:
         for tets in (1, 10**9):
             cfg = single(kind, tets=tets)
             assert check_matching(cfg).passed
@@ -183,6 +183,39 @@ def test_random_configurations_always_match_and_add():
         assert r.passed, r.render_lines()
 
 
+def counted_euler(cfg) -> int:
+    """V - E + F of a matched configuration, counted cell by cell: V one
+    point per crossing of each edge orbit, E one arc per arc of each face,
+    a glued pair of faces counted once, F the pieces' own characteristics.
+    A crossing count is read in the higher face at its edge."""
+    def arcs(tet, f):
+        return [sum(pl.multiplicity * piece(pl.kind).face_arcs[f].corners[i]
+                    for pl in cfg.placements if pl.tet == tet) for i in range(3)]
+
+    def crossings(tet, edge):
+        f = max(f for f in range(4) if f not in edge)
+        counts = arcs(tet, f)
+        return counts[FACES[f].index(edge[0])] + counts[FACES[f].index(edge[1])]
+
+    orbits = edge_orbits(cfg.skeleton.tets, cfg.skeleton.gluings)
+    points = sum(crossings(*root) for root in set(orbits.values()))
+    glued_b = [(g.tet_b, g.face_b) for g in cfg.skeleton.gluings]
+    arc_count = sum(sum(arcs(t, f)) for t in range(cfg.skeleton.tets) for f in range(4)
+                    if (t, f) not in glued_b)
+    return points - arc_count + sum(pl.multiplicity * piece(pl.kind).euler for pl in cfg.placements)
+
+
+def test_euler_characteristic_matches_a_cell_count():
+    """Each piece's points and arcs cancel, so ``euler_characteristic``
+    counts only what gluing merges; counting every cell gives the same."""
+    rng = random.Random(11)
+    glued = 0
+    for cfg in corpus.random_configurations(rng, 300):
+        glued += bool(cfg.skeleton.gluings)
+        assert euler_characteristic(cfg) == counted_euler(cfg), cfg
+    assert glued > 100
+
+
 # SHA-256 of the reprs of random_configuration(Random(s)) for s in
 # 0..2999, one per line, then the catalog's repr and each model complex's
 # facet list: any change to a draw, a placement or a catalog entry moves it
@@ -256,6 +289,11 @@ def test_config_json_errors():
 
 def edge_orbit_count(tets: int, gluings) -> int:
     """Orbits of (tet, edge) pairs, by union-find written from scratch."""
+    return len(set(edge_orbits(tets, gluings).values()))
+
+
+def edge_orbits(tets: int, gluings) -> dict:
+    """Each (tet, edge) pair mapped to a representative of its orbit."""
     pairs = [(t, e) for t in range(tets) for e in edges()]
     parent = {p: p for p in pairs}
 
@@ -275,7 +313,7 @@ def edge_orbit_count(tets: int, gluings) -> int:
             ea = tuple(sorted((ca[i], ca[j])))
             eb = tuple(sorted((cb[g.perm[i]], cb[g.perm[j]])))
             union((g.tet_a, ea), (g.tet_b, eb))
-    return len({find(p) for p in pairs})
+    return {p: find(p) for p in pairs}
 
 
 def edges():

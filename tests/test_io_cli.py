@@ -344,6 +344,55 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_cli_homology_and_index_of_the_empty_complex(tmp_path, capsys):
+    empty = write_fixture(tmp_path, "empty.json", {"facets": []})
+    assert main(["homology", empty]) == 0
+    assert capsys.readouterr().out == f"complex: {empty}\nempty complex (reduced H~(-1) = Z)\n"
+    assert main(["homology", "--json", empty]) == 0
+    assert json.loads(capsys.readouterr().out)["homology"] == {"empty_complex": True, "groups": []}
+    assert main(["index", empty]) == 0
+    assert capsys.readouterr().out == "ZERO\n"
+    assert main(["index", "--json", empty]) == 0
+    assert json.loads(capsys.readouterr().out)["index"] == "ZERO"
+
+
+def test_cli_milnor_with_an_empty_factor(tmp_path, capsys):
+    empty = write_fixture(tmp_path, "empty.json", {"facets": []})
+    circle = write_fixture(tmp_path, "circle.json", {"facets": [[1, 2], [2, 3], [3, 1]]})
+    for argv in ([empty, circle], [circle, empty]):
+        assert main(["milnor", *argv]) == 0
+        assert capsys.readouterr().out == (
+            "join check: A * B\n"
+            "  empty factor: join is the other complex (identity rule)\n"
+            "  direct   H~0 = 0\n  direct   H~1 = Z\n  verdict: PASS\n"
+        )
+    assert main(["milnor", "--json", empty, circle]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["identity_rule"], data["formula"], data["passed"]) == (True, None, True)
+
+
+def test_cli_additivity_refuses_a_json_list(tmp_path, capsys):
+    listed = write_fixture(tmp_path, "list.json", [])
+    for argv in (["additivity", listed], ["additivity", "--json", listed]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: configuration file must hold a JSON object\n")
+
+
+def test_cli_width_stops_when_no_moves_remain(capsys):
+    assert main(["width", "--seed", "28"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "start width {(-1, 4)}",
+        f"{'DISHONEST@0 k=2':50s} -> {{(-1, 2)}}",
+        f"{'DISHONEST@0 k=1':50s} -> {{(-1, 1)}}",
+        f"{'DISHONEST@0 k=1':50s} -> {{(-1, 0)}}",
+        "no moves remain",
+    ]
+    assert main(["width", "--seed", "28", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [s["after"] for s in data["steps"]] == ["{(-1, 2)}", "{(-1, 1)}", "{(-1, 0)}"]
+    assert data["all_decreasing"]
+
+
 def test_cli_suite_small(capsys):
     assert main(["suite", "--counts", "2"]) == 0
     out = capsys.readouterr().out

@@ -1,13 +1,14 @@
 
 import pytest
 
+import oracles
+
 from diskplex.homology import finite_index, homology_index
 from diskplex.pieces import (
     EDGES,
     FACES,
     FaceArcs,
     LocalPiece,
-    PIECE_KINDS,
     catalog,
     check_normal_arcs,
     local_index,
@@ -46,7 +47,7 @@ def test_tetrahedron_face_tables():
 
 def test_catalog_covers_all_kinds_with_frozen_data():
     entries = catalog()
-    assert len(entries) == len(PIECE_KINDS) == len(EXPECTED)
+    assert len(entries) == len(oracles.PIECE_KINDS) == len(EXPECTED)
     for p in entries:
         w, chi, idx = EXPECTED[p.kind]
         assert p.weight == w, p.kind

@@ -1,8 +1,8 @@
 """What a fresh process loads, what the lazy package namespace binds, and
 what the package's sources define.
 
-Each check runs in its own interpreter, because this test session has
-already imported every module.
+Each check of what a process loads runs in its own interpreter, because
+this test session has already imported every module.
 """
 
 import ast
@@ -11,6 +11,8 @@ import os
 import re
 import subprocess
 import sys
+
+import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -67,6 +69,14 @@ def test_public_namespace_is_stable():
         'check_submodule_attributes(); check("after submodule attributes")',
     ):
         run_fresh(CHECK_NAMESPACE + first)
+
+
+def test_an_unknown_package_attribute_raises():
+    import diskplex
+
+    with pytest.raises(AttributeError, match=r"^module 'diskplex' has no attribute 'no_such_name'$"):
+        diskplex.no_such_name
+    assert not hasattr(diskplex, "no_such_name")
 
 
 def loaded_by(code: str) -> set[str]:
@@ -266,10 +276,8 @@ def test_no_module_imports_dataclasses():
             assert not any(m.split(".")[0] == "dataclasses" for m in imported), (name, node.lineno)
 
 
-def test_every_function_has_a_caller_outside_tests():
-    """Each non-dunder ``def`` in the package is named in ``src/``,
-    ``demos/`` or ``bench/`` outside its own definition; code that only
-    tests call belongs in ``tests/oracles.py``."""
+def _sources_outside_tests() -> list[str]:
+    """The text of every ``.py`` file under ``src/``, ``demos/`` and ``bench/``."""
     root = os.path.dirname(SRC)
     texts = []
     for top in ("src", "demos", "bench"):
@@ -278,20 +286,59 @@ def test_every_function_has_a_caller_outside_tests():
                 if name.endswith(".py"):
                     with open(os.path.join(folder, name), encoding="utf-8") as fh:
                         texts.append(fh.read())
+    return texts
+
+
+def _package_trees():
+    """``(file name, parsed module)`` for each source file of the package."""
     package = os.path.join(SRC, "diskplex")
-    unused = []
     for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), name)
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
+def _only_bound(texts, name: str, binding: re.Pattern) -> bool:
+    """True when no text names ``name`` except where ``binding`` binds it."""
+    named = re.compile(rf"\b{name}\b")
+    return all(len(named.findall(t)) == len(binding.findall(t)) for t in texts)
+
+
+def test_every_function_has_a_caller_outside_tests():
+    """Each non-dunder ``def`` in the package is named in ``src/``,
+    ``demos/`` or ``bench/`` outside its own definition; code that only
+    tests call belongs in ``tests/oracles.py``."""
+    texts = _sources_outside_tests()
+    unused = []
+    for name, tree in _package_trees():
         for node in ast.walk(tree):
             if not isinstance(node, ast.FunctionDef) or re.fullmatch(r"__\w+__", node.name):
                 continue
-            named = re.compile(rf"\b{node.name}\b")
-            defined = re.compile(rf"^\s*def {node.name}\b", re.M)
-            if all(len(named.findall(t)) == len(defined.findall(t)) for t in texts):
+            if _only_bound(texts, node.name, re.compile(rf"^\s*def {node.name}\b", re.M)):
                 unused.append(f"{name}:{node.lineno} {node.name}")
+    assert not unused
+
+
+def test_every_module_level_name_has_a_reader_outside_tests():
+    """Each non-dunder name that a package module binds at its top level,
+    by assignment or ``class``, is named in ``src/``, ``demos/`` or
+    ``bench/`` outside its own binding; a constant that only tests read
+    belongs in ``tests/oracles.py``."""
+    texts = _sources_outside_tests()
+    unused = []
+    for name, tree in _package_trees():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                bound = [(node.name, re.compile(rf"^class {node.name}\b", re.M))]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in (t.elts if isinstance(t, ast.Tuple) else [t])
+                         if isinstance(n, ast.Name)]
+                bound = [(n, re.compile(rf"^{n}\b[^=\n]*=", re.M)) for n in names]
+            else:
+                continue
+            unused += [f"{name}:{node.lineno} {n}" for n, binding in bound
+                       if not re.fullmatch(r"__\w+__", n) and _only_bound(texts, n, binding)]
     assert not unused
 
 
