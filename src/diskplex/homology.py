@@ -409,60 +409,58 @@ def _collapse_core(k: SimplicialComplex) -> tuple[SimplicialComplex, Vertex]:
     the AND of the facets that contain v is v's meet, and v is dominated
     when its meet holds another bit.
 
-    One pass over the facets takes every meet.  A worklist holds the
-    vertices to check, at first the dominated ones.  Each check takes the
-    meet over the facets as they are at that moment, so every deletion is
-    a strong collapse of the complex left by the ones before it.
-    Deleting v shrinks each facet that held v; a shrunk facet that lies in
-    another facet is dropped, and any such facet holds all of its
-    vertices, so only the facets of its least-held vertex are tested.  A
-    vertex's meet over the remaining vertices grows only when one of its
-    facets is dropped, so only the vertices of dropped facets go back on
-    the worklist.
+    One pass indexes the ids of the facets that hold each rank, and one
+    test, ``dominated``, ANDs a vertex's facets and stops once the meet is
+    its bit alone.  A worklist holds the vertices to check, at first the
+    dominated ones.  Each check takes the meet over the facets as they are
+    at that moment, so every deletion is a strong collapse of the complex
+    left by the ones before it.  Deleting v shrinks each facet that held
+    v; a shrunk facet that lies in another facet is dropped, and any such
+    facet holds all of its vertices, so only the facets of its least-held
+    vertex are tested.  A vertex's meet over the remaining vertices grows
+    only when one of its facets is dropped, so only the vertices of
+    dropped facets go back on the worklist.
 
     The busiest vertex, the apex for ``boundary_matrices``, lies in the
     most facets of the core, then has the most link vertices (bits of
     the OR of its facets), then the lowest rank.  The first two keys do
     not depend on the labels; without the second, a 4-cycle vertex and
     an RP^2 vertex of C4 * C4 * RP^2 (80 facets each) would tie, leaving
-    864 or 810 cells.  The meets pass also counts and ORs each vertex's
-    facets; after a collapse, they are read off the facets left.
+    864 or 810 cells.  Both are read off the index, and only the
+    vertices that tie on the first are ORed.
 
     Returns ``k`` itself when nothing is dominated, so its memoised masks
     are reused.
     """
     verts = k.vertices()
     facets = dict(enumerate(k._masks()))  # facet id -> bitmask of vertex ranks
-    meets = [-1] * len(verts)
-    joins = [0] * len(verts)
-    counts = [0] * len(verts)  # rank -> how many facets hold it
-    for mask in facets.values():
+    holders = [[] for _ in verts]  # rank -> ids of the facets holding it, a set once any is dominated
+    for n, mask in facets.items():
         rest = mask
         while rest:  # top bit first: two int operations per bit, against _ranks' three
             i = rest.bit_length() - 1
             rest ^= 1 << i
-            meets[i] &= mask
-            joins[i] |= mask
-            counts[i] += 1
-    todo = [i for i in range(len(verts) - 1, -1, -1) if meets[i] != 1 << i]
+            holders[i].append(n)
+
+    def dominated(i: int) -> bool:
+        bit, meet = 1 << i, -1
+        for n in holders[i]:
+            meet &= facets[n]
+            if meet == bit:
+                return False
+        return True
+
+    todo = [i for i in range(len(verts) - 1, -1, -1) if dominated(i)]
     if not todo:
-        return k, verts[_busiest(counts, joins.__getitem__)]
-    holders: list[set[int]] = [set() for _ in verts]  # rank -> ids of the facets holding it
-    for n, mask in facets.items():
-        for i in _ranks(mask):
-            holders[i].add(n)
+        return k, verts[_busiest(holders, facets)]
+    holders = [set(ids) for ids in holders]
     queued = set(todo)
     while todo:
         i = todo.pop()
         queued.discard(i)
-        bit = 1 << i
-        meet = -1
-        for n in holders[i]:
-            meet &= facets[n]
-            if meet == bit:
-                break
-        if meet == bit:
+        if not dominated(i):
             continue
+        bit = 1 << i
         ids, holders[i] = holders[i], set()
         for n in ids:
             f = facets[n] ^ bit
@@ -477,14 +475,15 @@ def _collapse_core(k: SimplicialComplex) -> tuple[SimplicialComplex, Vertex]:
                         todo.append(j)
             else:
                 facets[n] = f
-    busiest = _busiest([len(ids) for ids in holders], lambda i: reduce(or_, map(facets.__getitem__, holders[i])))
-    return _maximal(facets.values(), verts, k.name), verts[busiest]
+    return _maximal(facets.values(), verts, k.name), verts[_busiest(holders, facets)]
 
 
-def _busiest(counts: list[int], join) -> int:
-    """The first rank with the most facets, then the most bits in ``join(i)``."""
+def _busiest(holders: list, facets: dict) -> int:
+    """The first rank in the most facets, then with the most bits in the OR of its facets."""
+    counts = list(map(len, holders))
     most = max(counts)
-    return max((i for i, n in enumerate(counts) if n == most), key=lambda i: join(i).bit_count())
+    return max((i for i, n in enumerate(counts) if n == most),
+               key=lambda i: reduce(or_, map(facets.__getitem__, holders[i])).bit_count())
 
 
 def _graph_profile(k: SimplicialComplex) -> HomologyProfile:

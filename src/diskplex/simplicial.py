@@ -158,12 +158,16 @@ def _frame(faces: Collection[tuple]) -> tuple[list[int], tuple]:
     in input order."""
     verts = tuple(sorted({v for f in faces for v in f}, key=vertex_key))
     bit = {v: 1 << i for i, v in enumerate(verts)}
-    masks = [sum(map(bit.__getitem__, f)) for f in faces]
-    for face, m in zip(faces, masks):
-        if not face:
+    masks = []
+    for face in faces:
+        m = 0
+        for v in face:
+            m |= bit[v]
+        if not m:
             raise ValueError("faces must be nonempty")
-        if m.bit_count() != len(face):  # a repeated bit carries, so the sum has fewer bits
+        if m.bit_count() != len(face):  # a repeated vertex sets its bit once
             raise ValueError(f"repeated vertex in face {face!r}")
+        masks.append(m)
     return masks, verts
 
 
@@ -172,7 +176,8 @@ def _maximal(masks: Iterable[int], verts: tuple, name: str) -> SimplicialComplex
 
     Duplicates are dropped.  A dominated mask lies inside a maximal mask,
     which has more bits, so each mask is tested only against the longer
-    masks already kept.  When the kept masks leave ranks unused, they are
+    masks already kept; nothing is longer than the longest masks, so they
+    are kept untested.  When the kept masks leave ranks unused, they are
     re-ranked onto the used vertices, whose ascending ranks keep
     ``vertex_key`` order; so the result's frame is exactly its vertices,
     as for every complex, and it makes its facet tuples on first read.
@@ -182,7 +187,7 @@ def _maximal(masks: Iterable[int], verts: tuple, name: str) -> SimplicialComplex
         by_size.setdefault(m.bit_count(), set()).add(m)
     keep: list[int] = []
     for n in sorted(by_size, reverse=True):
-        keep += [m for m in by_size[n] if not any(g & m == m for g in keep)]
+        keep += [m for m in by_size[n] if not any(g & m == m for g in keep)] if keep else by_size[n]
     used = _ranks(functools.reduce(int.__or__, keep, 0))
     if len(used) != len(verts):
         rerank = {i: 1 << j for j, i in enumerate(used)}

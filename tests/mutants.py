@@ -102,6 +102,15 @@ MUTANTS = (
            ("tests/test_simplicial.py::test_from_facets_antichain",
             "tests/test_values.py::test_construction_checks_keep_their_messages",
             "tests/test_io_cli.py::test_rejects_malformed_documents")),
+    Mutant("refuse no empty face", "src/diskplex/simplicial.py",
+           "        if not m:\n",
+           "        if False:\n",
+           ("tests/test_simplicial.py::test_from_facets_antichain",
+            "tests/test_values.py::test_construction_checks_keep_their_messages")),
+    Mutant("keep every size untested", "src/diskplex/simplicial.py",
+           "] if keep else by_size[n]",
+           "] if False else by_size[n]",
+           ("tests/test_simplicial.py::test_from_facets_antichain",)),
     Mutant("make lazy facets from the wrong ranks", "src/diskplex/simplicial.py",
            "return frozenset(tuple(verts[i] for i in _ranks(m)) for m in self._masks())",
            "return frozenset(tuple(verts[::-1][i] for i in _ranks(m)) for m in self._masks())",
@@ -156,13 +165,30 @@ MUTANTS = (
     Mutant("choose the least busy vertex", "src/diskplex/homology.py",
            "    most = max(counts)\n",
            "    most = min(counts)\n",
-           ("tests/test_homology.py::test_reduced_homology_takes_the_busiest_vertex_as_apex",)),
+           ("tests/test_homology.py::test_reduced_homology_takes_the_busiest_vertex_as_apex",
+            "tests/test_homology.py::test_busiest_vertex_matches_the_set_oracle")),
     Mutant("drop the link-vertex tie-break", "src/diskplex/homology.py",
-           "key=lambda i: join(i).bit_count())",
+           "key=lambda i: reduce(or_, map(facets.__getitem__, holders[i])).bit_count())",
            "key=lambda i: 0)",
            ("tests/test_homology.py::test_reduced_homology_takes_the_busiest_vertex_as_apex",
             "tests/test_homology.py::test_relative_complex_size_does_not_depend_on_the_labels",
+            "tests/test_homology.py::test_busiest_vertex_matches_the_set_oracle",
             "tests/test_benchmark_passes.py::test_workload_operations_pass_and_traced_counts_repeat")),
+    Mutant("tie-break on one facet", "src/diskplex/homology.py",
+           "reduce(or_, map(facets.__getitem__, holders[i]))",
+           "facets[next(iter(holders[i]))]",
+           ("tests/test_homology.py::test_reduced_homology_takes_the_busiest_vertex_as_apex",
+            "tests/test_homology.py::test_relative_complex_size_does_not_depend_on_the_labels",
+            "tests/test_homology.py::test_busiest_vertex_matches_the_set_oracle")),
+    Mutant("over-report domination after one facet", "src/diskplex/homology.py",
+           "            if meet == bit:\n                return False\n",
+           "            if meet != bit:\n                return True\n",
+           ("tests/test_homology.py::test_strong_collapse_keeps_every_profile",)),
+    Mutant("under-report domination after one facet", "src/diskplex/homology.py",
+           "            if meet == bit:\n                return False\n",
+           "            if True:\n                return False\n",
+           ("tests/test_homology.py::test_collapse_cores_have_no_dominated_vertex",
+            "tests/test_homology.py::test_strong_collapse_keeps_every_profile")),
     Mutant("start the core's worklist one vertex lower", "src/diskplex/homology.py",
            "range(len(verts) - 1, -1, -1)",
            "range(len(verts) - 2, -1, -1)",

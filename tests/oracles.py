@@ -277,6 +277,19 @@ def star_sets(facets, s) -> set[frozenset]:
     return maximal_sets([f for f in facets if set(s) <= set(f)])
 
 
+def busiest_vertex(facets, key):
+    """The vertex in the most facets, then with the most vertices in the
+    union of those facets, then the lowest by ``key`` (the package's
+    vertex order), counted on vertex sets."""
+    facets = maximal_sets(facets)
+
+    def order(v):
+        holding = [f for f in facets if v in f]
+        return -len(holding), -len(frozenset().union(*holding)), key(v)
+
+    return min(frozenset().union(*facets), key=order)
+
+
 def adjacency_sets(x_facets, y_facets, tau) -> set[frozenset]:
     """Facets of V_tau: the subcomplex of X induced on the vertices of X
     that share an edge of Y with every vertex of ``tau`` outside X."""

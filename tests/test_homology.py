@@ -38,6 +38,7 @@ from diskplex.simplicial import (
     join_all,
     point,
     simplex_complex,
+    vertex_key,
 )
 from diskplex import corpus
 from diskplex.additivity import global_complex
@@ -564,6 +565,35 @@ def test_relative_complex_size_does_not_depend_on_the_labels():
     for labels in [list(range(14))] + [rng.sample(range(100), 14) for _ in range(6)]:
         apex, cells = _apex_and_cells(from_facets([[labels[v] for v in f] for f in k.facet_list()]))
         assert labels.index(apex) >= 8 and sum(cells) == 810, (labels, apex)
+
+
+def test_busiest_vertex_matches_the_set_oracle():
+    # the apex that the collapse core reads off its facet index, against
+    # counts and unions of vertex sets; the relabellings of C4 * C4 * RP^2
+    # tie on facet count (80), and those of sd(RP^2) * S^0 tie on both keys
+    # (the two suspension points), so the vertex order decides
+    checked = 0
+    for k in _collapse_cases():
+        core, apex = _collapse_core(k)
+        assert oracles.busiest_vertex(core.facet_list(), vertex_key) == apex, k
+        checked += 1
+    c4 = [[0, 1], [1, 2], [2, 3], [3, 0]]
+    c4c4rp2 = join_all([from_facets(c4), from_facets([[v + 4 for v in e] for e in c4]),
+                        from_facets([[v + 7 for v in f] for f in RP2])]).facet_list()
+    sd_susp = join(barycentric_subdivision(from_facets(RP2)), from_facets([["n"], ["s"]])).facet_list()
+    rng = random.Random(35)
+    for facets in (c4c4rp2, sd_susp):
+        verts = sorted({v for f in facets for v in f}, key=repr)
+        for r in range(8):
+            labels = rng.sample(range(1000), len(verts))
+            if r % 2:
+                labels = [f"v{x}" if x % 3 else ("t", x) for x in labels]
+            mapping = dict(zip(verts, labels))
+            relabelled = [[mapping[v] for v in f] for f in facets]
+            apex = _collapse_core(from_facets(relabelled))[1]
+            assert oracles.busiest_vertex(relabelled, vertex_key) == apex, (labels, apex)
+            checked += 1
+    assert checked >= 200, checked
 
 
 ASSEMBLE_STRINGS = """
