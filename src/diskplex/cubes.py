@@ -19,7 +19,7 @@ cost follows its interior: the dual of a simplex lists no boundary face.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 from itertools import product
 from math import prod
 from typing import Sequence
@@ -158,19 +158,23 @@ def cone_base_complex(n: int) -> SimplicialComplex:
 
 # ----------------------------------------------------------------- duals
 
-def _below(c: tuple) -> list:
-    """The codimension-1 faces of a face given by its ranks."""
-    return [c[:j] + c[j + 1:] for j in range(len(c))]
+def _below(c: int) -> list:
+    """The codimension-1 faces of a face given by its rank mask, lowest rank dropped first."""
+    out, rest = [], c
+    while rest:
+        out.append(c ^ (rest & -rest))
+        rest &= rest - 1
+    return out
 
 
 def _ridges(tops: list) -> tuple[dict, dict]:
-    """The facets, given by their ranks, of each codimension-1 face, and
-    each vertex's link: the codimension-1 faces that leave it out."""
+    """The facets, given by their rank masks, of each codimension-1 face,
+    and each vertex rank's link: the codimension-1 faces that leave it out."""
     ridges, links = {}, {}
     for f in tops:
-        for i, r in zip(f, _below(f)):
+        for r in _below(f):
             ridges.setdefault(r, []).append(f)
-            links.setdefault(i, []).append(r)
+            links.setdefault((f ^ r).bit_length() - 1, []).append(r)
     return ridges, links
 
 
@@ -180,34 +184,34 @@ def _ball_poset(ball) -> tuple:
     functions giving a cell's dimension and label.  The checks read the top
     cells, the top cells of each (n-1)-cell (ridge) and the interior's
     parents: a ``CubicalComplex`` off its poset, a ``SimplicialComplex`` off
-    the ranks of its facet masks, listing no boundary face."""
+    its facet masks, listing no boundary face: a face lies in the boundary
+    when a one-facet ridge through its lowest rank contains it."""
     if isinstance(ball, SimplicialComplex):
         ball._check_face_budget()
         if ball.is_empty:
             raise ValueError("empty complex is not a ball")
         name, n, verts = ball.name or "simplicial", ball.dim, ball.vertices()
-        below = _below
-        tops = [tuple(_ranks(f)) for f in ball._masks()]  # each facet's ranks, ascending
+        below, tops = _below, ball._masks()
         ridges, links = _ridges(tops)
-        held = [set() for _ in verts]  # rank -> the one-facet (boundary) ridges holding it
+        held = [[] for _ in verts]  # rank -> the one-facet (boundary) ridges holding it
         for r in (r for r, ts in ridges.items() if len(ts) == 1):
-            for i in r:
-                held[i].add(r)
+            for i in _ranks(r):
+                held[i].append(r)
         interior, todo = {f: [] for f in tops}, list(tops)  # walk down, stop at boundary faces
         while todo:
             c = todo.pop()
-            for g in below(c) if len(c) > 1 else ():
+            for g in below(c) if c.bit_count() > 1 else ():
                 if g in interior:
                     interior[g].append(c)
-                elif not set.intersection(*map(held.__getitem__, g)):
+                elif not any(r & g == g for r in held[(g & -g).bit_length() - 1]):
                     interior[g] = [c]
                     todo.append(g)
         profile = reduced_homology(ball)
         chi = 1 + sum((-1) ** d * g.rank for d, g in enumerate(profile.groups))
-        order = lambda c: (len(c), c)  # cell order: dimension, then ranks
+        order = lambda c: (c.bit_count(), _ranks(c))  # cell order: dimension, then ranks
         interior = {c: interior[c] for c in sorted(interior, key=order)}
-        dim, first = (lambda c: len(c) - 1), partial(min, key=order)
-        label = lambda c: tuple(verts[i] for i in c)
+        dim, first = (lambda c: c.bit_count() - 1), partial(min, key=order)
+        label = lambda c: tuple(verts[i] for i in _ranks(c))
     else:  # a cubical complex lists its cells in cell order
         name, n, par = ball.name, ball.dim, ball.parents()
         tops = [c for c in ball.cells if not par[c]]
@@ -267,7 +271,7 @@ def _check_strongly_connected(start, count: int, below, ridges: dict, n: int) ->
 
 def _check_links(count: int, ridges: dict, links: dict, verts: tuple, n: int, seen: set) -> None:
     """Refuse unless each vertex link of a pure n-complex, given by its
-    facet count, ridge map and vertex links (rank tuples into ``verts``),
+    facet count, ridge map and vertex links (rank masks into ``verts``),
     is a homology (n-1)-ball at a vertex of a one-facet ridge, else a
     homology (n-1)-sphere: strongly connected, with the reduced homology of
     a point or of the sphere, and for n >= 4 with its own vertex links
@@ -280,37 +284,32 @@ def _check_links(count: int, ridges: dict, links: dict, verts: tuple, n: int, se
     alone: another vertex's link is the cone over its link in the apex's.
     ``seen`` holds the links that have passed, so the link of a face met
     through each of its vertices in turn is tested once."""
-    boundary = {i for r, ts in ridges.items() if len(ts) == 1 for i in r}
+    boundary = reduce(int.__or__, (r for r, ts in ridges.items() if len(ts) == 1), 0)
     apexes = [i for i, link in links.items() if len(link) == count]
     for i in sorted(apexes)[:1] or sorted(links):
         link = links[i]
         if len(link) == 1:
             continue
-        shape = "ball" if i in boundary else "sphere"
+        shape = "ball" if boundary >> i & 1 else "sphere"
         key = (shape, frozenset(link))
         if key in seen:
             continue
         try:
             sub_ridges, sub_links = _ridges(link)
-            first = min(link)
+            first = min(link, key=_ranks)  # the rank-lexicographic least
             _check_strongly_connected(first, len(link), _below, sub_ridges, n - 1)
             # A sphere's ridges lie in two facets that connect, so its H~ is
             # the sphere's exactly when it is acyclic less one facet, which
             # for a sphere is a ball: the collapse core shrinks it fast.
             rest = link if shape == "ball" else [f for f in link if f != first]
-            if not reduced_homology(_complex(rest, verts)).is_acyclic:
-                profile = reduced_homology(_complex(link, verts))
+            if not reduced_homology(_maximal(rest, verts, "")).is_acyclic:
+                profile = reduced_homology(_maximal(link, verts, ""))
                 raise ValueError(f"reduced homology {', '.join(profile.render_lines())}; not a {shape}")
             if n > 3:
                 _check_links(len(link), sub_ridges, sub_links, verts, n - 1, seen)
         except ValueError as e:
             raise ValueError(f"link of vertex {verts[i]!r} is not a {n - 1}-{shape}: {e}") from None
         seen.add(key)
-
-
-def _complex(tops: list, verts: tuple) -> SimplicialComplex:
-    """The complex whose facets are ``tops``, ascending rank tuples into ``verts``."""
-    return _maximal([sum(map((1).__lshift__, f)) for f in tops], verts, "")
 
 
 def validate_ball(complexe) -> None:

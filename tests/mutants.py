@@ -10,9 +10,12 @@ the copy's ``src``.  A mutant is killed when every named test fails.
 Nothing is written inside the repository.  The exit status is 1 when a
 mutant survives.
 
-``test_mutation_table.py`` checks in tier-1 that each anchor occurs once
-and each named test exists, so a change that moves a mutated line mends
-its row in the same change.  A change adds the mutants of its own gates.
+``EQUIVALENT`` records the mutants that no test can kill, each with the
+reason that it changes no output; the runner skips them.
+``test_mutation_table.py`` checks in tier-1 that each anchor of either
+table occurs once and each named test exists, so a change that moves a
+mutated line mends its row in the same change.  A change adds the
+mutants of its own gates.
 """
 
 from __future__ import annotations
@@ -34,6 +37,14 @@ class Mutant(NamedTuple):
     anchor: str
     replacement: str
     tests: tuple[str, ...]  # pytest ids, relative to the repository root
+
+
+class Equivalent(NamedTuple):
+    name: str
+    path: str
+    anchor: str
+    replacement: str
+    reason: str
 
 
 MUTANTS = (
@@ -67,7 +78,7 @@ MUTANTS = (
     # An interior vertex's link is closed, so it can be no ball; what can
     # go wrong is testing it as one.
     Mutant("test an interior vertex's link as a ball", "src/diskplex/cubes.py",
-           "shape = \"ball\" if i in boundary else \"sphere\"",
+           "shape = \"ball\" if boundary >> i & 1 else \"sphere\"",
            "shape = \"ball\"",
            ("tests/test_cubes.py::test_link_test_matches_the_set_reference",)),
     Mutant("recurse one level shallower", "src/diskplex/cubes.py",
@@ -307,6 +318,86 @@ MUTANTS = (
            "        seen.add(key)\n",
            "",
            ("tests/test_cubes.py::test_link_test_tests_each_face_link_once",)),
+    # A simplicial cell is a rank mask; its cell order is by dimension, then
+    # by ascending ranks, which the mask's value does not follow.
+    Mutant("order cells by mask value", "src/diskplex/cubes.py",
+           "order = lambda c: (c.bit_count(), _ranks(c))",
+           "order = lambda c: (c.bit_count(), c)",
+           ("tests/test_cubes.py::test_refusals_name_the_rank_least_cell",
+            "tests/test_cubes.py::test_dual_lists_interior_cells_by_dimension_then_ranks")),
+    Mutant("start the link at its lowest mask", "src/diskplex/cubes.py",
+           "first = min(link, key=_ranks)",
+           "first = min(link)",
+           ("tests/test_cubes.py::test_a_split_link_counts_from_its_rank_least_facet",)),
+    # Two facets at a vertex that share an edge but no ridge leave the
+    # complex acyclic: the pinch shows again in the link at the edge's
+    # other end, so the verdict holds and only the named vertex changes.
+    Mutant("skip the links of vertices in two facets", "src/diskplex/cubes.py",
+           "        if len(link) == 1:\n",
+           "        if len(link) == 2:\n",
+           ("tests/test_cubes.py::test_two_facets_meeting_in_an_edge_are_refused_at_their_vertex",)),
+    # Each suite property's failure report, forced by breaking its checker.
+    Mutant("drop a failed random pair's line", "src/diskplex/suite.py",
+           "            details.append(f\"random pair FAIL: {report.name}\")\n",
+           "",
+           ("tests/test_io_cli.py::test_cli_suite_reports_each_failure",)),
+    Mutant("count no failed additivity check", "src/diskplex/suite.py",
+           "        if not report.passed:\n            failures += 1\n    details = (",
+           "        if False:\n            failures += 1\n    details = (",
+           ("tests/test_io_cli.py::test_cli_suite_reports_each_failure",)),
+    Mutant("say nothing of a wrong weight", "src/diskplex/suite.py",
+           "            details.append(f\"{kind}: weight {p.weight} != {expected_weight}\")\n",
+           "",
+           ("tests/test_io_cli.py::test_cli_suite_reports_each_failure",)),
+    Mutant("count no move that keeps the width", "src/diskplex/suite.py",
+           "        if not verify_width_decrease(surface, move).passed:\n",
+           "        if False:\n",
+           ("tests/test_io_cli.py::test_cli_suite_reports_each_failure",)),
+    Mutant("count no stuck walk", "src/diskplex/suite.py",
+           "        if steps >= cap:\n",
+           "        if False:\n",
+           ("tests/test_io_cli.py::test_cli_suite_reports_each_failure",)),
+    Mutant("count no subdivision that changes chi", "src/diskplex/suite.py",
+           "            chi_bad += 1\n",
+           "            pass\n",
+           ("tests/test_io_cli.py::test_cli_suite_reports_each_failure",)),
+    Mutant("count no grid of the wrong size", "src/diskplex/suite.py",
+           "            grid_bad += 1\n",
+           "            pass\n",
+           ("tests/test_io_cli.py::test_cli_suite_reports_each_failure",)),
+    Mutant("count no dual of the wrong size", "src/diskplex/suite.py",
+           "                dual_bad += 1\n",
+           "                pass\n",
+           ("tests/test_io_cli.py::test_cli_suite_reports_each_failure",)),
+    Mutant("say nothing when the width does not drop", "src/diskplex/cli.py",
+           "            lines.append(\"WIDTH DID NOT DECREASE\")\n",
+           "",
+           ("tests/test_io_cli.py::test_cli_width_reports_a_move_that_does_not_lower_width",)),
+)
+
+EQUIVALENT = (
+    Equivalent("an annotation's | as &", "src/diskplex/cubes.py",
+               "cell_vertices: dict | None = None",
+               "cell_vertices: dict & None = None",
+               "annotations are strings under `from __future__ import annotations`, and nothing evaluates them"),
+    Equivalent("another annotation's | as &", "src/diskplex/homology.py",
+               "split: set[int] | None = None",
+               "split: set[int] & None = None",
+               "annotations are strings under `from __future__ import annotations`, and nothing evaluates them"),
+    Equivalent("point's default vertex 1", "src/diskplex/simplicial.py",
+               "def point(v: Vertex = 0,",
+               "def point(v: Vertex = 1,",
+               "every call without a vertex reads only the homology, which is a point's for any vertex; "
+               "the default name point(0) reaches no report, pin or demo line"),
+    Equivalent("simplex_complex's default name one dimension low", "src/diskplex/simplicial.py",
+               "name=name or f\"simplex{len(verts) - 1}\"",
+               "name=name or f\"simplex{len(verts) - 2}\"",
+               "the one library caller names its simplex, and no report, pin or demo line prints a default name"),
+    Equivalent("boundary_of_simplex's default name one dimension low", "src/diskplex/simplicial.py",
+               "name=name or f\"sphere_dim_{n_vertices - 2}\"",
+               "name=name or f\"sphere_dim_{n_vertices - 3}\"",
+               "the suite and demo 01 read only the sphere's homology, and no report, pin or demo line "
+               "prints a default name"),
 )
 
 

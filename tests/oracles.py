@@ -6,11 +6,14 @@ the library: ranks by Gaussian elimination over Fraction or GF(p),
 invariant factors by determinantal divisors, components by union-find,
 grid cell counts by closed-form sums.  No imports from the package: the
 few helpers that take library objects read only their plain fields.
+The fixtures and the alarm that several test files share live here too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import signal
 from collections import defaultdict
 from fractions import Fraction
 from math import comb, gcd
@@ -27,6 +30,25 @@ PIECE_KINDS: tuple[str, ...] = (
     "OCT_TUBE_DISK",
     "OCT_TUBE_SELF",
 )
+
+# the 6-vertex real projective plane: chi = 1, H~1 = Z/2, no boundary
+RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+       (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
+
+
+@contextlib.contextmanager
+def within(seconds: float):
+    """Fail the ``with`` block when it runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ------------------------------------------------------------ linear algebra

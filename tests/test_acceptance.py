@@ -29,8 +29,7 @@ from diskplex import corpus, suite
 
 RESULTS = []
 
-RP2 = [[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
-       [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]]
+RP2 = oracles.RP2
 
 
 def record(n: int, description: str, ok: bool, extra: str = ""):

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import json
 import random
-import signal
 
 import pytest
 
@@ -116,20 +115,6 @@ def test_repeated_placement_entries_add_up():
     assert euler_characteristic(split) == euler_characteristic(whole) == 3
 
 
-def _within(seconds, check):
-    """``check()``, failing when it takes longer than ``seconds``."""
-    def expire(signum, frame):
-        raise TimeoutError(f"did not finish within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return check()
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_oversized_configurations_are_refused_before_they_are_built(monkeypatch):
     """More piece copies than the face budget are refused before any copy
     is listed, and a join over the budget relabels no copy past the one
@@ -140,8 +125,8 @@ def test_oversized_configurations_are_refused_before_they_are_built(monkeypatch)
         ("TRI_0", 10**12, "configuration has 1000000000000 piece copies, over the copy limit of 262144"),
         ("OCT_1", 100000, "join would have 524288 facets, over the face budget of 262144"),
     ):
-        with pytest.raises(ValueError) as info:
-            _within(1, lambda: verify_index_sum(single(kind, mult=mult)))
+        with pytest.raises(ValueError) as info, oracles.within(1):
+            verify_index_sum(single(kind, mult=mult))
         assert str(info.value) == message
     assert len(calls) == 19
     # the limit itself is allowed

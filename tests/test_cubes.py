@@ -1,5 +1,4 @@
 import random
-import signal
 from collections import Counter
 
 import pytest
@@ -122,10 +121,8 @@ def test_validate_ball_accepts_and_rejects():
         validate_ball(from_facets([[1, 2, 3], [3, 4]]))
     # the 6-vertex RP^2: pure with chi = 1, and its empty boundary has
     # chi 0, the value a 2-ball's boundary circle has
-    rp2 = from_facets([[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
-                       [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]])
     with pytest.raises(ValueError, match="empty boundary"):
-        validate_ball(rp2)
+        validate_ball(from_facets(oracles.RP2))
     # a triangle and a disjoint annulus: pure, chi = 1, nonempty boundary
     # of chi 0, yet H~0 = H~1 = Z
     disk_annulus = from_facets([[0, 1, 2], [10, 11, 20], [11, 20, 21], [11, 12, 21],
@@ -191,7 +188,8 @@ def test_dual_vertices_match_reference_on_grids_and_simplicial_balls():
 
 def test_dual_cells_finds_the_boundary_once(monkeypatch):
     # a grid finds its boundary closure once; a simplicial ball lists no
-    # face and builds no poset, since its checks read the facet masks
+    # face, builds no poset and makes no facet tuple, since its checks
+    # read the facet masks
     calls = []
     boundary_cells = CubicalComplex.boundary_cells
 
@@ -211,6 +209,57 @@ def test_dual_cells_finds_the_boundary_once(monkeypatch):
     two = from_facets([[1, 2, 3], [2, 3, 4]])
     validate_ball(two)
     assert dual_cells(two).counts_by_dim() == (2, 1, 0)
+    assert "facets" not in two.__dict__
+
+
+def test_refusals_name_the_rank_least_cell():
+    # a cell's rank mask orders (1, 2) = 0b110 before (0, 5) = 0b100001,
+    # but cell order is by dimension, then ascending ranks: (0, 5) first
+    with pytest.raises(ValueError, match=r"^not pure: maximal cell \(0, 5\) has dimension 1$"):
+        validate_ball(from_facets([[0, 5], [1, 2], [2, 3, 4]]))
+    # pure, acyclic, with a boundary of chi 0, and the edges (0, 6) and
+    # (1, 2) each in three triangles
+    fins = [[0, 1, 2], [0, 1, 5], [0, 2, 6], [0, 3, 6], [0, 5, 6], [1, 2, 4], [1, 2, 6]]
+    with pytest.raises(ValueError, match=r"^1-cell \(0, 6\) lies in 3 top cells; not a pseudomanifold$"):
+        validate_ball(from_facets(fins))
+
+
+def test_dual_lists_interior_cells_by_dimension_then_ranks():
+    # three triangles fanned at 0; by mask value (0, 2, 3) = 0b1101 would
+    # come before (0, 1, 5) = 0b100011
+    dual = dual_cells(from_facets([[0, 1, 5], [0, 2, 3], [0, 1, 2]]))
+    edges = [("dual", (0, 1)), ("dual", (0, 2))]
+    triangles = [("dual", (0, 1, 2)), ("dual", (0, 1, 5)), ("dual", (0, 2, 3))]
+    assert list(dual.cell_dim) == list(dual.covers) == edges + triangles
+    assert list(dual.cell_vertices) == triangles + edges  # filled from the top cells down
+
+
+def test_a_split_link_counts_from_its_rank_least_facet():
+    # two stacked 3-balls sharing the triangle (1, 5, 6) and the edge
+    # (0, 1): acyclic, and passing every count, but the link of 0 is the
+    # triangle (1, 2, 9) and the two triangles (1, 3, 4), (1, 4, 7), which
+    # meet only at 1; the walk starts at the rank-least facet (1, 2, 9),
+    # not at the least mask (1, 3, 4)
+    wedge = [[1, 5, 6, 8], [5, 6, 8, 10], [1, 2, 6, 8], [1, 2, 8, 9], [0, 1, 2, 9],
+             [1, 3, 5, 6], [1, 3, 4, 6], [0, 1, 3, 4], [0, 1, 4, 7]]
+    with pytest.raises(ValueError) as err:
+        validate_ball(from_facets(wedge))
+    assert str(err.value) == ("link of vertex 0 is not a 2-ball: 2 of 3 top cells are not reached "
+                              "across 1-cells; not strongly connected")
+
+
+def test_two_facets_meeting_in_an_edge_are_refused_at_their_vertex():
+    # a stacked 3-ball with the tetrahedra (0, 1, 2, 3) and (0, 1, 4, 5)
+    # glued onto two boundary triangles that share only 1: still acyclic,
+    # with a boundary of chi 2, but the link of 0 is two triangles that
+    # meet in the vertex 1; the link of 1 is pinched at 0 as well, and 0
+    # is tested first
+    pinch = [[1, 2, 3, 6], [1, 3, 6, 4], [1, 6, 4, 5], [6, 4, 5, 7], [0, 1, 2, 3], [0, 1, 4, 5]]
+    assert reduced_homology(from_facets(pinch)).is_acyclic
+    with pytest.raises(ValueError) as err:
+        validate_ball(from_facets(pinch))
+    assert str(err.value) == ("link of vertex 0 is not a 2-ball: 1 of 2 top cells are not reached "
+                              "across 1-cells; not strongly connected")
 
 
 def test_dual_requires_ball():
@@ -314,24 +363,11 @@ def test_ball_checks_on_grids_with_top_cells_removed_match_set_references():
     assert min(seen.values()) >= 10, seen
 
 
-def _within(seconds, check):
-    """``check()``, failing when it takes longer than ``seconds``."""
-    def expire(signum, frame):
-        raise TimeoutError(f"did not finish within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return check()
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_dual_of_a_simplex_walks_only_its_interior():
     # all 2^18 - 2 proper faces of the 17-simplex lie in its boundary, and
     # its dual is one cell; listing the faces took about 11 s
-    dual = _within(2, lambda: dual_cells(simplex_complex(range(18))))
+    with oracles.within(2):
+        dual = dual_cells(simplex_complex(range(18)))
     assert dual.cells == (("dual", tuple(range(18))),)
     assert dual.counts_by_dim() == (1,) + (0,) * 17
     with pytest.raises(ValueError, match="complex may have 524287 faces, over the face budget of 262144"):

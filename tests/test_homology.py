@@ -1,7 +1,6 @@
 import itertools
 import os
 import random
-import signal
 import subprocess
 import sys
 import time
@@ -45,8 +44,7 @@ from diskplex.additivity import global_complex
 from diskplex.cubes import cone_base_complex
 from diskplex.pieces import catalog
 
-RP2 = [[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
-       [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]]
+RP2 = oracles.RP2
 
 TORUS = [[1, 2, 4], [2, 4, 5], [2, 3, 5], [3, 5, 6], [1, 3, 6], [1, 4, 6],
          [4, 5, 7], [5, 7, 8], [5, 6, 8], [6, 8, 9], [4, 6, 9], [4, 7, 9],
@@ -167,21 +165,13 @@ def test_snf_of_unit_free_boundary_maps_is_fast():
     # step is a non-unit one; a loop that scanned every entry for each
     # such step took about 16 s on a 2-core Xeon, one sweep per |value|
     # takes about 0.3 s
-    def expire(signum, frame):
-        raise TimeoutError("unit-free elimination did not finish within 5 s")
-
     k = from_facets(RP2)
     for _ in range(3):
         k = barycentric_subdivision(k)
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
-    try:
+    with oracles.within(5):
         factors = [smith_normal_form(IntegerMatrix(m.rows, m.cols, tuple(
             tuple((j, 2 * v) for j, v in row) for row in m.entries
         ))) for m in boundary_matrices(k)]
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert factors == [(2,), (2,) * 1080, (2,) * 2159 + (4,)]
 
 
@@ -739,17 +729,8 @@ def test_graphs_are_answered_over_the_face_budget():
     # the complete graph on 420 vertices may have 263970 faces, over the
     # budget that guards only the matrix route
     k = from_facets(itertools.combinations(range(420), 2))
-
-    def expire(signum, frame):
-        raise TimeoutError("the graph path did not finish within 5 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
-    try:
+    with oracles.within(5):
         assert reduced_homology(k).render_lines() == ["H~0 = 0", "H~1 = Z^87571"]
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert "faces" not in k._cache
 
 
@@ -789,12 +770,7 @@ def test_boundaries_of_simplices_are_peeled_whole(monkeypatch):
         spheres.append(from_facets([[str(labels[v]) for v in f] for f in boundary_of_simplex(m).facets]))
     # a peel that never lowers a count re-pops its column for ever; all
     # six spheres take well under a second
-    def expire(signum, frame):
-        raise TimeoutError("the peel did not finish within 5 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
-    try:
+    with oracles.within(5):
         for k in spheres:
             m = len(k.vertices())
             assert reduced_homology(k).render_lines()[-1] == f"H~{m - 2} = Z"
@@ -805,9 +781,6 @@ def test_boundaries_of_simplices_are_peeled_whole(monkeypatch):
                 ranks.append(len(smith_normal_form(mat, skip=skip, split=split)))
             assert mats[-1].cols - ranks[-1] == 1, m  # H~(m-2) = Z
             assert steps == [], (m, len(steps))
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_long_paths_and_trees_collapse_to_a_point_at_once():

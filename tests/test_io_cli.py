@@ -1,12 +1,16 @@
+import importlib
 import itertools
 import json
 import os
 import random
-import signal
+import re
 import tempfile
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from diskplex.cli import main
 from diskplex.io import (
@@ -16,12 +20,12 @@ from diskplex.io import (
     parse_complex,
     write_complex,
 )
-from diskplex import simplicial
+from diskplex import simplicial, suite
+from diskplex.cubes import CubicalComplex
 from diskplex.simplicial import from_facets, join
 from diskplex import corpus
 
-RP2 = [[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
-       [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]]
+RP2 = oracles.RP2
 # a triangle and a disjoint six-triangle annulus: chi 1, boundary chi 0
 DISK_ANNULUS = [[0, 1, 2], [10, 11, 20], [11, 20, 21], [11, 12, 21], [12, 21, 22],
                 [12, 10, 22], [10, 22, 20]]
@@ -306,12 +310,7 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     assert captured.err == "error: grid would have 65450827 cells, over the face budget of 262144\n"
     # a join is refused before it is built, so each refusal below is quick;
     # building the joins under the budget one pair at a time took about 7 s
-    def expire(signum, frame):
-        raise TimeoutError("an over-budget join was not refused within 2 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
+    with oracles.within(2):
         # 600 x 600 facets
         a = write_fixture(tmp_path, "a600.json", {"facets": [[i, 1000 + i] for i in range(600)]})
         b = write_fixture(tmp_path, "b600.json", {"facets": [[2000 + i, 3000 + i] for i in range(600)]})
@@ -339,9 +338,6 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(simplicial, "from_facets", lambda *args, **kw: pytest.fail("a complex was built"))
         with pytest.raises(ValueError, match=r"^join would have 2048 facets, over the face budget of 1024$"):
             simplicial.join_all(operands)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_cli_homology_and_index_of_the_empty_complex(tmp_path, capsys):
@@ -400,3 +396,51 @@ def test_cli_suite_small(capsys):
     assert main(["suite", "--counts", "2", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["overall"] == "PASS"
+
+
+def _failing(check):
+    """``check`` with every verdict it returns marked as failed."""
+    return lambda *args: SimpleNamespace(**{**vars(check(*args)), "passed": False})
+
+
+@pytest.mark.parametrize("prop, name, broken, detail", [
+    ("milnor_formula", "verify_milnor", _failing, "random pair FAIL: random(7v) * random-empty"),
+    ("index_additivity", "verify_index_sum", _failing, "0/1 configurations additive; 1 with positive index"),
+    ("local_census", "piece", lambda piece: lambda kind: SimpleNamespace(weight=piece(kind).weight + (kind == "TUBE")),
+     "TUBE: weight 7 != 6"),
+    ("width_descent", "verify_width_decrease", _failing, "0/1 moves strictly decrease width"),
+    ("width_descent", "apply_surgery", lambda apply: lambda surface, move: surface, "0/1 random walks terminate"),
+    ("constructions", "barycentric_subdivision",
+     lambda sd: lambda k: SimpleNamespace(euler_characteristic=lambda: k.euler_characteristic() + 1),
+     "subdivision Euler invariance: 0/1"),
+    ("constructions", "subdivide_cube", lambda grid: lambda n, counts: grid(n, [counts[0] + 1, *counts[1:]]),
+     "grid cell counts: 0/1"),
+    ("constructions", "dual_cells", lambda dual: lambda grid: CubicalComplex("no cells", grid.dim, (), {}, {}),
+     "dual cell-count correspondence: 0/1"),
+])
+def test_cli_suite_reports_each_failure(monkeypatch, capsys, prop, name, broken, detail):
+    # each property's failure path, forced by breaking what it checks,
+    # shows its header, its detail line and the overall verdict, in text
+    # and in JSON, and exits 1
+    monkeypatch.setattr(suite, name, broken(getattr(suite, name)))
+    assert main(["suite", "--counts", "1"]) == 1
+    out = capsys.readouterr().out
+    assert re.search(rf"^\[FAIL\] {prop} \(\d+ cases\)\n(    .*\n)*    {re.escape(detail)}$", out, re.M)
+    assert out.endswith("\noverall: FAIL\n")
+    assert main(["suite", "--counts", "1", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    result = next(r for r in data["properties"] if r["name"] == prop)
+    assert data["overall"] == "FAIL" and not result["passed"] and detail in result["details"]
+
+
+def test_cli_width_reports_a_move_that_does_not_lower_width(monkeypatch, capsys):
+    widths = importlib.import_module("diskplex.width")  # the package's ``width`` is the function
+    monkeypatch.setattr(widths, "verify_width_decrease", _failing(widths.verify_width_decrease))
+    assert main(["width", "--seed", "28"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:5] == [f"{'DISHONEST@0 k=2':50s} -> {{(-1, 2)}}", "WIDTH DID NOT DECREASE",
+                          f"{'DISHONEST@0 k=1':50s} -> {{(-1, 1)}}"]
+    assert lines.count("WIDTH DID NOT DECREASE") == 3
+    assert main(["width", "--seed", "28", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert not data["all_decreasing"] and not any(s["decreased"] for s in data["steps"])

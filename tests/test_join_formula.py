@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
+
 from diskplex.homology import (
     ACYCLIC_INDEX,
     AbelianGroup,
@@ -21,8 +23,7 @@ from diskplex.join_formula import (
 from diskplex.simplicial import boundary_of_simplex, empty_complex, from_facets, join, point
 from diskplex import corpus
 
-RP2 = [[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
-       [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]]
+RP2 = oracles.RP2
 
 
 def _moore3_facets():

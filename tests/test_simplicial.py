@@ -1,7 +1,6 @@
 import functools
 import itertools
 import random
-import signal
 from collections import Counter
 from unittest import mock
 
@@ -151,8 +150,7 @@ def test_mask_operations_match_set_references(faces, data):
         assert got.name == f"adjacency({x.name}; {shown!r})"
 
 
-RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-       (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
+RP2 = oracles.RP2
 
 
 def test_homology_makes_no_facet_tuple_of_a_from_facets_result():
@@ -344,22 +342,14 @@ def test_barycentric_subdivision_counts_and_euler():
 def test_barycentric_subdivision_refuses_over_the_face_budget(monkeypatch):
     # sd makes |f|! facets of each facet f: 9! = 362,880 and 11! are over
     # 2^18 and refused before a facet is built; at the budget it builds
-    def expire(signum, frame):
-        raise TimeoutError("the refusal did not come within 2 s")
-
     simplices = [simplex_complex(range(n)) for n in (9, 11)]
     built = []
     monkeypatch.setattr(simplicial, "from_facets", lambda *args, **kwargs: built.append(args))
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
+    with oracles.within(2):
         for k, total in zip(simplices, (362880, 39916800)):
             with pytest.raises(ValueError, match=f"subdivision would have {total} facets, "
                                                  "over the face budget of 262144"):
                 barycentric_subdivision(k)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert built == []
     monkeypatch.undo()
     monkeypatch.setattr(simplicial, "_FACE_BUDGET", 720)

@@ -14,6 +14,8 @@ import sys
 
 import pytest
 
+import oracles
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -93,8 +95,7 @@ def loaded_by_command(*argv: str) -> set[str]:
 def write_inputs(tmp_path):
     """An RP^2, a full subcomplex pair X in Y and an additivity configuration."""
     rp2 = tmp_path / "rp2.json"
-    rp2.write_text(json.dumps({"facets": [[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
-                                          [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]]}))
+    rp2.write_text(json.dumps({"facets": oracles.RP2}))
     x = tmp_path / "x.json"
     x.write_text(json.dumps({"facets": [[1], [3]]}))
     y = tmp_path / "y.json"
