@@ -68,16 +68,17 @@ class _Value:
 
     A subclass names its fields in ``_fields``; ``repr`` shows them as
     ``Name(field=value, ...)``, and equality and hashing read them through
-    ``_key``, which a subclass overrides to leave a field out.  Instances
-    compare equal only within one class.  Each ``__init__`` runs its checks,
-    then binds every field in one ``self.__dict__.update(...)`` call, which
-    bypasses ``__setattr__``; later assignment or deletion raises
-    AttributeError.
+    ``_key``.  Instances compare equal only within one class.  Each
+    ``__init__`` runs its checks, then binds every field in one
+    ``self.__dict__.update(...)`` call, which bypasses ``__setattr__``;
+    later assignment or deletion raises AttributeError.
     """
 
     _fields: tuple = ()
 
     def _key(self) -> tuple:
+        """What equality and hashing compare: the fields, unless a subclass leaves one
+        out (``LocalPiece``) or reads another form (``SimplicialComplex``: frame, masks)."""
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):

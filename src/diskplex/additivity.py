@@ -249,7 +249,7 @@ def global_complex(config: SurfaceConfiguration) -> SimplicialComplex:
         for c in range(first, first + pl.multiplicity):
             if facets > _FACE_BUDGET:
                 break
-            facets *= len(model.facets)
+            facets *= len(model._masks())
             parts.append(relabel(model, f"t{pl.tet}.{pl.kind}.{c}"))
     label = " * ".join(f"t{pl.tet}:{pl.kind}x{pl.multiplicity}" for pl in ordered) or "empty"
     return join_all(parts, name=f"config[{label}]")

@@ -19,7 +19,7 @@ cost follows its interior: the dual of a simplex lists no boundary face.
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import reduce
 from itertools import product
 from math import prod
 from typing import Sequence
@@ -180,12 +180,13 @@ def _ridges(tops: list) -> tuple[dict, dict]:
 
 def _ball_poset(ball) -> tuple:
     """Refuse what ``validate_ball`` refuses; else return the name, the
-    dimension n, the interior cells in cell order with their parents, and
-    functions giving a cell's dimension and label.  The checks read the top
-    cells, the top cells of each (n-1)-cell (ridge) and the interior's
-    parents: a ``CubicalComplex`` off its poset, a ``SimplicialComplex`` off
-    its facet masks, listing no boundary face: a face lies in the boundary
-    when a one-facet ridge through its lowest rank contains it."""
+    dimension n, the interior cells (unsorted) with their parents, and
+    functions giving a cell's dimension, label and key in cell order.  The
+    checks read the top cells, the top cells of each (n-1)-cell (ridge)
+    and the interior's parents: a ``CubicalComplex`` off its poset, a
+    ``SimplicialComplex`` off its facet masks, listing no boundary face: a
+    face lies in the boundary when a one-facet ridge through its lowest
+    rank contains it."""
     if isinstance(ball, SimplicialComplex):
         ball._check_face_budget()
         if ball.is_empty:
@@ -209,9 +210,7 @@ def _ball_poset(ball) -> tuple:
         profile = reduced_homology(ball)
         chi = 1 + sum((-1) ** d * g.rank for d, g in enumerate(profile.groups))
         order = lambda c: (c.bit_count(), _ranks(c))  # cell order: dimension, then ranks
-        interior = {c: interior[c] for c in sorted(interior, key=order)}
-        dim, first = (lambda c: c.bit_count() - 1), partial(min, key=order)
-        label = lambda c: tuple(verts[i] for i in _ranks(c))
+        dim, label = (lambda c: c.bit_count() - 1), (lambda c: tuple(verts[i] for i in _ranks(c)))
     else:  # a cubical complex lists its cells in cell order
         name, n, par = ball.name, ball.dim, ball.parents()
         tops = [c for c in ball.cells if not par[c]]
@@ -219,11 +218,11 @@ def _ball_poset(ball) -> tuple:
         boundary = ball.boundary_cells()
         interior = {c: par[c] for c in ball.cells if c not in boundary}
         chi, profile = ball.euler_characteristic(), None
-        dim, label, first = ball.cell_dim.__getitem__, (lambda c: c), (lambda cells: cells[0])
-        below = ball.covers.__getitem__
+        dim, label, below = ball.cell_dim.__getitem__, (lambda c: c), ball.covers.__getitem__
+        order = {c: i for i, c in enumerate(ball.cells)}.__getitem__
     impure = [c for c in tops if dim(c) != n]
     if impure:
-        c = first(impure)
+        c = min(impure, key=order)
         raise ValueError(f"not pure: maximal cell {label(c)!r} has dimension {dim(c)}")
     if chi != 1:
         raise ValueError(f"Euler characteristic {chi} != 1; not a ball")
@@ -245,12 +244,12 @@ def _ball_poset(ball) -> tuple:
     # connected.  Purity gives each (n-1)-cell at least one top cell.
     branching = [r for r, ts in ridges.items() if len(ts) > 2]
     if branching:
-        r = first(branching)
+        r = min(branching, key=order)
         raise ValueError(f"{n - 1}-cell {label(r)!r} lies in {len(ridges[r])} top cells; not a pseudomanifold")
-    _check_strongly_connected(first(tops), len(tops), below, ridges, n)
+    _check_strongly_connected(min(tops, key=order), len(tops), below, ridges, n)
     if profile is not None and n >= 3:
         _check_links(len(tops), ridges, links, verts, n, set())
-    return name, n, interior, dim, label
+    return name, n, interior, dim, label, order
 
 
 def _check_strongly_connected(start, count: int, below, ridges: dict, n: int) -> None:
@@ -344,7 +343,8 @@ def dual_cells(ball) -> CubicalComplex:
     sets: a parent of an interior cell is interior; a top cell's set is
     itself, any other cell's the union of its parents' sets.
     """
-    name, n, parents, dim, label = _ball_poset(ball)
+    name, n, parents, dim, label, order = _ball_poset(ball)
+    parents = {c: parents[c] for c in sorted(parents, key=order)}
     dual_ids = {c: ("dual", label(c)) for c in parents}
     cell_vertices: dict = {}
     for c in sorted(parents, key=dim, reverse=True):

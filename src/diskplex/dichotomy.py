@@ -114,13 +114,13 @@ def check_dichotomy(x: SimplicialComplex, y: SimplicialComplex) -> DichotomyWitn
     if index_y.at_most(n):
         return DichotomyWitness(verdict=Y_SMALL, index_x=index_x, index_y=index_y)
 
-    profiles: dict[frozenset, HomologyProfile] = {x.facets: profile_x}
+    profiles: dict[SimplicialComplex, HomologyProfile] = {x: profile_x}
     archive = [(None, profile_x), (None, profile_y)]
     for tau in _outside_simplices(x, y):
         vtau = adjacency_subcomplex(x, y, tau)
-        profile = profiles.get(vtau.facets)
+        profile = profiles.get(vtau)
         if profile is None:
-            profile = profiles[vtau.facets] = reduced_homology(vtau)
+            profile = profiles[vtau] = reduced_homology(vtau)
         index_vtau = index_of_profile(profile)
         if index_vtau.at_most(n - (len(tau) - 1)):
             return DichotomyWitness(

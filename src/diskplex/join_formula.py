@@ -78,20 +78,11 @@ def index_sum_law(indices: Iterable[HomologyIndex]) -> HomologyIndex:
     groups are free; coprime torsion (Z/2 against Z/3) gives a larger
     index or an acyclic join.
     """
-    total = 0
-    saw_acyclic = False
-    saw_finite = False
-    for ind in indices:
-        if ind.is_acyclic:
-            saw_acyclic = True
-        elif not ind.is_zero:
-            saw_finite = True
-            total += ind.value
-    if saw_acyclic:
+    indices = list(indices)
+    if any(ind.is_acyclic for ind in indices):
         return ACYCLIC_INDEX
-    if not saw_finite:
-        return ZERO_INDEX
-    return finite_index(total)
+    total = sum(ind.value for ind in indices)  # ZERO counts 0, and INDEX(n) has n >= 1
+    return finite_index(total) if total else ZERO_INDEX
 
 
 class MilnorReport(_Value):

@@ -51,8 +51,9 @@ def _ranks(mask: int) -> list[int]:
 class SimplicialComplex(_Value):
     """Abstract simplicial complex, represented by its facets.
 
-    Equality and hashing use the facet set only; ``name`` is a label.
-    Face enumeration is computed on demand and memoized.
+    Equality and hashing read the frame and the set of masks, which fix
+    the facet set; ``name`` is a label.  Face enumeration is computed on
+    demand and memoized.
 
     Invariant: every facet is a tuple sorted by ``vertex_key`` without
     repeats, and so is ``vertices()``, the frame.  A vertex's rank is its
@@ -62,15 +63,12 @@ class SimplicialComplex(_Value):
     ``SimplicialComplex(...)`` normalises and refuses what it is given as
     ``from_facets`` does, through ``_frame`` and ``_maximal``, and binds
     the canonical facet tuples; every other complex (each ``from_facets``
-    result, link, star, subcomplex, collapse core and relabelling) is
-    re-ranked rather than rebuilt, and makes its facet tuples on first
-    read.  Facet-set operations work on the masks and map them back
-    through ascending ranks, so facets are canonical and faces sort by
-    their ranks.  ``is_empty``, ``dim`` and the face bound read the
-    masks, so the homology path makes no facet tuple.
+    result, join, subdivision, link, star, subcomplex, collapse core and
+    relabelling) is made from masks, and makes its facet tuples only
+    when a caller reads ``facets``.  Facet-set operations work on the
+    masks and map them back through ascending ranks, so facets are
+    canonical and faces sort by their ranks.
     """
-
-    _fields = ("facets",)
 
     def __init__(self, facets: frozenset, name: str = ""):
         k = _maximal(*_frame(facets), name)
@@ -82,6 +80,9 @@ class SimplicialComplex(_Value):
         ``__init__`` binds ``facets`` itself, which hides this."""
         verts = self.vertices()
         return frozenset(tuple(verts[i] for i in _ranks(m)) for m in self._masks())
+
+    def _key(self) -> tuple:
+        return self.vertices(), frozenset(self._masks())
 
     @property
     def is_empty(self) -> bool:
@@ -148,7 +149,7 @@ class SimplicialComplex(_Value):
 
     def __repr__(self):
         label = self.name or "complex"
-        return f"<{label}: {len(self.facets)} facets, dim {self.dim}>"
+        return f"<{label}: {len(self._masks())} facets, dim {self.dim}>"
 
 
 def _frame(faces: Collection[tuple]) -> tuple[list[int], tuple]:
@@ -267,9 +268,9 @@ def join_all(complexes: Sequence[SimplicialComplex], name: str = "") -> Simplici
     first = parts[0]
     if len(parts) == 1:
         return _maximal(first._masks(), first.vertices(), name) if name else first
-    n, seen, label = len(first.facets), set(first.vertices()), first.name
+    n, seen, label = len(first._masks()), set(first.vertices()), first.name
     for k in parts[1:]:
-        n *= len(k.facets)
+        n *= len(k._masks())
         if n > _FACE_BUDGET:
             raise ValueError(f"join would have {n} facets, over the face budget of {_FACE_BUDGET}")
         overlap = seen.intersection(k.vertices())
@@ -278,8 +279,10 @@ def join_all(complexes: Sequence[SimplicialComplex], name: str = "") -> Simplici
             raise ValueError(f"join operands share vertices {shown!r}")
         seen.update(k.vertices())
         label = f"({label or '?'}) * ({k.name or '?'})"
-    facets = itertools.product(*(k.facets for k in parts))
-    return from_facets(map(itertools.chain.from_iterable, facets), name=name or label)
+    verts = tuple(sorted(seen, key=vertex_key))
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    lifted = [[sum(bit[k.vertices()[i]] for i in _ranks(m)) for m in k._masks()] for k in parts]
+    return _maximal(map(sum, itertools.product(*lifted)), verts, name or label)
 
 
 def cone(k: SimplicialComplex, apex: Vertex) -> SimplicialComplex:
@@ -327,16 +330,15 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
     the maximal chains of faces inside each facet, |f|! of them per facet
     f.  Raises ValueError, before building any, when they exceed the face budget.
     """
-    total = sum(math.factorial(len(f)) for f in k.facets)
+    total = sum(math.factorial(m.bit_count()) for m in k._masks())
     if total > _FACE_BUDGET:
         raise ValueError(f"subdivision would have {total} facets, over the face budget of {_FACE_BUDGET}")
-    rank = k._vertex_ranks().__getitem__
-    new_facets = []
-    for facet in k.facets:
-        for perm in itertools.permutations(facet):
-            chain = [tuple(sorted(perm[: i + 1], key=rank)) for i in range(len(perm))]
-            new_facets.append(tuple(chain))
-    return from_facets(new_facets, name=f"sd({k.name})")
+    chains = [list(itertools.accumulate(p, int.__or__))  # a chain's faces, as prefix masks
+              for m in k._masks() for p in itertools.permutations(1 << i for i in _ranks(m))]
+    faces = sorted({c for chain in chains for c in chain}, key=_ranks)  # the vertex_key order of their tuples
+    bit = {c: 1 << i for i, c in enumerate(faces)}
+    frame = tuple(tuple(map(k.vertices().__getitem__, _ranks(c))) for c in faces)
+    return _maximal([sum(map(bit.__getitem__, chain)) for chain in chains], frame, f"sd({k.name})")
 
 
 def full_subcomplex(k: SimplicialComplex, vertex_subset: Iterable[Vertex]) -> SimplicialComplex:
@@ -350,7 +352,7 @@ def full_subcomplex(k: SimplicialComplex, vertex_subset: Iterable[Vertex]) -> Si
 def is_full_subcomplex(x: SimplicialComplex, y: SimplicialComplex) -> bool:
     """True when ``x`` equals the induced subcomplex of ``y`` on x's vertices."""
     # A vertex of x outside y is missing from that subcomplex, so the facets differ.
-    return full_subcomplex(y, x.vertices()).facets == x.facets
+    return full_subcomplex(y, x.vertices()) == x
 
 
 def adjacency_subcomplex(x: SimplicialComplex, y: SimplicialComplex, tau) -> SimplicialComplex:

@@ -7,6 +7,7 @@ RunConfig yields byte-identical reports.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import zlib
@@ -264,11 +265,11 @@ def prop_constructions(config: RunConfig) -> PropertyResult:
         if tops != math.prod(c + 1 for c in counts) or verts != math.prod(c + 2 for c in counts):
             grid_bad += 1
         dual = dual_cells(grid)
-        boundary = grid.boundary_cells()
         for d in range(n + 1):
-            interior_d = sum(
-                1 for c in grid.cells if grid.cell_dim[c] == d and c not in boundary
-            )
+            # Apart from dual_cells' boundary search: an interior d-cell takes one of
+            # c + 1 segments on each of d axes and one of c inner planes on the rest.
+            interior_d = sum(math.prod(c + (i in axes) for i, c in enumerate(counts))
+                             for axes in itertools.combinations(range(n), d))
             if len(dual.cells_of_dim(n - d)) != interior_d:
                 dual_bad += 1
                 break

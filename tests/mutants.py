@@ -373,6 +373,37 @@ MUTANTS = (
            "            lines.append(\"WIDTH DID NOT DECREASE\")\n",
            "",
            ("tests/test_io_cli.py::test_cli_width_reports_a_move_that_does_not_lower_width",)),
+    Mutant("lift a join operand onto its own ranks", "src/diskplex/simplicial.py",
+           "sum(bit[k.vertices()[i]] for i in _ranks(m))",
+           "m",
+           ("tests/test_simplicial.py::test_join_matches_oracle_product",
+            "tests/test_simplicial.py::test_join_all_is_one_product_matching_a_fold_of_binary_joins",
+            "tests/test_simplicial.py::test_homology_makes_no_facet_tuple_of_a_from_facets_result",
+            "tests/test_join_formula.py::test_random_pairs_agree",
+            "tests/test_acceptance.py::test_criterion_2_milnor_formula")),
+    Mutant("order subdivision vertices by mask value", "src/diskplex/simplicial.py",
+           "for c in chain}, key=_ranks)",
+           "for c in chain})",
+           ("tests/test_simplicial.py::test_homology_makes_no_facet_tuple_of_a_from_facets_result",)),
+    # Same masks over other vertices: (1, 2) and (1, 3) are both {0b11}.
+    Mutant("compare complexes by masks alone", "src/diskplex/simplicial.py",
+           "return self.vertices(), frozenset(self._masks())",
+           "return frozenset(self._masks())",
+           ("tests/test_values.py::test_value_semantics",)),
+    Mutant("drop the ACYCLIC rule of the index sum", "src/diskplex/join_formula.py",
+           "    if any(ind.is_acyclic for ind in indices):\n        return ACYCLIC_INDEX\n",
+           "",
+           ("tests/test_join_formula.py::test_index_sum_law_cases",
+            "tests/test_join_formula.py::test_join_index_is_at_least_the_sum_and_equal_when_the_tensor_is_nonzero")),
+    # The dual-count checks count interior cells in closed form, apart
+    # from the boundary search that dual_cells runs.
+    Mutant("find no boundary cell", "src/diskplex/cubes.py",
+           "self.cell_dim[c] == self.dim - 1 and len(par[c]) <= 1]",
+           "self.cell_dim[c] == self.dim - 1 and len(par[c]) < 1]",
+           ("tests/test_acceptance.py::test_criterion_7_constructions",
+            "tests/test_cubes.py::test_boundary_cells_of_square",
+            "tests/test_cubes.py::test_dual_cells_dimension_correspondence_on_grids",
+            "tests/test_io_cli.py::test_cli_suite_small")),
 )
 
 EQUIVALENT = (

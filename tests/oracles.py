@@ -334,18 +334,19 @@ def sphere_facets(n_vertices: int):
 
 # ------------------------------------------------------------ grids
 
-def grid_cell_count(counts: list[int], d: int) -> int:
+def grid_cell_count(counts: list[int], d: int, interior: bool = False) -> int:
     """Number of d-cells in a unit cube cut by counts[i] planes per axis.
 
     Each axis contributes either a segment (counts[i] + 1 ways) or a
-    point (counts[i] + 2 ways); a d-cell picks d segment axes.
+    point (counts[i] + 2 ways); a d-cell picks d segment axes.  An
+    interior cell's points lie on the counts[i] cutting planes.
     """
     n = len(counts)
     total = 0
     for segs in itertools.combinations(range(n), d):
         prod = 1
         for i in range(n):
-            prod *= counts[i] + 1 if i in segs else counts[i] + 2
+            prod *= counts[i] + 1 if i in segs else counts[i] + (0 if interior else 2)
         total += prod
     return total
 

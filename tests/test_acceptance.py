@@ -180,11 +180,8 @@ def test_criterion_7_constructions():
             tops *= c + 1
         grid_ok = grid_ok and len(grid.cells_of_dim(n)) == tops
         dual = dual_cells(grid)
-        boundary = set(grid.boundary_cells())
         for d in range(n + 1):
-            interior_d = sum(
-                1 for c in grid.cells_of_dim(d) if c not in boundary
-            )
+            interior_d = oracles.grid_cell_count(counts, d, interior=True)
             dual_ok = dual_ok and len(dual.cells_of_dim(n - d)) == interior_d
 
     ok = chi_ok == 50 and cone_ok and grid_ok and dual_ok

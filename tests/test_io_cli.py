@@ -335,7 +335,7 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: join would have 2048 facets, over the face budget of 1024\n"
-        monkeypatch.setattr(simplicial, "from_facets", lambda *args, **kw: pytest.fail("a complex was built"))
+        monkeypatch.setattr(simplicial, "_maximal", lambda *args, **kw: pytest.fail("a complex was built"))
         with pytest.raises(ValueError, match=r"^join would have 2048 facets, over the face budget of 1024$"):
             simplicial.join_all(operands)
 

@@ -31,6 +31,10 @@ from diskplex.simplicial import (
     vertex_key,
 )
 from diskplex import corpus
+from diskplex.additivity import verify_index_sum
+from diskplex.dichotomy import check_dichotomy
+from diskplex.join_formula import verify_milnor
+from diskplex.suite import RunConfig, run_suite
 
 
 PATH = from_facets([[1, 2], [2, 3]], "path")
@@ -153,17 +157,29 @@ def test_mask_operations_match_set_references(faces, data):
 RP2 = oracles.RP2
 
 
+def _chains(facets) -> list[tuple]:
+    """The barycentric subdivision's facets, built from sorted tuples."""
+    def chain(p):
+        return tuple(sorted((tuple(sorted(p[:i + 1], key=vertex_key)) for i in range(len(p))), key=vertex_key))
+    return [chain(p) for f in facets for p in itertools.permutations(f)]
+
+
 def test_homology_makes_no_facet_tuple_of_a_from_facets_result():
     """A complex derived from masks (a ``from_facets`` result, a
-    relabelling, a proper collapse core) holds its masks and makes its
-    facet tuples on first read, as the same frozenset an eager complex
-    holds."""
+    relabelling, a proper collapse core, a join, a cone, a subdivision)
+    holds its masks and makes its facet tuples on first read, as the same
+    frozenset an eager complex holds."""
     pendant = [(-1, 0, 1)] + RP2  # its core drops -1 and 0, the two lowest ranks
     core, _ = _collapse_core(from_facets(pendant, "pendant"))
+    sd = barycentric_subdivision(from_facets(RP2))
     for faces, k in ((RP2, from_facets(RP2, "rp2")),
                      (list(itertools.combinations(range(7), 6)), boundary_of_simplex(7)),
                      ([tuple(("t", v) for v in f) for f in RP2], relabel(from_facets(RP2), "t")),
-                     (RP2, core)):
+                     (RP2, core),
+                     (oracles.join_facets(RP2, [("a",), ("b",)]), join(from_facets(RP2), from_facets([["b"], ["a"]]))),
+                     ([f + ("c",) for f in RP2], cone(from_facets(RP2), "c")),
+                     (_chains(RP2), sd),
+                     (_chains(_chains(RP2)), barycentric_subdivision(sd))):
         reduced_homology(k)
         assert "facets" not in k.__dict__, k.name
         assert list(k.vertices()) == sorted({v for f in faces for v in f}, key=vertex_key)
@@ -171,6 +187,29 @@ def test_homology_makes_no_facet_tuple_of_a_from_facets_result():
         eager = SimplicialComplex(frozenset(faces), "eager")
         assert k == eager and hash(k) == hash(eager)
         assert k.facet_list() == eager.facet_list() and k.faces_by_dim() == eager.faces_by_dim()
+
+
+def test_suite_and_checks_read_no_facet_tuples(monkeypatch):
+    """Joins, subdivisions, subcomplex tests and the dichotomy memo work on
+    frames and masks: a seeded suite run and the Milnor, index-sum and
+    dichotomy checks read the ``facets`` view of no nonempty complex."""
+    real = SimplicialComplex.__dict__["facets"].func
+    read = []
+
+    def facets(k):
+        if not k.is_empty:
+            read.append(k.name)
+        return real(k)
+
+    view = functools.cached_property(facets)
+    view.__set_name__(SimplicialComplex, "facets")
+    monkeypatch.setattr(SimplicialComplex, "facets", view)
+    assert run_suite(RunConfig(37)).passed
+    rng = random.Random(37)
+    assert all(verify_milnor(a, b).passed for a, b in corpus.milnor_pairs(rng, 30))
+    assert all(verify_index_sum(c).passed for c in corpus.random_configurations(rng, 30))
+    assert all(check_dichotomy(x, y).verdict != "FAILURE" for x, y in corpus.full_subcomplex_pairs(rng, 30))
+    assert read == []
 
 
 def test_from_facets_orders_each_vertex_once(monkeypatch):
@@ -283,8 +322,8 @@ def test_join_all_associative_shape():
 
 def test_join_all_is_one_product_matching_a_fold_of_binary_joins(monkeypatch):
     built = []
-    real = simplicial.from_facets
-    monkeypatch.setattr(simplicial, "from_facets", lambda *args, **kw: built.append(1) or real(*args, **kw))
+    real = simplicial._maximal
+    monkeypatch.setattr(simplicial, "_maximal", lambda *args, **kw: built.append(1) or real(*args, **kw))
     rng = random.Random(19)
     for _ in range(80):
         parts = [relabel(corpus.random_complex(rng, max_vertices=3, max_facet_size=3, max_facets=3), f"p{i}")
@@ -294,7 +333,7 @@ def test_join_all_is_one_product_matching_a_fold_of_binary_joins(monkeypatch):
         got = join_all(parts)
         assert (got.facets, got.name, got.vertices()) == (fold.facets, fold.name, fold.vertices())
         nonempty = [k for k in parts if not k.is_empty]
-        assert len(built) == (len(nonempty) >= 2)
+        assert len(built) == (len(nonempty) >= 2 or not parts)  # no operand: empty_complex()
         if len(nonempty) == 1:
             assert got is nonempty[0]
         named = join_all(parts, name="named")
@@ -344,7 +383,7 @@ def test_barycentric_subdivision_refuses_over_the_face_budget(monkeypatch):
     # 2^18 and refused before a facet is built; at the budget it builds
     simplices = [simplex_complex(range(n)) for n in (9, 11)]
     built = []
-    monkeypatch.setattr(simplicial, "from_facets", lambda *args, **kwargs: built.append(args))
+    monkeypatch.setattr(simplicial, "_maximal", lambda *args, **kwargs: built.append(args))
     with oracles.within(2):
         for k, total in zip(simplices, (362880, 39916800)):
             with pytest.raises(ValueError, match=f"subdivision would have {total} facets, "
