@@ -1,13 +1,14 @@
 """Reduced integer homology of simplicial complexes, exactly.
 
 ``reduced_homology`` answers the empty complex, cones and complexes whose
-strong-collapse core is a graph without a matrix, and otherwise reduces
-the core's boundary maps over Z; its docstring lists the steps and the
-face budget.  ``boundary_matrices`` builds the maps sparse from the facet
-bitmasks that ``simplicial`` keeps, ``smith_normal_form`` takes each
-map's invariant factors, skipping the rows that the map below split off,
-and ``divisor_chain`` normalises a multiset of factors.  ``AbelianGroup``
-and ``HomologyProfile`` keep results in normal form, and
+strong-collapse core is a graph without a matrix, peels each vertex whose
+deletion is a cone by taking its link one degree down, and otherwise
+reduces the core's boundary maps over Z; its docstring lists the steps
+and the face budget.  ``boundary_matrices`` builds the maps sparse from
+the facet bitmasks that ``simplicial`` keeps, ``smith_normal_form`` takes
+each map's invariant factors, skipping the rows that the map below split
+off, and ``divisor_chain`` normalises a multiset of factors.
+``AbelianGroup`` and ``HomologyProfile`` keep results in normal form, and
 ``HomologyIndex`` reads the three-way index off a profile.
 
 Homology is reduced throughout: the degree-0 boundary map is the
@@ -398,50 +399,51 @@ class HomologyProfile(_Value):
 EMPTY_PROFILE = HomologyProfile(empty_complex=True)
 
 
-def _collapse_core(k: SimplicialComplex) -> tuple[SimplicialComplex, Vertex]:
-    """The strong-collapse core of a nonempty ``k``, and its busiest vertex.
+def _collapse_core(k: SimplicialComplex) -> tuple[SimplicialComplex, dict, list]:
+    """The strong-collapse core of a nonempty ``k``, and the facet index
+    it was found on: facet id -> bitmask over the ranks of
+    ``k.vertices()``, and rank -> the ids of the facets that hold it.
 
     A vertex v is dominated by w != v when every facet that contains v
     also contains w.  Deleting v is then a strong collapse, which keeps
     the homotopy type, so the reduced homology is unchanged (Barmak &
-    Minian, "Strong homotopy types, nerves and collapses", 2012).  Facets
-    are ``k._masks()``, int bitmasks over the ranks of ``k.vertices()``;
-    the AND of the facets that contain v is v's meet, and v is dominated
-    when its meet holds another bit.
-
-    One pass indexes the ids of the facets that hold each rank, and one
-    test, ``dominated``, ANDs a vertex's facets and stops once the meet is
-    its bit alone.  A worklist holds the vertices to check, at first the
-    dominated ones.  Each check takes the meet over the facets as they are
-    at that moment, so every deletion is a strong collapse of the complex
-    left by the ones before it.  Deleting v shrinks each facet that held
-    v; a shrunk facet that lies in another facet is dropped, and any such
-    facet holds all of its vertices, so only the facets of its least-held
-    vertex are tested.  A vertex's meet over the remaining vertices grows
-    only when one of its facets is dropped, so only the vertices of
-    dropped facets go back on the worklist.
-
-    The busiest vertex, the apex for ``boundary_matrices``, lies in the
-    most facets of the core, then has the most link vertices (bits of
-    the OR of its facets), then the lowest rank.  The first two keys do
-    not depend on the labels; without the second, a 4-cycle vertex and
-    an RP^2 vertex of C4 * C4 * RP^2 (80 facets each) would tie, leaving
-    864 or 810 cells.  Both are read off the index, and only the
-    vertices that tie on the first are ORed.
+    Minian, "Strong homotopy types, nerves and collapses", 2012).  One
+    pass indexes ``k._masks()``; ``_collapse`` deletes on the index.
 
     Returns ``k`` itself when nothing is dominated, so its memoised masks
-    are reused.
+    are reused.  ``_apex_and_peel`` reads its two ranks off the index,
+    and ``_link_index`` turns it into a link's, in the same frame.
     """
     verts = k.vertices()
-    facets = dict(enumerate(k._masks()))  # facet id -> bitmask of vertex ranks
-    holders = [[] for _ in verts]  # rank -> ids of the facets holding it, a set once any is dominated
+    facets = dict(enumerate(k._masks()))
+    holders = [[] for _ in verts]  # rank -> ids of the facets holding it
     for n, mask in facets.items():
         rest = mask
         while rest:  # top bit first: two int operations per bit, against _ranks' three
             i = rest.bit_length() - 1
             rest ^= 1 << i
             holders[i].append(n)
+    core = _maximal(facets.values(), verts, k.name) if _collapse(facets, holders) else k
+    return core, facets, holders
 
+
+def _collapse(facets: dict, holders: list) -> bool:
+    """Delete dominated vertices from a facet index in place, until none
+    is left; whether any was deleted.
+
+    The AND of the facets that contain v is v's meet, and v is dominated
+    when its meet holds another bit.  One test, ``dominated``, ANDs a
+    vertex's facets and stops once the meet is its bit alone.  A worklist
+    holds the vertices to check, at first the dominated ones.  Each check
+    takes the meet over the facets as they are at that moment, so every
+    deletion is a strong collapse of the complex left by the ones before
+    it.  Deleting v shrinks each facet that held v; a shrunk facet that
+    lies in another facet is dropped, and any such facet holds all of its
+    vertices, so only the facets of its least-held vertex are tested.  A
+    vertex's meet over the remaining vertices grows only when one of its
+    facets is dropped, so only the vertices of dropped facets go back on
+    the worklist.  The holders become sets once any vertex is dominated.
+    """
     def dominated(i: int) -> bool:
         bit, meet = 1 << i, -1
         for n in holders[i]:
@@ -450,10 +452,10 @@ def _collapse_core(k: SimplicialComplex) -> tuple[SimplicialComplex, Vertex]:
                 return False
         return True
 
-    todo = [i for i in range(len(verts) - 1, -1, -1) if dominated(i)]
+    todo = [i for i in range(len(holders) - 1, -1, -1) if holders[i] and dominated(i)]
     if not todo:
-        return k, verts[_busiest(holders, facets)]
-    holders = [set(ids) for ids in holders]
+        return False
+    holders[:] = map(set, holders)
     queued = set(todo)
     while todo:
         i = todo.pop()
@@ -475,15 +477,70 @@ def _collapse_core(k: SimplicialComplex) -> tuple[SimplicialComplex, Vertex]:
                         todo.append(j)
             else:
                 facets[n] = f
-    return _maximal(facets.values(), verts, k.name), verts[_busiest(holders, facets)]
+    return True
 
 
-def _busiest(holders: list, facets: dict) -> int:
-    """The first rank in the most facets, then with the most bits in the OR of its facets."""
+def _link_index(facets: dict, holders: list, i: int) -> tuple[dict, list]:
+    """The facet index of the link of rank ``i``, in the same frame: each
+    facet that holds ``i``, less its bit, under the same id.  Those are
+    the link's facets, since the facets that hold ``i`` form an antichain
+    and lose the same bit."""
+    bit, ids = 1 << i, set(holders[i])
+    links = [ids.intersection(h) for h in holders]
+    links[i] = set()
+    return {n: facets[n] ^ bit for n in ids}, links
+
+
+def _apex_and_peel(holders: list, facets: dict) -> tuple[int, int | None]:
+    """The busiest rank of a facet index, and the first rank in the same
+    order whose deletion, the faces that miss it, is a nonempty cone (or
+    None).
+
+    The order is the apex key order: most facets, then most link vertices
+    (bits of the OR of the rank's facets), then lowest rank.  The first
+    two keys do not depend on the labels; without the second, a 6-cycle
+    vertex and a torus vertex of C6 * T (36 facets each) would tie,
+    leaving 385 or 377 cells.  ``boundary_matrices`` takes the busiest
+    vertex as its apex.
+
+    If the deletion D of v is a cone with apex c, every facet that misses
+    v holds c, so count(v) + count(c) >= F, the facet count: only the
+    vertices that pass this go to ``_deletion_is_cone``, in key order.
+    """
     counts = list(map(len, holders))
     most = max(counts)
-    return max((i for i, n in enumerate(counts) if n == most),
-               key=lambda i: reduce(or_, map(facets.__getitem__, holders[i])).bit_count())
+    second = sorted(counts)[-2] if len(counts) > 1 else 0  # the most facets of another vertex
+    total = len(facets)
+    near = {i: reduce(or_, map(facets.__getitem__, holders[i])).bit_count()  # link vertices
+            for i, n in enumerate(counts) if n == most or n and n + most >= total}
+    order = sorted(near, key=lambda i: (-counts[i], -near[i], i))
+    masks = set(facets.values())
+    peel = next((i for i in order if counts[i] + (second if counts[i] == most else most) >= total
+                 and _deletion_is_cone(facets, holders, masks, i)), None)
+    return order[0], peel
+
+
+def _deletion_is_cone(facets: dict, holders: list, masks: set, i: int) -> bool:
+    """Whether the deletion D of rank ``i``, the faces that miss it, is a
+    nonempty cone, read off a facet index; ``masks`` is the set of its
+    facets.
+
+    m, the AND of the facets that miss v, must be nonzero.  D's other
+    facets are among the r = f ^ bit(v) for the facets f that hold v;
+    such an r that lacks a bit of m is ANDed into m unless r | m is
+    itself a facet, which holds r and m.  If m is still nonzero, every
+    facet of D holds m, so D is a cone.  The test may miss a cone whose
+    facets r lie in a larger facet than r | m, but it accepts nothing
+    else.
+    """
+    bit = 1 << i
+    missing = [f for f in masks if not f & bit]
+    m = reduce(and_, missing) if missing else 0
+    for n in holders[i]:
+        r = facets[n] ^ bit
+        if r & m != m and r | m not in masks:
+            m &= r
+    return m != 0
 
 
 def _graph_profile(k: SimplicialComplex) -> HomologyProfile:
@@ -514,25 +571,56 @@ def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
     3. From dimension 2 up, ``k`` is replaced by its strong-collapse core.
     4. A complex or core of dimension <= 1 is a graph: with c components,
        V vertices and E edges, H~0 = Z^(c-1) and H~1 = Z^(E-V+c).
-    5. Otherwise Smith forms of the core's boundary maps relative to the
+    5. A core with a vertex v whose deletion D, the faces that miss v, is
+       a nonempty cone is replaced by the link of v, one degree down, and
+       steps 2 to 6 go again on the link (step 3 at any dimension).
+       K = st(v) u D with st(v) n D = lk(v), and st(v) and D are acyclic,
+       so the Mayer-Vietoris sequence gives H~_n(K) = H~_(n-1)(lk v) in
+       every degree; the peeled degrees come back as trivial groups in
+       front.  A suspension peels to its base, and the boundary of a
+       simplex to a circle, with no matrix.  The links are taken on the
+       core's facet index, and one complex is built after the last.
+    6. Otherwise Smith forms of the core's boundary maps relative to the
        closed star of its busiest vertex, each skipping the rows that the
        map below split off.  The star is an acyclic cone, so the exact
        sequence of the pair gives H~_n(K) = H_n(K, st v): only the faces
-       outside the star are assembled: one of the 2,046 faces of the
-       boundary of the 10-simplex.
+       outside the star are assembled.
 
-    Raises ValueError when step 5's core may have more faces than the
-    budget; the steps before it list no face and answer at any size.
+    Raises ValueError when the first core of dimension 2 or more may have
+    more faces than the budget, before any step 5: a link and its core
+    have fewer faces, so no later check refuses.  The steps before it
+    list no face and answer at any size.
     """
     if k.is_empty:
         return EMPTY_PROFILE
     if reduce(and_, k._masks()):
         return HomologyProfile()
-    if k.dim >= 2:
-        k, apex = _collapse_core(k)
     if k.dim <= 1:
         return _graph_profile(k)
-    k._check_face_budget()
+    verts = k.vertices()
+    k, facets, holders = _collapse_core(k)
+    shift = 0
+    if k.dim >= 2:
+        k._check_face_budget()
+        apex, peel = _apex_and_peel(holders, facets)
+        while peel is not None:
+            facets, holders = _link_index(facets, holders, peel)
+            shift += 1
+            if reduce(and_, facets.values()):
+                return HomologyProfile()
+            _collapse(facets, holders)
+            if max(map(int.bit_count, facets.values())) <= 2:
+                break
+            apex, peel = _apex_and_peel(holders, facets)
+        if shift:
+            k = _maximal(facets.values(), verts, k.name)
+    groups = _graph_profile(k).groups if k.dim <= 1 else _relative_groups(k, verts[apex])
+    return HomologyProfile((TRIVIAL_GROUP,) * shift + groups)
+
+
+def _relative_groups(k: SimplicialComplex, apex: Vertex) -> tuple[AbelianGroup, ...]:
+    """The groups of ``k`` in degrees 0..dim from the Smith forms of its
+    boundary maps relative to the closed star of ``apex``."""
     mats = boundary_matrices(k, apex)
     factors = []
     split: set[int] = set()
@@ -544,7 +632,7 @@ def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
     for d, m in enumerate(mats):
         free = m.cols - len(factors[d]) - len(factors[d + 1])  # m.cols: the d-cells
         groups.append(AbelianGroup(free, [f for f in factors[d + 1] if f > 1]))  # Smith chains ascend
-    return HomologyProfile(groups)
+    return tuple(groups)
 
 
 # ----------------------------------------------------------------- index

@@ -182,6 +182,9 @@ def _maximal(masks: Iterable[int], verts: tuple, name: str) -> SimplicialComplex
     re-ranked onto the used vertices, whose ascending ranks keep
     ``vertex_key`` order; so the result's frame is exactly its vertices,
     as for every complex, and it makes its facet tuples on first read.
+    A gap at rank g is shifted out of each mask, the bits above g moving
+    down one, highest gap first; when the gaps outnumber the bits of the
+    longest mask, each mask's ranks are walked and mapped instead.
     """
     by_size: dict[int, set[int]] = {}
     for m in masks:
@@ -189,10 +192,17 @@ def _maximal(masks: Iterable[int], verts: tuple, name: str) -> SimplicialComplex
     keep: list[int] = []
     for n in sorted(by_size, reverse=True):
         keep += [m for m in by_size[n] if not any(g & m == m for g in keep)] if keep else by_size[n]
-    used = _ranks(functools.reduce(int.__or__, keep, 0))
-    if len(used) != len(verts):
-        rerank = {i: 1 << j for j, i in enumerate(used)}
-        keep = [sum(map(rerank.__getitem__, _ranks(m))) for m in keep]
+    union = functools.reduce(int.__or__, keep, 0)
+    gaps = len(verts) - union.bit_count()
+    if gaps:
+        used = _ranks(union)
+        if gaps <= max(by_size, default=0):
+            for g in reversed(_ranks(~union & ((1 << len(verts)) - 1))):
+                low = (1 << g) - 1
+                keep = [m & low | m >> 1 & ~low for m in keep]
+        else:
+            rerank = {i: 1 << j for j, i in enumerate(used)}
+            keep = [sum(map(rerank.__getitem__, _ranks(m))) for m in keep]
         verts = tuple(map(verts.__getitem__, used))
     out = SimplicialComplex.__new__(SimplicialComplex)
     out.__dict__.update(name=name, _cache={"vertices": verts, "masks": keep})

@@ -129,7 +129,7 @@ MUTANTS = (
             "tests/test_simplicial.py::test_mask_operations_match_set_references",
             "tests/test_simplicial.py::test_from_facets_antichain")),
     Mutant("skip the re-rank", "src/diskplex/simplicial.py",
-           "    if len(used) != len(verts):\n",
+           "    if gaps:\n",
            "    if False:\n",
            ("tests/test_simplicial.py::test_homology_makes_no_facet_tuple_of_a_from_facets_result",
             "tests/test_simplicial.py::test_mask_operations_match_set_references",
@@ -179,12 +179,11 @@ MUTANTS = (
            ("tests/test_homology.py::test_reduced_homology_takes_the_busiest_vertex_as_apex",
             "tests/test_homology.py::test_busiest_vertex_matches_the_set_oracle")),
     Mutant("drop the link-vertex tie-break", "src/diskplex/homology.py",
-           "key=lambda i: reduce(or_, map(facets.__getitem__, holders[i])).bit_count())",
-           "key=lambda i: 0)",
+           "key=lambda i: (-counts[i], -near[i], i)",
+           "key=lambda i: (-counts[i], i)",
            ("tests/test_homology.py::test_reduced_homology_takes_the_busiest_vertex_as_apex",
             "tests/test_homology.py::test_relative_complex_size_does_not_depend_on_the_labels",
-            "tests/test_homology.py::test_busiest_vertex_matches_the_set_oracle",
-            "tests/test_benchmark_passes.py::test_workload_operations_pass_and_traced_counts_repeat")),
+            "tests/test_homology.py::test_busiest_vertex_matches_the_set_oracle")),
     Mutant("tie-break on one facet", "src/diskplex/homology.py",
            "reduce(or_, map(facets.__getitem__, holders[i]))",
            "facets[next(iter(holders[i]))]",
@@ -201,9 +200,33 @@ MUTANTS = (
            ("tests/test_homology.py::test_collapse_cores_have_no_dominated_vertex",
             "tests/test_homology.py::test_strong_collapse_keeps_every_profile")),
     Mutant("start the core's worklist one vertex lower", "src/diskplex/homology.py",
-           "range(len(verts) - 1, -1, -1)",
-           "range(len(verts) - 2, -1, -1)",
+           "range(len(holders) - 1, -1, -1)",
+           "range(len(holders) - 2, -1, -1)",
            ("tests/test_homology.py::test_collapse_cores_have_no_dominated_vertex",)),
+    # ANDing only the facets that miss v accepts a deletion whose star
+    # side holds a facet off their common vertex: on a join with a stray
+    # facet, H~2 = Z^2 came out Z.
+    Mutant("AND only the facets that miss v", "src/diskplex/homology.py",
+           "    m = reduce(and_, missing) if missing else 0\n    for n in holders[i]:\n",
+           "    m = reduce(and_, missing) if missing else 0\n    for n in ():\n",
+           ("tests/test_homology.py::test_peeling_matches_the_whole_maps_and_a_set_oracle",)),
+    # Too strict: a suspension point's star facets all lie in facets
+    # through the other point, so no suspension peels.
+    Mutant("skip the r | m facet lookup", "src/diskplex/homology.py",
+           "if r & m != m and r | m not in masks:",
+           "if r & m != m:",
+           ("tests/test_homology.py::test_suspensions_and_joins_are_peeled_before_assembly",)),
+    Mutant("no degree shift", "src/diskplex/homology.py",
+           "    return HomologyProfile((TRIVIAL_GROUP,) * shift + groups)\n",
+           "    return HomologyProfile(groups)\n",
+           ("tests/test_homology.py::test_peeling_matches_the_whole_maps_and_a_set_oracle",
+            "tests/test_homology.py::test_reduced_homology_of_large_known_shapes",
+            "tests/test_homology.py::test_reduced_homology_frozen_profiles")),
+    Mutant("shift a gap out by two", "src/diskplex/simplicial.py",
+           "keep = [m & low | m >> 1 & ~low for m in keep]",
+           "keep = [m & low | m >> 2 & ~low for m in keep]",
+           ("tests/test_simplicial.py::test_homology_makes_no_facet_tuple_of_a_from_facets_result",
+            "tests/test_homology.py::test_suspensions_and_joins_are_peeled_before_assembly")),
     Mutant("no refusal of the empty complex's maps", "src/diskplex/homology.py",
            "    if k.is_empty:\n        raise ValueError(\"empty complex has no boundary",
            "    if False:\n        raise ValueError(\"empty complex has no boundary",
@@ -310,6 +333,14 @@ MUTANTS = (
            "    raise AttributeError(f\"module {__name__!r} has no attribute {name!r}\")",
            "    return None",
            ("tests/test_startup.py::test_an_unknown_package_attribute_raises",)),
+    Mutant("dir lists only the bound names", "src/diskplex/__init__.py",
+           "    return sorted(set(globals()) | set(__all__))",
+           "    return sorted(globals())",
+           ("tests/test_startup.py::test_package_dir_lists_the_names_not_yet_bound",)),
+    Mutant("render the width before as after", "src/diskplex/width.py",
+           "            f\"after:  {self.after}\",\n",
+           "            f\"after:  {self.before}\",\n",
+           ("tests/test_width.py::test_decrease_verdict_renders_its_lines",)),
     Mutant("show five shared join vertices", "src/diskplex/simplicial.py",
            "sorted(overlap, key=vertex_key)[:4]",
            "sorted(overlap, key=vertex_key)[:5]",

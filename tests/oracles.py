@@ -312,6 +312,14 @@ def busiest_vertex(facets, key):
     return min(frozenset().union(*facets), key=order)
 
 
+def deletion_is_cone(facets, v) -> bool:
+    """Whether the faces that miss ``v`` form a nonempty cone: each facet
+    less ``v``, kept when no other such set contains it, and the kept
+    facets share a vertex."""
+    kept = maximal_sets([set(f) - {v} for f in facets if set(f) - {v}])
+    return bool(kept) and bool(frozenset.intersection(*kept))
+
+
 def adjacency_sets(x_facets, y_facets, tau) -> set[frozenset]:
     """Facets of V_tau: the subcomplex of X induced on the vertices of X
     that share an edge of Y with every vertex of ``tau`` outside X."""

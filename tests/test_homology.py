@@ -17,7 +17,9 @@ from diskplex.homology import (
     AbelianGroup,
     IntegerMatrix,
     ZERO_INDEX,
+    _apex_and_peel,
     _collapse_core,
+    _deletion_is_cone,
     boundary_matrices,
     divisor_chain,
     finite_index,
@@ -36,6 +38,7 @@ from diskplex.simplicial import (
     join,
     join_all,
     point,
+    relabel,
     simplex_complex,
     vertex_key,
 )
@@ -370,6 +373,15 @@ def _collapse_cases():
     yield barycentric_subdivision(from_facets(RP2))
 
 
+def _core_apex_peel(k):
+    """The collapse core of k, its busiest vertex, and its first vertex
+    whose deletion is a nonempty cone (or None), read off the core's index."""
+    core, facets, holders = _collapse_core(k)
+    apex, peel = _apex_and_peel(holders, facets)
+    verts = k.vertices()
+    return core, verts[apex], None if peel is None else verts[peel]
+
+
 def _assert_profile_matches_whole_maps_and_oracles(k):
     """reduced_homology(k), which collapses and clears, against
     _uncollapsed(k) and the field Betti numbers; returns the profile."""
@@ -388,7 +400,7 @@ def _assert_profile_matches_whole_maps_and_oracles(k):
 def test_strong_collapse_keeps_every_profile():
     reduced = kept = 0
     for k in _collapse_cases():
-        core, _ = _collapse_core(k)
+        core = _collapse_core(k)[0]
         if core is k:
             kept += 1
         else:
@@ -401,7 +413,7 @@ def test_strong_collapse_keeps_every_profile():
 def test_collapse_cores_have_no_dominated_vertex():
     # the core is minimal: every vertex w != v misses some facet holding v
     for k in _collapse_cases():
-        core, _ = _collapse_core(k)
+        core = _collapse_core(k)[0]
         facets = [set(f) for f in core.facet_list()]
         for v in core.vertices():
             holding = [f for f in facets if v in f]
@@ -463,7 +475,7 @@ def test_relative_complex_leaves_out_the_closed_star():
     # a row
     every = 0
     for k in _collapse_cases():
-        core, apex = _collapse_core(k)
+        core, apex, _ = _core_apex_peel(k)
         _assert_relative_complex(core, apex)
         if len(k.vertices()) <= 7 and k.dim >= 1:
             every += 1
@@ -493,13 +505,13 @@ def test_relative_assembly_stops_listing_the_link_with_the_cells():
     # the link of a vertex of the boundary of the simplex on n vertices is
     # the boundary of the simplex on n - 1: listing all of it for one cell
     # made n = 15 about 70 times slower than n = 9, where both assemble
-    # one cell; a ratio of times in one process holds as the machine's
-    # speed drifts
+    # one cell (reduced_homology peels these spheres and assembles none);
+    # a ratio of times in one process holds as the machine's speed drifts
     def best(k):
         times = []
         for _ in range(5):
             start = time.perf_counter()
-            reduced_homology(k)
+            boundary_matrices(k, 0)
             times.append(time.perf_counter() - start)
         return min(times)
 
@@ -513,48 +525,155 @@ def test_empty_complex_has_no_boundary_matrices():
         boundary_matrices(empty_complex())
 
 
-def _apex_and_cells(k):
-    """The apex that reduced_homology(k) passes to boundary_matrices, and
-    the relative cells of each degree."""
+def _assemblies(k):
+    """(complex, apex, relative cells of each degree) for each call that
+    reduced_homology(k) makes to boundary_matrices."""
     import diskplex.homology as homology
 
     calls = []
     build = homology.boundary_matrices
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homology, "boundary_matrices",
-                   lambda k, apex=None: calls.append((apex, build(k, apex))) or calls[-1][1])
+                   lambda k, apex=None: calls.append((k, apex, build(k, apex))) or calls[-1][2])
         reduced_homology(k)
-    (apex, mats), = calls
-    return apex, [m.cols for m in mats]
+    return [(c, apex, [m.cols for m in mats]) for c, apex, mats in calls]
+
+
+def _apex_and_cells(k):
+    """The apex that reduced_homology(k) passes to its one boundary_matrices
+    call, and the relative cells of each degree."""
+    (_, apex, cells), = _assemblies(k)
+    return apex, cells
+
+
+def _c4_c4_rp2():
+    """C4 * C4 * RP^2: two 4-cycles on 0..3 and 4..7, and RP^2 on 8..13."""
+    c4 = [[0, 1], [1, 2], [2, 3], [3, 0]]
+    return join_all([from_facets(c4), from_facets([[v + 4 for v in e] for e in c4]),
+                     from_facets([[v + 7 for v in f] for f in RP2])])
+
+
+def _cycle_torus(n):
+    """C_n * T, the n-cycle on -n..-1, which sort first, joined with the
+    9-vertex torus.  For n >= 5 no vertex's deletion is a cone (neither
+    factor's is), so it is assembled whole.  A cycle vertex lies in
+    2 * 18 facets with 2 + 9 link vertices, a torus vertex in 6n with
+    n + 6."""
+    return join(from_facets([[i - n, (i + 1) % n - n] for i in range(n)]), from_facets(TORUS))
 
 
 def test_reduced_homology_takes_the_busiest_vertex_as_apex():
-    # RP^2 joined with two points that sort first: an RP^2 vertex lies in
-    # 10 facets with 7 link vertices, each suspension point in 10 with 6
-    k = join(from_facets(RP2), from_facets([[-1], [0]]))
-    assert _collapse_core(k) == (k, 1)
-    assert _apex_and_cells(k) == (1, [0, 5, 15, 10])
-    # a suspension point of sd(RP^2) lies in 60 of its 120 facets, any
-    # other vertex in at most 20: the apex is one of the two
-    k = join(barycentric_subdivision(from_facets(RP2)), from_facets([["n"], ["s"]]))
-    assert _apex_and_cells(k) == ("n", [1, 31, 90, 60])
-    # the boundary of a simplex leaves one cell, the facet opposite its apex
-    assert _apex_and_cells(boundary_of_simplex(11)) == (0, [0] * 9 + [1])
+    # C5 * T: a cycle vertex is in 36 facets, a torus vertex in 30; the
+    # apex leaves 275 of the 604 faces, a torus vertex would leave 319
+    k = _cycle_torus(5)
+    assert not any(oracles.deletion_is_cone(k.facet_list(), v) for v in k.vertices())
+    assert _apex_and_cells(k) == (-5, [2, 21, 81, 117, 54])
+    # C6 * T: both are in 36, and the second key takes a torus vertex
+    # (12 link vertices against 11), with 377 of the 714 faces; the
+    # lowest rank, a cycle vertex, would leave 385
+    k = _cycle_torus(6)
+    assert not any(oracles.deletion_is_cone(k.facet_list(), v) for v in k.vertices())
+    assert _core_apex_peel(k) == (k, 1, None)
+    assert _apex_and_cells(k) == (1, [2, 27, 114, 162, 72])
+    # the 6-vertex RP^2 has no cone deletion: every vertex lies in 5 of
+    # its 10 facets, with 5 link vertices, so the lowest is the apex
+    assert _apex_and_cells(from_facets(RP2)) == (1, [0, 5, 5])
+
+
+def test_suspensions_and_joins_are_peeled_before_assembly():
+    # the deletion of a suspension point is a cone on the other, so Sigma
+    # RP^2 assembles RP^2, and Sigma sd(RP^2) assembles sd(RP^2)
+    rp2 = from_facets(RP2)
+    (k, apex, cells), = _assemblies(join(rp2, from_facets([[-1], [0]])))
+    assert (k, apex, cells) == (rp2, 1, [0, 5, 5])
+    sd = barycentric_subdivision(rp2)
+    (k, _, cells), = _assemblies(join(sd, from_facets([["n"], ["s"]])))
+    assert k == sd and cells == [20, 70, 50]
+    # C4 = S^0 * S^0, so C4 * C4 * RP^2 is the fourfold suspension of RP^2:
+    # four steps, whatever the labels, leave the 6-vertex RP^2
+    facets = _c4_c4_rp2().facet_list()
+    rng = random.Random(38)
+    for labels in [list(range(14))] + [rng.sample(range(100), 14) for _ in range(6)]:
+        (k, _, cells), = _assemblies(from_facets([[labels[v] for v in f] for f in facets]))
+        assert len(k.vertices()) == 6 and cells == [0, 5, 5], labels
+        assert k.vertices() == tuple(sorted(labels[8:], key=vertex_key)), labels
+    # the boundary of a simplex peels down to a circle, a graph
+    assert _assemblies(boundary_of_simplex(11)) == []
+
+
+def _joins_and_suspensions(seed, count):
+    """Seeded suspensions and joins, A * S^0 and A * B, in turn; every
+    other pair gets a stray facet: a vertex of the second factor, one or
+    two of A and, every other time, a new vertex, so the result is no
+    longer a join.  The core of A has an edge, and that of B two or more
+    vertices, so neither factor is a cone."""
+    rng = random.Random(seed)
+
+    def factor(n, size, dim):
+        while True:
+            k = corpus.random_complex(rng, max_vertices=n, max_facet_size=size, max_facets=6, allow_empty=False)
+            core = _collapse_core(k)[0]
+            if len(core.vertices()) > 1 and core.dim >= dim:
+                return k
+
+    for t in range(count):
+        a = factor(5, 3, 1)
+        b = relabel(factor(3, 2, 0), "R") if t % 2 else from_facets([["n"], ["s"]])
+        k = join(a, b)
+        if t % 4 >= 2:
+            stray = [rng.choice(b.vertices()), *rng.sample(a.vertices(), min(len(a.vertices()), rng.randint(1, 2)))]
+            k = from_facets([*k.facet_list(), stray + ["z"] * (t % 8 >= 4)])
+        yield k
+
+
+def test_peeling_matches_the_whole_maps_and_a_set_oracle():
+    """reduced_homology against the whole boundary maps, eliminated with
+    no apex and no step; and on every core vertex, the mask test against
+    oracles.deletion_is_cone, which finds the deletion's facets by
+    containment: the mask test may miss a cone, but never accepts a
+    deletion that the oracle rejects."""
+    import diskplex.homology as homology
+
+    fired = accepted = missed = 0
+    for k in _joins_and_suspensions(38, 240):
+        steps = []
+        step = homology._link_index
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homology, "_link_index", lambda *args: steps.append(args) or step(*args))
+            prof = reduced_homology(k)
+        assert [(prof.group(d).rank, prof.group(d).torsion) for d in range(k.dim + 1)] == _uncollapsed(k), k
+        fired += bool(steps)
+        if k.dim < 2 or reduce(and_, k._masks()):
+            continue
+        core, facets, holders = _collapse_core(k)
+        core_facets = core.facet_list()
+        masks = set(facets.values())
+        for i, ids in enumerate(holders):
+            if ids:
+                cone = oracles.deletion_is_cone(core_facets, k.vertices()[i])
+                ours = _deletion_is_cone(facets, holders, masks, i)
+                assert cone or not ours, (k, k.vertices()[i])
+                accepted += ours
+                missed += cone and not ours
+    # at seed 38 the step fires on 239 of the 240 inputs (the bound asks
+    # 95%); 1,138 vertices pass the mask test, and it misses 2 cones
+    assert fired >= 228 and accepted >= 1000, (fired, accepted, missed)
+    assert missed <= accepted // 100, (accepted, missed)
 
 
 def test_relative_complex_size_does_not_depend_on_the_labels():
-    # a 4-cycle vertex and an RP^2 vertex of C4 * C4 * RP^2 both lie in 80
-    # of its 160 facets, with 12 and 13 link vertices: as labelled (the
-    # 4-cycles first) and shuffled, the apex is an RP^2 vertex, with 810
-    # of the 2,591 faces; a 4-cycle vertex would leave 864
-    c4 = [[0, 1], [1, 2], [2, 3], [3, 0]]
-    k = join_all([from_facets(c4), from_facets([[v + 4 for v in e] for e in c4]),
-                  from_facets([[v + 7 for v in f] for f in RP2])])
-    assert len(k.all_faces()) == 2591
+    # a 6-cycle vertex and a torus vertex of C6 * T tie on the first key
+    # (36 facets each), with 11 and 12 link vertices: as labelled (the
+    # cycle first), reversed and shuffled, the apex is a torus vertex,
+    # with 377 of the 714 faces
+    k = _cycle_torus(6)
+    assert len(k.all_faces()) == 714
+    verts = k.vertices()
     rng = random.Random(5)
-    for labels in [list(range(14))] + [rng.sample(range(100), 14) for _ in range(6)]:
-        apex, cells = _apex_and_cells(from_facets([[labels[v] for v in f] for f in k.facet_list()]))
-        assert labels.index(apex) >= 8 and sum(cells) == 810, (labels, apex)
+    for labels in [list(range(15)), list(range(15))[::-1]] + [rng.sample(range(100), 15) for _ in range(6)]:
+        mapping = dict(zip(verts, labels))
+        apex, cells = _apex_and_cells(from_facets([[mapping[v] for v in f] for f in k.facet_list()]))
+        assert labels.index(apex) >= 6 and sum(cells) == 377, (labels, apex)
 
 
 def test_busiest_vertex_matches_the_set_oracle():
@@ -564,12 +683,10 @@ def test_busiest_vertex_matches_the_set_oracle():
     # (the two suspension points), so the vertex order decides
     checked = 0
     for k in _collapse_cases():
-        core, apex = _collapse_core(k)
+        core, apex, _ = _core_apex_peel(k)
         assert oracles.busiest_vertex(core.facet_list(), vertex_key) == apex, k
         checked += 1
-    c4 = [[0, 1], [1, 2], [2, 3], [3, 0]]
-    c4c4rp2 = join_all([from_facets(c4), from_facets([[v + 4 for v in e] for e in c4]),
-                        from_facets([[v + 7 for v in f] for f in RP2])]).facet_list()
+    c4c4rp2 = _c4_c4_rp2().facet_list()
     sd_susp = join(barycentric_subdivision(from_facets(RP2)), from_facets([["n"], ["s"]])).facet_list()
     rng = random.Random(35)
     for facets in (c4c4rp2, sd_susp):
@@ -580,7 +697,7 @@ def test_busiest_vertex_matches_the_set_oracle():
                 labels = [f"v{x}" if x % 3 else ("t", x) for x in labels]
             mapping = dict(zip(verts, labels))
             relabelled = [[mapping[v] for v in f] for f in facets]
-            apex = _collapse_core(from_facets(relabelled))[1]
+            apex = _core_apex_peel(from_facets(relabelled))[1]
             assert oracles.busiest_vertex(relabelled, vertex_key) == apex, (labels, apex)
             checked += 1
     assert checked >= 200, checked
@@ -695,7 +812,8 @@ def test_matrices_are_built_only_for_cores_of_dimension_two_or_more(monkeypatch)
     run_suite(RunConfig(seed=1036, counts=4))
     assert built
     for k in built:
-        assert _collapse_core(k)[0] is k, k
+        core, _, peel = _core_apex_peel(k)
+        assert core is k and peel is None, k
         assert not reduce(and_, k._masks()), k
         assert k.dim >= 2, k
 
@@ -737,7 +855,7 @@ def test_graphs_are_answered_over_the_face_budget():
 def test_core_and_face_budget_on_simplices_and_their_boundaries():
     # a simplex collapses to one vertex, however large
     for n in (1, 2, 12, 40):
-        core, _ = _collapse_core(simplex_complex(range(n)))
+        core = _collapse_core(simplex_complex(range(n)))[0]
         assert len(core.facets) == 1 and len(core.vertices()) == 1
     assert homology_index(simplex_complex(range(40))) == ACYCLIC_INDEX
     # the boundary of a simplex has no dominated vertex: 2^n - 2 faces
@@ -752,7 +870,8 @@ def test_boundaries_of_simplices_are_peeled_whole(monkeypatch):
     # alone in its column at some point of the peel, so the loop takes no
     # step; a peel that stopped early would hand the rest to the loop,
     # whose fill-in makes large spheres take minutes.  reduced_homology
-    # itself eliminates one cell, the facet opposite its apex
+    # itself builds no matrix: each vertex's deletion is a simplex, so the
+    # sphere peels down to a circle
     import diskplex.homology as homology
 
     steps = []
@@ -774,7 +893,7 @@ def test_boundaries_of_simplices_are_peeled_whole(monkeypatch):
         for k in spheres:
             m = len(k.vertices())
             assert reduced_homology(k).render_lines()[-1] == f"H~{m - 2} = Z"
-            assert _apex_and_cells(k)[1] == [0] * (m - 2) + [1]
+            assert _assemblies(k) == []
             mats, split, ranks = boundary_matrices(k), set(), []
             for mat in mats:
                 skip, split = split, set()
@@ -808,10 +927,7 @@ def test_reduced_homology_of_large_known_shapes():
     assert reduced_homology(suspension).groups == (trivial, trivial, z2)
 
     # C4 * C4 = S^3, and S^3 * RP^2 is the fourfold suspension of RP^2.
-    c4 = [[0, 1], [1, 2], [2, 3], [3, 0]]
-    c4_c4_rp2 = join_all([from_facets(c4), from_facets([[v + 4 for v in e] for e in c4]),
-                          from_facets([[v + 7 for v in f] for f in RP2])])
-    assert reduced_homology(c4_c4_rp2).groups == (trivial,) * 5 + (z2,)
+    assert reduced_homology(_c4_c4_rp2()).groups == (trivial,) * 5 + (z2,)
 
     assert homology_index(simplex_complex(range(11))) == ACYCLIC_INDEX
     assert reduced_homology(boundary_of_simplex(11)).groups == (trivial,) * 9 + (AbelianGroup(1, ()),)

@@ -170,7 +170,7 @@ def test_homology_makes_no_facet_tuple_of_a_from_facets_result():
     holds its masks and makes its facet tuples on first read, as the same
     frozenset an eager complex holds."""
     pendant = [(-1, 0, 1)] + RP2  # its core drops -1 and 0, the two lowest ranks
-    core, _ = _collapse_core(from_facets(pendant, "pendant"))
+    core = _collapse_core(from_facets(pendant, "pendant"))[0]
     sd = barycentric_subdivision(from_facets(RP2))
     for faces, k in ((RP2, from_facets(RP2, "rp2")),
                      (list(itertools.combinations(range(7), 6)), boundary_of_simplex(7)),

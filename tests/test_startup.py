@@ -81,6 +81,18 @@ def test_an_unknown_package_attribute_raises():
     assert not hasattr(diskplex, "no_such_name")
 
 
+def test_package_dir_lists_the_names_not_yet_bound(monkeypatch):
+    """``dir(diskplex)`` lists every public name, sorted, beside the
+    package's own globals, whether or not ``__getattr__`` has bound the
+    name yet."""
+    import diskplex
+
+    monkeypatch.delitem(vars(diskplex), "piece", raising=False)
+    names = dir(diskplex)
+    assert names == sorted(names) and "piece" not in vars(diskplex)
+    assert set(diskplex.__all__) | {"_Value", "__getattr__"} <= set(names)
+
+
 def loaded_by(code: str) -> set[str]:
     """The ``diskplex`` submodules a fresh process has loaded after ``code``."""
     out = run_fresh(code + "\nimport json, sys\n"

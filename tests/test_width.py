@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 
 from diskplex.width import (
+    DecreaseVerdict,
     MoveKind,
     Ordering,
     SurfaceComponentModel,
@@ -98,6 +99,26 @@ def test_sep_compression_splits():
     # each side must strictly drop -euler
     with pytest.raises(ValueError):
         apply_surgery(s, SurgeryMove(MoveKind.HONEST_COMPRESS_SEP, 0, split=((-2, 3), (2, 3))))
+
+
+def test_decrease_verdict_renders_its_lines():
+    # demo 05 prints these lines, but only in a subprocess; a verdict that
+    # keeps the width is built by hand, as no valid move makes one
+    surface = (comp(-2, 10), comp(0, 4))
+    verdict = verify_width_decrease(surface, SurgeryMove(MoveKind.HONEST_COMPRESS_SEP, 0, split=((0, 6), (0, 4))))
+    assert verdict.render_lines() == [
+        "move:   HONEST_COMPRESS_SEP@0 split=((0, 6), (0, 4))",
+        "before: {(2, 10), (0, 4)}",
+        "after:  {(0, 6), (0, 4), (0, 4)}",
+        "verdict: strict decrease",
+    ]
+    kept = DecreaseVerdict(False, width(surface), width(surface), SurgeryMove(MoveKind.DISHONEST, 1, k=3))
+    assert kept.render_lines() == [
+        "move:   DISHONEST@1 k=3",
+        "before: {(2, 10), (0, 4)}",
+        "after:  {(2, 10), (0, 4)}",
+        "verdict: NO DECREASE",
+    ]
 
 
 def test_dishonest_weight_drop_and_sphere_discard():
